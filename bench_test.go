@@ -1,10 +1,9 @@
 package prcc
 
-// Root benchmark harness: one benchmark per experiment row in DESIGN.md's
-// index (the paper has no measured tables, so these regenerate the
-// repository's EXPERIMENTS.md quantities). Custom metrics attach the
-// quantities the paper reasons about — timestamp entries and metadata
-// bytes per message — to the timing output.
+// Root benchmark harness: one benchmark per experiment (the paper has no
+// measured tables; cmd/prcc-bench prints the same experiments as tables).
+// Custom metrics attach the quantities the paper reasons about — timestamp
+// entries and metadata bytes per message — to the timing output.
 
 import (
 	"fmt"
@@ -655,12 +654,12 @@ func BenchmarkShardedThroughput(b *testing.B) {
 				r.RunMulti(ms, 0)
 			}
 			b.StopTimer()
-			st := r.Stats()
-			if st.Messages == 0 {
+			m := r.Metrics()
+			if m.Envelopes == 0 {
 				b.Fatal("no envelopes delivered")
 			}
 			b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-			b.ReportMetric(st.AvgBatch(), "env/batch")
+			b.ReportMetric(float64(m.Envelopes)/float64(m.Batches), "env/batch")
 		}
 	}
 	b.Run("spaces1k", shardedRow(1000))

@@ -111,16 +111,6 @@ func (l *LiveClientServer) Sync() { l.inner.Quiesce() }
 // ClusterOptions.Metrics armed the registry at LiveWith.
 func (l *LiveClientServer) Metrics() Metrics { return l.inner.Metrics() }
 
-// Stats reports transport-level counters: inter-replica updates
-// dispatched and their total metadata bytes.
-//
-// Deprecated: use Metrics, whose Updates and MetaBytes fields carry the
-// same totals in the unified cross-runtime snapshot schema.
-func (l *LiveClientServer) Stats() (updates int64, metaBytes int64) {
-	m := l.Metrics()
-	return m.Updates, m.MetaBytes
-}
-
 // Workers returns the delivery worker-pool size.
 func (l *LiveClientServer) Workers() int { return l.inner.Workers() }
 

@@ -1,7 +1,7 @@
-// Command prcc-bench regenerates the experiment tables recorded in
-// EXPERIMENTS.md: one section per experiment in DESIGN.md's index
-// (structural checks for the paper's worked figures, consistency sweeps,
-// lower-bound tightness, compression, and the Appendix D trade-offs).
+// Command prcc-bench prints the repository's experiment tables, one
+// section per experiment (structural checks for the paper's worked
+// figures, consistency sweeps, lower-bound tightness, compression, and the
+// Appendix D trade-offs).
 //
 // Usage:
 //

@@ -2,8 +2,8 @@ package main
 
 import "testing"
 
-// TestExperimentsRun executes every experiment section end to end (the
-// same code path that regenerates EXPERIMENTS.md).
+// TestExperimentsRun executes every experiment section end to end, the
+// code path the command itself runs.
 func TestExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")

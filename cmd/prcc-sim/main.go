@@ -306,9 +306,9 @@ func runSharded(g *sharegraph.Graph, p core.Protocol, topology string, spaces, s
 	}
 	fmt.Printf("topology=%s R=%d protocol=%s runtime=sharded\n", topology, g.NumReplicas(), p.Name())
 	fmt.Printf("spaces=%d shards=%d workers=%d distribution=%s\n", r.Spaces(), r.Shards(), r.Workers(), dist)
-	st := r.Stats()
+	m := r.Metrics()
 	fmt.Printf("ops=%d envelopes=%d batches=%d (%.1f per batch) metadata=%d bytes\n",
-		len(ms.Ops), st.Messages, st.Batches, st.AvgBatch(), st.MetaBytes)
+		len(ms.Ops), m.Envelopes, m.Batches, float64(m.Envelopes)/float64(max(m.Batches, 1)), m.MetaBytes)
 
 	if noAudit {
 		fmt.Println("verdict: audit skipped (-noaudit)")

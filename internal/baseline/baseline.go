@@ -1,5 +1,8 @@
 // Package baseline implements the comparison protocols the paper's
-// narrative positions the edge-indexed algorithm against:
+// narrative positions the edge-indexed algorithm against. Each is core's
+// replica prototype with a different clock — a timestamp layout with its
+// own advance, merge and predicate J — and nothing else: storing,
+// buffering, draining, routing and checkpointing are the prototype's.
 //
 //   - FIFOOnly: per-channel sequence numbers. FIFO delivery is sound, but
 //     causal consistency fails on transitive dependencies through third
@@ -13,55 +16,66 @@
 //     exactly why the full-replication recipe does not transfer.
 //
 //   - Broadcast: the Section 5 "dummy registers everywhere" emulation of
-//     full replication. Length-R vectors suffice and liveness holds, paid
-//     for with a metadata message to every replica on every write plus
-//     false dependencies.
+//     full replication: NaiveVector's clock, routed to every replica.
+//     Length-R vectors suffice and liveness holds, paid for with a
+//     metadata message to every replica on every write plus false
+//     dependencies.
 //
 //   - Matrix: an R×R matrix clock in the style of Raynal–Schiper–Toueg
 //     causal multicast (the Full-Track family of Shen et al.). Safe and
 //     live under partial replication, with quadratic metadata.
+//
+// The *Rescan constructors build the same protocol with the prototype's
+// reference drain, for differential tests against the indexed one.
 package baseline
 
 import (
-	"repro/internal/causality"
 	"repro/internal/core"
-	"repro/internal/ingest"
 	"repro/internal/sharegraph"
 	"repro/internal/timestamp"
 )
 
-// diagHolder gives every baseline protocol the injectable drop sink
-// (core.DiagSettable); nodes capture the pointer at construction.
-type diagHolder struct {
-	diag *core.Diag
+// newProtocol is the prototype over g with the given clock, sending
+// updates to the register's holders — and, with everyone set, the
+// timestamp alone to all other replicas.
+func newProtocol(name string, g *sharegraph.Graph, everyone bool, clock func(sharegraph.ReplicaID) core.Clock) *core.Prototype {
+	return core.NewPrototype(name, g.NumReplicas(), clock, core.ShareRoutes(g, nil, everyone))
 }
 
-// SetDiag implements core.DiagSettable: nodes built after this call
-// report ingest drops through d.
-func (h *diagHolder) SetDiag(d *core.Diag) { h.diag = d }
+// dense is what the clocks whose vectors have one fixed length share: the
+// per-sender table, and the list 0..n−1 of replicas — after an apply from
+// any sender, their predicates may newly hold for every other one.
+type dense struct {
+	senders []core.Sender
+	all     []sharegraph.ReplicaID
+}
 
-// decodeMeta decodes envelope metadata, reporting (not crashing) on
-// harness bugs, mirroring the core protocol's behaviour. free is the
-// caller's freelist of vectors recycled by earlier applies.
-func decodeMeta(d *core.Diag, proto string, self sharegraph.ReplicaID, env core.Envelope, free *[]timestamp.Vec) (timestamp.Vec, bool) {
-	v, err := timestamp.DecodeReuse(free, env.Meta)
-	if err != nil {
-		d.Dropf(self, "%s: replica %d dropping corrupt metadata from %d: %v", proto, self, env.From, err)
-		return nil, false
+// newDense builds the table for n replicas exchanging vectors of the
+// given length, where pos(k) is both the position of sender k's sequence
+// number in its vector and of the counter gating k here.
+func newDense(n, length int, pos func(k int) int) dense {
+	d := dense{senders: make([]core.Sender, n), all: make([]sharegraph.ReplicaID, n)}
+	for k := range d.senders {
+		d.senders[k] = core.Sender{Len: length, SeqPos: pos(k), GatePos: pos(k), Tracked: true}
+		d.all[k] = sharegraph.ReplicaID(k)
 	}
-	return v, true
+	return d
 }
 
-// validSender reports whether the envelope's sender indexes the replica
-// set; both engines index per-sender state by it, so an out-of-range
-// sender is harness corruption that must be dropped, not dereferenced.
-func validSender(d *core.Diag, proto string, self sharegraph.ReplicaID, env core.Envelope, n int) bool {
-	if int(env.From) >= 0 && int(env.From) < n {
-		return true
+func (d dense) Senders() []core.Sender                              { return d.senders }
+func (d dense) Recheck(sharegraph.ReplicaID) []sharegraph.ReplicaID { return d.all }
+
+// Merge is the element-wise maximum.
+func (d dense) Merge(τ timestamp.Vec, _ sharegraph.ReplicaID, T timestamp.Vec) {
+	for p, t := range T {
+		if t > τ[p] {
+			τ[p] = t
+		}
 	}
-	d.Dropf(self, "%s: replica %d dropping update from invalid sender %d", proto, self, env.From)
-	return false
 }
+
+// Meta: every recipient is sent the whole clock.
+func (d dense) Meta(τ timestamp.Vec, _ sharegraph.ReplicaID) (timestamp.Vec, bool) { return τ, true }
 
 // ---------------------------------------------------------------------------
 // FIFOOnly
@@ -71,488 +85,130 @@ func validSender(d *core.Diag, proto string, self sharegraph.ReplicaID, env core
 // deliberately below the Theorem 8 minimum whenever any timestamp graph
 // has a non-incident edge, making it the negative control the oracle
 // catches.
-type FIFOOnly struct {
-	diagHolder
-	g *sharegraph.Graph
-	// naive selects the reference full-buffer rescan (differential tests).
-	naive bool
-}
-
-var (
-	_ core.Protocol     = (*FIFOOnly)(nil)
-	_ core.DiagSettable = (*FIFOOnly)(nil)
-)
+type FIFOOnly struct{ core.Prototype }
 
 // NewFIFOOnly builds the protocol.
-func NewFIFOOnly(g *sharegraph.Graph) *FIFOOnly { return &FIFOOnly{g: g} }
-
-// NewFIFOOnlyRescan builds the protocol with the reference full-buffer
-// rescan engine, for differential tests against the indexed engine.
-func NewFIFOOnlyRescan(g *sharegraph.Graph) *FIFOOnly { return &FIFOOnly{g: g, naive: true} }
-
-// Name implements core.Protocol.
-func (p *FIFOOnly) Name() string { return "fifo-only" }
-
-// NewNodes implements core.Protocol.
-func (p *FIFOOnly) NewNodes() ([]core.Node, error) {
-	n := p.g.NumReplicas()
-	nodes := make([]core.Node, n)
-	for i := range nodes {
-		fn := &fifoNode{
-			id:     sharegraph.ReplicaID(i),
-			g:      p.g,
-			diag:   p.diag,
-			naive:  p.naive,
-			sentTo: make([]uint64, n),
-			recvd:  make([]uint64, n),
-			store:  make(map[sharegraph.Register]core.Value),
-			recip:  sharegraph.NewRecipientCache(p.g, sharegraph.ReplicaID(i)),
-		}
-		if !p.naive {
-			fn.q = ingest.NewSenderQueues[fifoPending](n)
-		}
-		nodes[i] = fn
+func NewFIFOOnly(g *sharegraph.Graph) *FIFOOnly {
+	n := g.NumReplicas()
+	senders := make([]core.Sender, n)
+	for k := range senders {
+		senders[k] = core.Sender{Len: 1, SeqPos: 0, GatePos: n + k, Tracked: true}
 	}
-	return nodes, nil
+	return &FIFOOnly{*newProtocol("fifo-only", g, false, func(i sharegraph.ReplicaID) core.Clock {
+		return &fifoClock{senders: senders, degree: g.Degree(i), seq: make(timestamp.Vec, 1)}
+	})}
 }
 
-type fifoPending struct {
-	env core.Envelope
-	seq uint64
+// NewFIFOOnlyRescan builds the protocol with the reference drain.
+func NewFIFOOnlyRescan(g *sharegraph.Graph) *FIFOOnly {
+	return &FIFOOnly{*NewFIFOOnly(g).Rescan()}
 }
 
-// fifoNode delivers per sender in sequence order. Its predicate involves
-// only the sender's own counter, so the indexed engine is a pure chain:
-// file each update under its sequence number and, whenever the head
-// matches recvd+1, pop consecutive entries.
-type fifoNode struct {
-	id     sharegraph.ReplicaID
-	g      *sharegraph.Graph
-	diag   *core.Diag
-	sentTo []uint64
-	recvd  []uint64
-	store  map[sharegraph.Register]core.Value
-
-	naive   bool
-	pending []fifoPending // reference engine
-
-	q        ingest.SenderQueues[fifoPending] // indexed engine
-	applyBuf []core.Applied
-	vecFree  []timestamp.Vec
-	metaBuf  []byte
-	seqVec   timestamp.Vec
-	recip    sharegraph.RecipientCache
+// fifoClock keeps, for every other replica k of n, the number of updates
+// sent to k at τ[k] and received from k at τ[n+k]. A message carries only
+// its own sequence number, so the predicate involves the sender's counter
+// alone and an apply unblocks nobody else.
+type fifoClock struct {
+	senders []core.Sender
+	degree  int
+	seq     timestamp.Vec // Meta scratch
 }
 
-var _ core.Node = (*fifoNode)(nil)
+func (c *fifoClock) Zero() timestamp.Vec    { return make(timestamp.Vec, 2*len(c.senders)) }
+func (c *fifoClock) Entries() int           { return 2 * c.degree }
+func (c *fifoClock) Senders() []core.Sender { return c.senders }
 
-func (n *fifoNode) ID() sharegraph.ReplicaID { return n.id }
-
-func (n *fifoNode) HandleWrite(x sharegraph.Register, v core.Value, id causality.UpdateID, out core.Sink) error {
-	if !n.g.StoresRegister(n.id, x) {
-		return &core.NotStoredError{Replica: n.id, Register: x}
-	}
-	n.store[x] = v
-	if n.seqVec == nil {
-		n.seqVec = timestamp.Vec{0}
-	}
-	for _, k := range n.recip.Recipients(x) {
-		n.sentTo[k]++
-		// Unlike the vector protocols, each recipient carries a different
-		// sequence number; the scratch buffer is re-encoded per emit (the
-		// sink consumes or copies before the next one).
-		n.seqVec[0] = n.sentTo[k]
-		n.metaBuf = timestamp.EncodeTo(n.metaBuf[:0], n.seqVec)
-		out.Emit(core.Envelope{
-			From: n.id, To: k, Reg: x, Val: v,
-			Meta:     n.metaBuf,
-			OracleID: id,
-		})
-	}
-	return nil
-}
-
-func (n *fifoNode) HandleMessage(env core.Envelope, out core.Sink) []core.Applied {
-	meta, ok := decodeMeta(n.diag, "fifo-only", n.id, env, &n.vecFree)
-	if !ok || len(meta) != 1 || !validSender(n.diag, "fifo-only", n.id, env, len(n.recvd)) {
-		return nil
-	}
-	seq := meta[0]
-	// The sequence number is all the metadata carries; recycle the vector
-	// immediately (fifoPending keeps only the envelope and seq). The Meta
-	// buffer is runtime-owned and reclaimed after this call returns, so
-	// the buffered copy of the envelope must not alias it.
-	n.vecFree = append(n.vecFree, meta)
-	env.Meta = nil
-	if n.naive {
-		return n.drainNaive(fifoPending{env: env, seq: seq})
-	}
-	from := env.From
-	if !n.q.Offer(int(from), seq, n.recvd[from], fifoPending{env: env, seq: seq}) {
-		return nil
-	}
-	outApplied := n.applyBuf[:0]
-	for {
-		u, ok := n.q.Peek(int(from), n.recvd[from]+1)
-		if !ok {
-			break
-		}
-		n.q.Remove(int(from), n.recvd[from]+1)
-		n.recvd[from]++
-		e := u.env
-		n.store[e.Reg] = e.Val
-		outApplied = append(outApplied, core.Applied{
-			OracleID: e.OracleID, From: e.From, Reg: e.Reg, Val: e.Val,
-		})
-	}
-	n.applyBuf = outApplied
-	return outApplied
-}
-
-func (n *fifoNode) drainNaive(u fifoPending) []core.Applied {
-	n.pending = append(n.pending, u)
-	var out []core.Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if u.seq != n.recvd[u.env.From]+1 {
-				continue
-			}
-			n.recvd[u.env.From]++
-			n.store[u.env.Reg] = u.env.Val
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			out = append(out, core.Applied{
-				OracleID: u.env.OracleID, From: u.env.From, Reg: u.env.Reg, Val: u.env.Val,
-			})
-			progress = true
-			idx--
-		}
-		if !progress {
-			return out
-		}
+func (c *fifoClock) Advance(τ timestamp.Vec, _ sharegraph.Register, to []sharegraph.ReplicaID) {
+	for _, k := range to {
+		τ[k]++
 	}
 }
 
-func (n *fifoNode) Read(x sharegraph.Register) (core.Value, bool) {
-	if !n.g.StoresRegister(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
+func (c *fifoClock) Meta(τ timestamp.Vec, k sharegraph.ReplicaID) (timestamp.Vec, bool) {
+	c.seq[0] = τ[k]
+	return c.seq, false
 }
 
-func (n *fifoNode) PendingCount() int {
-	if n.naive {
-		return len(n.pending)
-	}
-	return n.q.Len()
+func (c *fifoClock) Deliverable(τ timestamp.Vec, k sharegraph.ReplicaID, T timestamp.Vec) bool {
+	return T[0] == τ[c.senders[k].GatePos]+1
 }
 
-func (n *fifoNode) PendingOracleIDs() []causality.UpdateID {
-	if n.naive {
-		out := make([]causality.UpdateID, len(n.pending))
-		for i, u := range n.pending {
-			out[i] = u.env.OracleID
-		}
-		return out
-	}
-	out := make([]causality.UpdateID, 0, n.q.Len())
-	n.q.All(func(u fifoPending) { out = append(out, u.env.OracleID) })
-	return out
+func (c *fifoClock) Merge(τ timestamp.Vec, k sharegraph.ReplicaID, T timestamp.Vec) {
+	τ[c.senders[k].GatePos] = T[0]
 }
 
-func (n *fifoNode) MetadataEntries() int { return 2 * n.g.Degree(n.id) }
+func (c *fifoClock) Recheck(sharegraph.ReplicaID) []sharegraph.ReplicaID { return nil }
 
 // ---------------------------------------------------------------------------
-// Shared vector-clock machinery for NaiveVector and Broadcast
-
-type vecPending struct {
-	env core.Envelope
-	w   timestamp.Vec
-}
-
-// vectorNode's predicate is the classic causal-broadcast condition: the
-// sender's entry must be exactly one past the local clock, every other
-// entry at most equal. Its indexed engine files updates per sender keyed
-// by w[from]; an apply advances only v[from] (all other entries were
-// already dominated), so after each apply only the queue heads — at most
-// one per sender, the exact key v[k]+1 — need re-examination.
-type vectorNode struct {
-	id        sharegraph.ReplicaID
-	g         *sharegraph.Graph
-	diag      *core.Diag
-	proto     string
-	broadcast bool // Broadcast variant: metadata goes to every replica
-	v         timestamp.Vec
-	store     map[sharegraph.Register]core.Value
-
-	naive   bool
-	pending []vecPending // reference engine
-
-	q        ingest.SenderQueues[vecPending] // indexed engine
-	applyBuf []core.Applied
-	vecFree  []timestamp.Vec
-	metaBuf  []byte
-	sharer   []bool // broadcast scratch: marks data recipients per write
-	recip    sharegraph.RecipientCache
-}
-
-var _ core.Node = (*vectorNode)(nil)
-
-func (n *vectorNode) ID() sharegraph.ReplicaID { return n.id }
-
-func (n *vectorNode) HandleWrite(x sharegraph.Register, v core.Value, id causality.UpdateID, out core.Sink) error {
-	if !n.g.StoresRegister(n.id, x) {
-		return &core.NotStoredError{Replica: n.id, Register: x}
-	}
-	n.store[x] = v
-	n.v[n.id]++
-	n.metaBuf = timestamp.EncodeTo(n.metaBuf[:0], n.v)
-	recipients := n.recip.Recipients(x)
-	for _, k := range recipients {
-		out.Emit(core.Envelope{
-			From: n.id, To: k, Reg: x, Val: v, Meta: n.metaBuf, OracleID: id,
-		})
-	}
-	if n.broadcast {
-		for _, k := range recipients {
-			n.sharer[k] = true
-		}
-		for k := 0; k < n.g.NumReplicas(); k++ {
-			rk := sharegraph.ReplicaID(k)
-			if rk == n.id || n.sharer[k] {
-				continue
-			}
-			out.Emit(core.Envelope{
-				From: n.id, To: rk, Reg: x, Meta: n.metaBuf, OracleID: id, MetaOnly: true,
-			})
-		}
-		for _, k := range recipients {
-			n.sharer[k] = false
-		}
-	}
-	return nil
-}
-
-func (n *vectorNode) HandleMessage(env core.Envelope, out core.Sink) []core.Applied {
-	w, ok := decodeMeta(n.diag, n.proto, n.id, env, &n.vecFree)
-	if !ok || len(w) != len(n.v) || !validSender(n.diag, n.proto, n.id, env, len(n.v)) {
-		return nil
-	}
-	// The buffered copy must not alias the runtime-owned Meta buffer,
-	// which is reclaimed once this call returns.
-	env.Meta = nil
-	u := vecPending{env: env, w: w}
-	if n.naive {
-		return n.drainNaive(u)
-	}
-	from := env.From
-	if !n.q.Offer(int(from), w[from], n.v[from], u) {
-		return nil
-	}
-	return n.drainHeads()
-}
-
-// drainHeads re-examines every sender's queue head until a fixpoint. Each
-// pass is O(R) map lookups; the full predicate runs only on heads whose
-// sequence number matches the gate exactly.
-func (n *vectorNode) drainHeads() []core.Applied {
-	out := n.applyBuf[:0]
-	for {
-		progress := false
-		for k := 0; k < n.q.NumSenders(); k++ {
-			if n.q.QueueLen(k) == 0 {
-				continue
-			}
-			u, ok := n.q.Peek(k, n.v[k]+1)
-			if !ok || !n.vectorDeliverable(u) {
-				continue
-			}
-			n.q.Remove(k, n.v[k]+1)
-			for p := range n.v {
-				if u.w[p] > n.v[p] {
-					n.v[p] = u.w[p]
-				}
-			}
-			n.vecFree = append(n.vecFree, u.w)
-			if !u.env.MetaOnly {
-				n.store[u.env.Reg] = u.env.Val
-				out = append(out, core.Applied{
-					OracleID: u.env.OracleID, From: u.env.From, Reg: u.env.Reg, Val: u.env.Val,
-				})
-			}
-			progress = true
-		}
-		if !progress {
-			n.applyBuf = out
-			return out
-		}
-	}
-}
-
-func (n *vectorNode) drainNaive(u vecPending) []core.Applied {
-	n.pending = append(n.pending, u)
-	var out []core.Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if !n.vectorDeliverable(u) {
-				continue
-			}
-			for p := range n.v {
-				if u.w[p] > n.v[p] {
-					n.v[p] = u.w[p]
-				}
-			}
-			if !u.env.MetaOnly {
-				n.store[u.env.Reg] = u.env.Val
-			}
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			if !u.env.MetaOnly {
-				out = append(out, core.Applied{
-					OracleID: u.env.OracleID, From: u.env.From, Reg: u.env.Reg, Val: u.env.Val,
-				})
-			}
-			progress = true
-			idx--
-		}
-		if !progress {
-			return out
-		}
-	}
-}
-
-// vectorDeliverable is the classic causal-broadcast condition:
-// w[from] = v[from] + 1 and w[l] ≤ v[l] for l ≠ from.
-func (n *vectorNode) vectorDeliverable(u vecPending) bool {
-	from := u.env.From
-	if u.w[from] != n.v[from]+1 {
-		return false
-	}
-	for l := range n.v {
-		if sharegraph.ReplicaID(l) == from {
-			continue
-		}
-		if u.w[l] > n.v[l] {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *vectorNode) Read(x sharegraph.Register) (core.Value, bool) {
-	if !n.g.StoresRegister(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
-}
-
-func (n *vectorNode) PendingCount() int {
-	if n.naive {
-		return len(n.pending)
-	}
-	return n.q.Len()
-}
-
-func (n *vectorNode) PendingOracleIDs() []causality.UpdateID {
-	if n.naive {
-		out := make([]causality.UpdateID, 0, len(n.pending))
-		for _, u := range n.pending {
-			if !u.env.MetaOnly {
-				out = append(out, u.env.OracleID)
-			}
-		}
-		return out
-	}
-	out := make([]causality.UpdateID, 0, n.q.Len())
-	n.q.All(func(u vecPending) {
-		if !u.env.MetaOnly {
-			out = append(out, u.env.OracleID)
-		}
-	})
-	return out
-}
-
-func (n *vectorNode) MetadataEntries() int { return len(n.v) }
+// NaiveVector and Broadcast
 
 // NaiveVector applies full-replication vector clocks to partial
 // replication without metadata broadcast. See the package comment: safe
 // but not live.
-type NaiveVector struct {
-	diagHolder
-	g     *sharegraph.Graph
-	naive bool
-}
-
-var (
-	_ core.Protocol     = (*NaiveVector)(nil)
-	_ core.DiagSettable = (*NaiveVector)(nil)
-)
+type NaiveVector struct{ core.Prototype }
 
 // NewNaiveVector builds the protocol.
-func NewNaiveVector(g *sharegraph.Graph) *NaiveVector { return &NaiveVector{g: g} }
+func NewNaiveVector(g *sharegraph.Graph) *NaiveVector {
+	return &NaiveVector{*newVector("naive-vector", g, false)}
+}
 
-// NewNaiveVectorRescan builds the protocol with the reference full-buffer
-// rescan engine, for differential tests against the indexed engine.
-func NewNaiveVectorRescan(g *sharegraph.Graph) *NaiveVector { return &NaiveVector{g: g, naive: true} }
-
-// Name implements core.Protocol.
-func (p *NaiveVector) Name() string { return "naive-vector" }
-
-// NewNodes implements core.Protocol.
-func (p *NaiveVector) NewNodes() ([]core.Node, error) {
-	nodes := make([]core.Node, p.g.NumReplicas())
-	for i := range nodes {
-		nodes[i] = newVectorNode(p.g, sharegraph.ReplicaID(i), p.Name(), p.diag, false, p.naive)
-	}
-	return nodes, nil
+// NewNaiveVectorRescan builds the protocol with the reference drain.
+func NewNaiveVectorRescan(g *sharegraph.Graph) *NaiveVector {
+	return &NaiveVector{*NewNaiveVector(g).Rescan()}
 }
 
 // Broadcast is the Section 5 dummy-register emulation of full
 // replication: length-R vectors plus metadata-only broadcast.
-type Broadcast struct {
-	diagHolder
-	g     *sharegraph.Graph
-	naive bool
-}
-
-var (
-	_ core.Protocol     = (*Broadcast)(nil)
-	_ core.DiagSettable = (*Broadcast)(nil)
-)
+type Broadcast struct{ core.Prototype }
 
 // NewBroadcast builds the protocol.
-func NewBroadcast(g *sharegraph.Graph) *Broadcast { return &Broadcast{g: g} }
-
-// NewBroadcastRescan builds the protocol with the reference full-buffer
-// rescan engine, for differential tests against the indexed engine.
-func NewBroadcastRescan(g *sharegraph.Graph) *Broadcast { return &Broadcast{g: g, naive: true} }
-
-// Name implements core.Protocol.
-func (p *Broadcast) Name() string { return "dummy-broadcast" }
-
-// NewNodes implements core.Protocol.
-func (p *Broadcast) NewNodes() ([]core.Node, error) {
-	nodes := make([]core.Node, p.g.NumReplicas())
-	for i := range nodes {
-		nodes[i] = newVectorNode(p.g, sharegraph.ReplicaID(i), p.Name(), p.diag, true, p.naive)
-	}
-	return nodes, nil
+func NewBroadcast(g *sharegraph.Graph) *Broadcast {
+	return &Broadcast{*newVector("dummy-broadcast", g, true)}
 }
 
-func newVectorNode(g *sharegraph.Graph, id sharegraph.ReplicaID, proto string, diag *core.Diag, broadcast, naive bool) *vectorNode {
-	n := &vectorNode{
-		id: id, g: g, proto: proto, diag: diag, broadcast: broadcast, naive: naive,
-		v:      make(timestamp.Vec, g.NumReplicas()),
-		store:  make(map[sharegraph.Register]core.Value),
-		sharer: make([]bool, g.NumReplicas()),
-		recip:  sharegraph.NewRecipientCache(g, id),
+// NewBroadcastRescan builds the protocol with the reference drain.
+func NewBroadcastRescan(g *sharegraph.Graph) *Broadcast {
+	return &Broadcast{*NewBroadcast(g).Rescan()}
+}
+
+func newVector(name string, g *sharegraph.Graph, everyone bool) *core.Prototype {
+	n := g.NumReplicas()
+	d := newDense(n, n, func(k int) int { return k })
+	clocks := make([]core.Clock, n)
+	for i := range clocks {
+		clocks[i] = vectorClock{dense: d, i: sharegraph.ReplicaID(i)}
 	}
-	if !naive {
-		n.q = ingest.NewSenderQueues[vecPending](g.NumReplicas())
+	return newProtocol(name, g, everyone, func(i sharegraph.ReplicaID) core.Clock { return clocks[i] })
+}
+
+// vectorClock is the classic causal-broadcast clock: τ[l] counts the
+// writes of replica l applied here. An apply advances only τ[from] (all
+// other entries were already dominated), and any sender's head may have
+// been waiting on exactly that.
+type vectorClock struct {
+	dense
+	i sharegraph.ReplicaID
+}
+
+func (c vectorClock) Zero() timestamp.Vec { return make(timestamp.Vec, len(c.all)) }
+func (c vectorClock) Entries() int        { return len(c.all) }
+
+func (c vectorClock) Advance(τ timestamp.Vec, _ sharegraph.Register, _ []sharegraph.ReplicaID) {
+	τ[c.i]++
+}
+
+// Deliverable is the causal-broadcast condition: T[from] = τ[from] + 1
+// and T[l] ≤ τ[l] for l ≠ from.
+func (c vectorClock) Deliverable(τ timestamp.Vec, from sharegraph.ReplicaID, T timestamp.Vec) bool {
+	if T[from] != τ[from]+1 {
+		return false
 	}
-	return n
+	for l := range τ {
+		if sharegraph.ReplicaID(l) != from && T[l] > τ[l] {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -561,228 +217,53 @@ func newVectorNode(g *sharegraph.Graph, id sharegraph.ReplicaID, proto string, d
 // Matrix is the R×R matrix-clock protocol (Raynal–Schiper–Toueg style):
 // entry (l, d) counts the messages l is known to have sent to d. Safe and
 // live under partial replication at quadratic metadata cost.
-type Matrix struct {
-	diagHolder
-	g     *sharegraph.Graph
-	naive bool
-}
-
-var (
-	_ core.Protocol     = (*Matrix)(nil)
-	_ core.DiagSettable = (*Matrix)(nil)
-)
+type Matrix struct{ core.Prototype }
 
 // NewMatrix builds the protocol.
-func NewMatrix(g *sharegraph.Graph) *Matrix { return &Matrix{g: g} }
-
-// NewMatrixRescan builds the protocol with the reference full-buffer
-// rescan engine, for differential tests against the indexed engine.
-func NewMatrixRescan(g *sharegraph.Graph) *Matrix { return &Matrix{g: g, naive: true} }
-
-// Name implements core.Protocol.
-func (p *Matrix) Name() string { return "matrix" }
-
-// NewNodes implements core.Protocol.
-func (p *Matrix) NewNodes() ([]core.Node, error) {
-	n := p.g.NumReplicas()
-	nodes := make([]core.Node, n)
-	for i := range nodes {
-		mn := &matrixNode{
-			id: sharegraph.ReplicaID(i), g: p.g, r: n, diag: p.diag, naive: p.naive,
-			m:     make(timestamp.Vec, n*n),
-			store: make(map[sharegraph.Register]core.Value),
-			recip: sharegraph.NewRecipientCache(p.g, sharegraph.ReplicaID(i)),
-		}
-		if !p.naive {
-			mn.q = ingest.NewSenderQueues[matrixPending](n)
-		}
-		nodes[i] = mn
+func NewMatrix(g *sharegraph.Graph) *Matrix {
+	r := g.NumReplicas()
+	clocks := make([]core.Clock, r)
+	for i := range clocks {
+		clocks[i] = matrixClock{dense: newDense(r, r*r, func(k int) int { return k*r + i }), row: i * r}
 	}
-	return nodes, nil
+	return &Matrix{*newProtocol("matrix", g, false, func(i sharegraph.ReplicaID) core.Clock { return clocks[i] })}
 }
 
-type matrixPending struct {
-	env core.Envelope
-	w   timestamp.Vec
+// NewMatrixRescan builds the protocol with the reference drain.
+func NewMatrixRescan(g *sharegraph.Graph) *Matrix {
+	return &Matrix{*NewMatrix(g).Rescan()}
 }
 
-// matrixNode's predicate reads only column "me" of the clock: the sender's
-// entry must be exactly one past the local count (a per-receiver sequence
-// number) and every other entry in the column at most equal — the same
-// shape as the vector predicate, so the same per-sender seq-keyed engine
-// applies.
-type matrixNode struct {
-	id    sharegraph.ReplicaID
-	g     *sharegraph.Graph
-	diag  *core.Diag
-	r     int
-	m     timestamp.Vec // row-major r×r: m[l*r+d] = msgs l sent to d (known)
-	store map[sharegraph.Register]core.Value
-
-	naive   bool
-	pending []matrixPending // reference engine
-
-	q        ingest.SenderQueues[matrixPending] // indexed engine
-	applyBuf []core.Applied
-	vecFree  []timestamp.Vec
-	metaBuf  []byte
-	recip    sharegraph.RecipientCache
+// matrixClock is row-major r×r: τ[l*r+d] = messages l is known to have
+// sent to d; row is the offset of this replica's own row. The predicate
+// reads only this replica's column — the sender's entry there is a
+// per-receiver sequence number, every other one must be dominated — so it
+// has the vector predicate's shape and the same recheck set.
+type matrixClock struct {
+	dense
+	row int
 }
 
-var _ core.Node = (*matrixNode)(nil)
+func (c matrixClock) Zero() timestamp.Vec { return make(timestamp.Vec, len(c.all)*len(c.all)) }
+func (c matrixClock) Entries() int        { return len(c.all) * len(c.all) }
 
-func (n *matrixNode) ID() sharegraph.ReplicaID { return n.id }
-
-func (n *matrixNode) at(w timestamp.Vec, l, d sharegraph.ReplicaID) uint64 {
-	return w[int(l)*n.r+int(d)]
-}
-
-func (n *matrixNode) HandleWrite(x sharegraph.Register, v core.Value, id causality.UpdateID, out core.Sink) error {
-	if !n.g.StoresRegister(n.id, x) {
-		return &core.NotStoredError{Replica: n.id, Register: x}
-	}
-	n.store[x] = v
-	recipients := n.recip.Recipients(x)
-	for _, d := range recipients {
-		n.m[int(n.id)*n.r+int(d)]++
-	}
-	n.metaBuf = timestamp.EncodeTo(n.metaBuf[:0], n.m)
-	for _, d := range recipients {
-		out.Emit(core.Envelope{
-			From: n.id, To: d, Reg: x, Val: v, Meta: n.metaBuf, OracleID: id,
-		})
-	}
-	return nil
-}
-
-func (n *matrixNode) HandleMessage(env core.Envelope, out core.Sink) []core.Applied {
-	w, ok := decodeMeta(n.diag, "matrix", n.id, env, &n.vecFree)
-	if !ok || len(w) != n.r*n.r || !validSender(n.diag, "matrix", n.id, env, n.r) {
-		return nil
-	}
-	// The buffered copy must not alias the runtime-owned Meta buffer,
-	// which is reclaimed once this call returns.
-	env.Meta = nil
-	u := matrixPending{env: env, w: w}
-	if n.naive {
-		return n.drainNaive(u)
-	}
-	from := env.From
-	if !n.q.Offer(int(from), n.at(w, from, n.id), n.at(n.m, from, n.id), u) {
-		return nil
-	}
-	return n.drainHeads()
-}
-
-// drainHeads re-examines every sender's queue head until a fixpoint,
-// mirroring vectorNode.drainHeads over column "me" of the matrix clock.
-func (n *matrixNode) drainHeads() []core.Applied {
-	out := n.applyBuf[:0]
-	for {
-		progress := false
-		for k := 0; k < n.q.NumSenders(); k++ {
-			if n.q.QueueLen(k) == 0 {
-				continue
-			}
-			key := n.at(n.m, sharegraph.ReplicaID(k), n.id) + 1
-			u, ok := n.q.Peek(k, key)
-			if !ok || !n.matrixDeliverable(u) {
-				continue
-			}
-			n.q.Remove(k, key)
-			for p := range n.m {
-				if u.w[p] > n.m[p] {
-					n.m[p] = u.w[p]
-				}
-			}
-			n.vecFree = append(n.vecFree, u.w)
-			n.store[u.env.Reg] = u.env.Val
-			out = append(out, core.Applied{
-				OracleID: u.env.OracleID, From: u.env.From, Reg: u.env.Reg, Val: u.env.Val,
-			})
-			progress = true
-		}
-		if !progress {
-			n.applyBuf = out
-			return out
-		}
+func (c matrixClock) Advance(τ timestamp.Vec, _ sharegraph.Register, to []sharegraph.ReplicaID) {
+	for _, d := range to {
+		τ[c.row+int(d)]++
 	}
 }
 
-func (n *matrixNode) drainNaive(u matrixPending) []core.Applied {
-	n.pending = append(n.pending, u)
-	var out []core.Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if !n.matrixDeliverable(u) {
-				continue
-			}
-			for p := range n.m {
-				if u.w[p] > n.m[p] {
-					n.m[p] = u.w[p]
-				}
-			}
-			n.store[u.env.Reg] = u.env.Val
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			out = append(out, core.Applied{
-				OracleID: u.env.OracleID, From: u.env.From, Reg: u.env.Reg, Val: u.env.Val,
-			})
-			progress = true
-			idx--
-		}
-		if !progress {
-			return out
-		}
-	}
-}
-
-// matrixDeliverable: w[from][me] = m[from][me] + 1 (FIFO from the sender)
-// and w[l][me] ≤ m[l][me] for every l ≠ from (all messages to me that the
-// sender knew about have arrived).
-func (n *matrixNode) matrixDeliverable(u matrixPending) bool {
-	from := u.env.From
-	if n.at(u.w, from, n.id) != n.at(n.m, from, n.id)+1 {
+// Deliverable: T[from][i] = τ[from][i] + 1 (FIFO from the sender) and
+// T[l][i] ≤ τ[l][i] for every l ≠ from (all messages to i that the sender
+// knew about have arrived).
+func (c matrixClock) Deliverable(τ timestamp.Vec, from sharegraph.ReplicaID, T timestamp.Vec) bool {
+	if p := c.senders[from].GatePos; T[p] != τ[p]+1 {
 		return false
 	}
-	for l := 0; l < n.r; l++ {
-		rl := sharegraph.ReplicaID(l)
-		if rl == from {
-			continue
-		}
-		if n.at(u.w, rl, n.id) > n.at(n.m, rl, n.id) {
+	for l, k := range c.senders {
+		if p := k.GatePos; sharegraph.ReplicaID(l) != from && T[p] > τ[p] {
 			return false
 		}
 	}
 	return true
 }
-
-func (n *matrixNode) Read(x sharegraph.Register) (core.Value, bool) {
-	if !n.g.StoresRegister(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
-}
-
-func (n *matrixNode) PendingCount() int {
-	if n.naive {
-		return len(n.pending)
-	}
-	return n.q.Len()
-}
-
-func (n *matrixNode) PendingOracleIDs() []causality.UpdateID {
-	if n.naive {
-		out := make([]causality.UpdateID, len(n.pending))
-		for i, u := range n.pending {
-			out[i] = u.env.OracleID
-		}
-		return out
-	}
-	out := make([]causality.UpdateID, 0, n.q.Len())
-	n.q.All(func(u matrixPending) { out = append(out, u.env.OracleID) })
-	return out
-}
-
-func (n *matrixNode) MetadataEntries() int { return n.r * n.r }

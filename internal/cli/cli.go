@@ -35,10 +35,20 @@ func Load(path, topology string, n int, seed int64) (*sharegraph.Graph, sharegra
 	return g, cfg.Assignment(), nil
 }
 
+// minSize is the smallest size parameter each sized family's generator
+// accepts; the generators panic below it.
+var minSize = map[string]int{
+	"ring": 3, "line": 2, "star": 2, "clique": 2, "fullrep": 1, "grid": 1, "random": 3,
+}
+
 // Topology builds a share graph by family name. n is the size parameter
 // (ignored by the fixed paper examples); seed feeds the random family.
 func Topology(name string, n int, seed int64) (*sharegraph.Graph, error) {
-	switch strings.ToLower(name) {
+	name = strings.ToLower(name)
+	if min, sized := minSize[name]; sized && n < min {
+		return nil, fmt.Errorf("topology %q needs n >= %d, got %d", name, min, n)
+	}
+	switch name {
 	case "fig3":
 		return sharegraph.Fig3Example(), nil
 	case "fig5":

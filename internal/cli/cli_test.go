@@ -23,6 +23,16 @@ func TestTopologyNames(t *testing.T) {
 	if _, err := Topology("nope", 5, 1); err == nil {
 		t.Error("unknown topology accepted")
 	}
+	// One below each sized family's minimum is an error, not a generator
+	// panic; the minimum itself builds.
+	for name, min := range minSize {
+		if _, err := Topology(name, min-1, 1); err == nil {
+			t.Errorf("%s: n = %d accepted", name, min-1)
+		}
+		if _, err := Topology(name, min, 1); err != nil {
+			t.Errorf("%s: n = %d rejected: %v", name, min, err)
+		}
+	}
 }
 
 func TestProtocolNames(t *testing.T) {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/ingest"
 	"repro/internal/sharegraph"
 	"repro/internal/timestamp"
 )
@@ -32,8 +29,7 @@ type NodeCheckpoint struct {
 }
 
 // Snapshotter is implemented by nodes that support crash/restart state
-// transfer. The paper's edge-indexed nodes implement it; baselines that
-// do not simply cannot be crashed in chaos runs.
+// transfer; the prototype gives it to every protocol.
 type Snapshotter interface {
 	Node
 	// Snapshot captures the node's current state.
@@ -51,7 +47,7 @@ type Snapshotter interface {
 // buffered updates still awaiting delivery from dead-parked ones (stale
 // sequence numbers, fault-injected duplicates, untracked edges) that
 // the delivery predicate can never admit. PendingCount counts both —
-// matching the reference rescan engines — so reconfiguration fences use
+// matching the reference rescan drain — so reconfiguration fences use
 // LivePending to decide whether a drained cluster has truly applied
 // every update: at global quiesce every live buffered update's causal
 // blockers are themselves delivered and the drain fixpoint admits them,
@@ -60,99 +56,4 @@ type Snapshotter interface {
 type LivePendingCounter interface {
 	Node
 	LivePending() int
-}
-
-var (
-	_ Snapshotter        = (*edgeNode)(nil)
-	_ LivePendingCounter = (*edgeNode)(nil)
-)
-
-// LivePending implements LivePendingCounter. Indexed engines count the
-// filed per-sender queues (dead parkings live elsewhere); the naive
-// engine rescans its flat buffer with the same staleness rule the
-// indexed Offer applies at ingest.
-func (n *edgeNode) LivePending() int {
-	live := 0
-	if !n.naive {
-		for k := 0; k < n.space.NumReplicas(); k++ {
-			live += n.q.QueueLen(k)
-		}
-		return live
-	}
-	for _, u := range n.pending {
-		sp, ok := n.space.SeqPos(n.id, u.from)
-		if !ok {
-			continue // untracked edge: never deliverable
-		}
-		gp, _ := n.space.GatePos(n.id, u.from)
-		if u.ts[sp] <= n.τ[gp] {
-			continue // stale duplicate: the gate only grows
-		}
-		live++
-	}
-	return live
-}
-
-// Snapshot implements Snapshotter.
-func (n *edgeNode) Snapshot() *NodeCheckpoint {
-	ck := &NodeCheckpoint{
-		Replica: n.id,
-		Tau:     n.τ.Clone(),
-		Store:   make(map[sharegraph.Register]Value, len(n.store)),
-	}
-	for x, v := range n.store {
-		ck.Store[x] = v
-	}
-	collect := func(u pendingUpdate) {
-		ck.Pending = append(ck.Pending, Envelope{
-			From: u.from, To: n.id, Reg: u.reg, Val: u.val,
-			Meta: timestamp.Encode(u.ts), OracleID: u.oracleID, MetaOnly: u.metaOnly,
-		})
-	}
-	if n.naive {
-		for _, u := range n.pending {
-			collect(u)
-		}
-	} else {
-		n.q.All(collect)
-	}
-	return ck
-}
-
-// Install implements Snapshotter.
-func (n *edgeNode) Install(ck *NodeCheckpoint) ([]Applied, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
-	}
-	if ck.Replica != n.id {
-		return nil, fmt.Errorf("core: checkpoint of replica %d installed at %d", ck.Replica, n.id)
-	}
-	switch {
-	case ck.Tau == nil:
-		// Store-only checkpoint (live reconfiguration): keep the fresh
-		// zero vector — the new epoch starts with no tracked history.
-		for i := range n.τ {
-			n.τ[i] = 0
-		}
-	case len(ck.Tau) != len(n.τ):
-		return nil, fmt.Errorf("core: checkpoint has %d timestamp entries, node tracks %d — different timestamp graphs",
-			len(ck.Tau), len(n.τ))
-	default:
-		copy(n.τ, ck.Tau)
-	}
-	n.store = make(map[sharegraph.Register]Value, len(ck.Store))
-	for x, v := range ck.Store {
-		n.store[x] = v
-	}
-	n.pending = nil
-	if !n.naive {
-		n.q = ingest.NewSenderQueues[pendingUpdate](n.space.NumReplicas())
-	}
-	var out []Applied
-	for _, env := range ck.Pending {
-		// HandleMessage decodes Meta into a fresh vector, so the
-		// checkpoint's buffers stay untouched and reusable.
-		out = append(out, n.HandleMessage(env, DiscardSink{})...)
-	}
-	return out, nil
 }

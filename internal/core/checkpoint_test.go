@@ -76,8 +76,8 @@ func TestNodeCheckpointRoundtrip(t *testing.T) {
 	if clone.PendingCount() != 1 {
 		t.Fatalf("installed pending = %d, want 1", clone.PendingCount())
 	}
-	origVec := nodes[2].(*edgeNode).Timestamp()
-	cloneVec := clone.(*edgeNode).Timestamp()
+	origVec := nodes[2].(*replica).Timestamp()
+	cloneVec := clone.(*replica).Timestamp()
 	if !origVec.Equal(cloneVec) {
 		t.Fatalf("timestamps diverge: %v vs %v", origVec, cloneVec)
 	}

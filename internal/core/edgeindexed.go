@@ -3,42 +3,17 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/causality"
-	"repro/internal/ingest"
 	"repro/internal/sharegraph"
 	"repro/internal/timestamp"
 )
 
-// EdgeIndexed is the paper's algorithm (Section 3.3): replica i maintains
-// a vector timestamp indexed by the edges of its timestamp graph G_i, uses
-// advance on local writes, merge when applying remote updates, and the
-// predicate J to decide deliverability of buffered updates.
+// EdgeIndexed is the paper's algorithm (Section 3.3): the prototype with a
+// vector timestamp indexed by the edges of each replica's timestamp graph
+// G_i. advance, merge and predicate J are timestamp.Space's.
 type EdgeIndexed struct {
-	g     *sharegraph.Graph
+	Prototype
 	space *timestamp.Space
-	name  string
-	// realStore reports whether a replica genuinely stores a register (as
-	// opposed to holding a Section 5 "dummy" copy that participates in the
-	// share graph for timestamp purposes only). Defaults to the share
-	// graph's own placement.
-	realStore func(sharegraph.ReplicaID, sharegraph.Register) bool
-	// naive selects the reference O(P²) full-buffer rescan instead of the
-	// indexed per-sender delivery engine. Differential tests and
-	// benchmarks compare the two; production paths never set it.
-	naive bool
-	// diag routes ingest-drop diagnostics; nil uses the rate-limited
-	// package default.
-	diag *Diag
 }
-
-var (
-	_ Protocol     = (*EdgeIndexed)(nil)
-	_ DiagSettable = (*EdgeIndexed)(nil)
-)
-
-// SetDiag implements DiagSettable: nodes built after this call report
-// ingest drops through d.
-func (p *EdgeIndexed) SetDiag(d *Diag) { p.diag = d }
 
 // NewEdgeIndexed builds the protocol with timestamp graphs computed per
 // Definition 5 (exhaustive loop search).
@@ -47,28 +22,23 @@ func NewEdgeIndexed(g *sharegraph.Graph) (*EdgeIndexed, error) {
 }
 
 // NewEdgeIndexedNaive builds the protocol with the reference full-buffer
-// rescan drain instead of the indexed delivery engine. It exists to
-// differentially test and benchmark the engine: both must produce
-// identical applies, messages and oracle verdicts on every schedule.
+// rescan drain instead of the indexed one. It exists to differentially
+// test and benchmark the drains: both must produce identical applies,
+// messages and oracle verdicts on every schedule.
 func NewEdgeIndexedNaive(g *sharegraph.Graph) (*EdgeIndexed, error) {
 	p, err := NewEdgeIndexedWithGraphs(g, sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{}), "edge-indexed-naive")
 	if err != nil {
 		return nil, err
 	}
-	p.naive = true
-	return p, nil
+	return AsNaive(p), nil
 }
 
 // NewEdgeIndexedWithGraphs builds the protocol over caller-supplied
 // timestamp graphs. The Appendix D optimizations (dummy registers, l-hop
-// truncation, ring breaking) and the Theorem 8 necessity experiments use
-// this to run the same machinery over modified edge sets.
+// truncation) and the Theorem 8 necessity experiments use this to run the
+// same machinery over modified edge sets.
 func NewEdgeIndexedWithGraphs(g *sharegraph.Graph, graphs []*sharegraph.TSGraph, name string) (*EdgeIndexed, error) {
-	space, err := timestamp.NewSpace(g, graphs)
-	if err != nil {
-		return nil, fmt.Errorf("edge-indexed: %w", err)
-	}
-	return &EdgeIndexed{g: g, space: space, name: name, realStore: g.StoresRegister}, nil
+	return newEdgeIndexed(g, graphs, nil, name)
 }
 
 // NewEdgeIndexedRouted builds the protocol over an EFFECTIVE share graph
@@ -78,299 +48,77 @@ func NewEdgeIndexedWithGraphs(g *sharegraph.Graph, graphs []*sharegraph.TSGraph,
 // holders and metadata-only messages to dummy holders; reads and client
 // writes are only accepted at genuine holders.
 func NewEdgeIndexedRouted(effective *sharegraph.Graph, realStore func(sharegraph.ReplicaID, sharegraph.Register) bool, name string) (*EdgeIndexed, error) {
-	p, err := NewEdgeIndexedWithGraphs(effective, sharegraph.BuildAllTSGraphs(effective, sharegraph.LoopOptions{}), name)
+	return newEdgeIndexed(effective, sharegraph.BuildAllTSGraphs(effective, sharegraph.LoopOptions{}), realStore, name)
+}
+
+func newEdgeIndexed(g *sharegraph.Graph, graphs []*sharegraph.TSGraph, realStore func(sharegraph.ReplicaID, sharegraph.Register) bool, name string) (*EdgeIndexed, error) {
+	space, err := timestamp.NewSpace(g, graphs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("edge-indexed: %w", err)
 	}
-	p.realStore = realStore
-	return p, nil
+	proto := NewPrototype(name, g.NumReplicas(), SpaceClocks(space), ShareRoutes(g, realStore, false))
+	return &EdgeIndexed{Prototype: *proto, space: space}, nil
 }
 
 // AsNaive returns a copy of p that builds nodes with the reference
-// rescan engine; differential tests use it to compare engines over
+// rescan drain; differential tests use it to compare drains over
 // identical graphs, routing and naming-independent measurements.
 func AsNaive(p *EdgeIndexed) *EdgeIndexed {
-	q := *p
-	q.naive = true
-	return &q
+	return &EdgeIndexed{Prototype: *p.Rescan(), space: p.space}
 }
-
-// Name implements Protocol.
-func (p *EdgeIndexed) Name() string { return p.name }
 
 // Space exposes the timestamp space (diagnostics and size accounting).
 func (p *EdgeIndexed) Space() *timestamp.Space { return p.space }
 
-// NewNodes implements Protocol.
-func (p *EdgeIndexed) NewNodes() ([]Node, error) {
-	n := p.g.NumReplicas()
-	nodes := make([]Node, n)
-	for i := range nodes {
-		id := sharegraph.ReplicaID(i)
-		en := &edgeNode{
-			id:        id,
-			g:         p.g,
-			space:     p.space,
-			realStore: p.realStore,
-			naive:     p.naive,
-			diag:      p.diag,
-			τ:         p.space.Zero(id),
-			store:     make(map[sharegraph.Register]Value, p.g.Stores(id).Len()),
-			recip:     sharegraph.NewRecipientCache(p.g, id),
-		}
-		if !p.naive {
-			en.q = ingest.NewSenderQueues[pendingUpdate](n)
-			en.inWork = make([]bool, n)
-		}
-		nodes[i] = en
-	}
-	return nodes, nil
+// spaceClock is replica i's view of a timestamp.Space: the Section 3.3
+// clock. Predicate J's first clause reads e_{ki}, which every update k
+// sends to i advances by exactly one, and merge cannot move any other
+// incoming-edge counter (J required τ to already dominate them), so the
+// space's precomputed recheck set is all an apply can unblock.
+type spaceClock struct {
+	s       *timestamp.Space
+	i       sharegraph.ReplicaID
+	senders []Sender
 }
 
-// pendingUpdate is one buffered update(k, T, x, v) message.
-type pendingUpdate struct {
-	from     sharegraph.ReplicaID
-	ts       timestamp.Vec
-	reg      sharegraph.Register
-	val      Value
-	metaOnly bool
-	oracleID causality.UpdateID
-}
-
-// edgeNode is one replica running the Section 3.3 algorithm. The default
-// delivery engine exploits the structure of predicate J: updates are filed
-// in ingest.SenderQueues keyed by their e_{ki} sequence number (predicate
-// J admits an update only when that number is exactly one past the
-// receiver's gate counter, so at most one entry per sender can ever be
-// deliverable), and after each merge only the sender heads whose gate
-// counter just advanced are re-examined — O(1) amortized per message
-// instead of the reference engine's O(P²) full-buffer rescans.
-type edgeNode struct {
-	id        sharegraph.ReplicaID
-	g         *sharegraph.Graph
-	space     *timestamp.Space
-	realStore func(sharegraph.ReplicaID, sharegraph.Register) bool
-	diag      *Diag
-	τ         timestamp.Vec
-	store     map[sharegraph.Register]Value
-
-	// Reference engine (naive = true): flat buffer, full rescan.
-	naive   bool
-	pending []pendingUpdate
-
-	// Indexed engine state.
-	q ingest.SenderQueues[pendingUpdate]
-
-	// Reusable scratch, valid until the next call on this node.
-	applyBuf []Applied
-	vecFree  []timestamp.Vec
-	work     []sharegraph.ReplicaID
-	inWork   []bool
-	metaBuf  []byte
-	recip    sharegraph.RecipientCache
-}
-
-var _ Node = (*edgeNode)(nil)
-
-func (n *edgeNode) ID() sharegraph.ReplicaID { return n.id }
-
-// HandleWrite implements step 2 of the replica prototype: write locally,
-// advance the timestamp, and emit update(i, τ_i, x, v) to every other
-// replica storing x. The metadata is encoded into node-owned scratch and
-// the recipient list is cached per register, so the steady-state fanout
-// performs no allocation; the sink owns copying what it retains.
-func (n *edgeNode) HandleWrite(x sharegraph.Register, v Value, id causality.UpdateID, out Sink) error {
-	if !n.realStore(n.id, x) {
-		return &NotStoredError{Replica: n.id, Register: x}
-	}
-	n.store[x] = v
-	n.space.AdvanceInPlace(n.id, n.τ, x)
-	n.metaBuf = timestamp.EncodeTo(n.metaBuf[:0], n.τ)
-	for _, k := range n.recip.Recipients(x) {
-		out.Emit(Envelope{
-			From: n.id, To: k, Reg: x, Val: v, Meta: n.metaBuf, OracleID: id,
-			MetaOnly: !n.realStore(k, x),
-		})
-	}
-	return nil
-}
-
-// HandleMessage implements steps 3–4: buffer the update, then repeatedly
-// apply any buffered update whose predicate J evaluates true, merging
-// timestamps as we go, until no buffered update is deliverable. The
-// edge-indexed protocol never forwards, so out is unused.
-//
-// The returned Applied slice is owned by the node and valid until the
-// next call on it; runtimes consume it before dispatching further events
-// to the same node.
-func (n *edgeNode) HandleMessage(env Envelope, out Sink) []Applied {
-	ts, err := timestamp.DecodeReuse(&n.vecFree, env.Meta)
-	if err != nil {
-		// A corrupt message indicates a harness bug, not a protocol state;
-		// surface (rate-limited) but do not crash the run.
-		n.diag.Dropf(n.id, "edge-indexed: replica %d dropping corrupt metadata from %d: %v", n.id, env.From, err)
-		return nil
-	}
-	// Both engines index plans and the decoded vector by sender; a sender
-	// outside the replica set or a wrong-length vector is harness
-	// corruption that must be dropped, not dereferenced.
-	if int(env.From) < 0 || int(env.From) >= n.space.NumReplicas() {
-		n.diag.Dropf(n.id, "edge-indexed: replica %d dropping update from invalid sender %d", n.id, env.From)
-		return nil
-	}
-	if len(ts) != n.space.Len(env.From) {
-		n.diag.Dropf(n.id, "edge-indexed: replica %d dropping update from %d with %d-entry timestamp, want %d",
-			n.id, env.From, len(ts), n.space.Len(env.From))
-		return nil
-	}
-	u := pendingUpdate{
-		from: env.From, ts: ts, reg: env.Reg, val: env.Val,
-		metaOnly: env.MetaOnly, oracleID: env.OracleID,
-	}
-	if n.naive {
-		n.pending = append(n.pending, u)
-		return n.drainNaive()
-	}
-
-	seqPos, ok := n.space.SeqPos(n.id, env.From)
-	if !ok {
-		// e_{ki} untracked (truncated graphs, or a self-addressed
-		// message): predicate J can never admit this update. Park it with
-		// the dead buffer so pending accounting matches the reference
-		// engine, which keeps rescanning it forever in vain.
-		n.q.Park(u)
-		return nil
-	}
-	gatePos, _ := n.space.GatePos(n.id, env.From)
-	// Stale sequence numbers park dead: the gate only grows, so strict
-	// equality τ[e_ki] = seq − 1 can never hold again (reliable transport
-	// never produces this, but corrupt or replayed metadata could).
-	if !n.q.Offer(int(env.From), ts[seqPos], n.τ[gatePos], u) {
-		// Nothing in τ changed; no other buffered update can have become
-		// deliverable. Most out-of-order arrivals take this O(1) exit.
-		return nil
-	}
-	return n.drainFrom(env.From)
-}
-
-// drainFrom applies deliverable pending updates until a fixpoint, starting
-// with sender k whose gate may now match its queue head. Each apply
-// advances exactly one gate counter (the applied sender's own e_{ki};
-// merge cannot move any other incoming-edge counter, since predicate J
-// required τ to already dominate them), so only the sender heads listed in
-// the space's precomputed recheck set need re-examination.
-func (n *edgeNode) drainFrom(k sharegraph.ReplicaID) []Applied {
-	out := n.applyBuf[:0]
-	work := n.work[:0]
-	work = append(work, k)
-	n.inWork[k] = true
-	for len(work) > 0 {
-		j := work[len(work)-1]
-		work = work[:len(work)-1]
-		n.inWork[j] = false
-		gatePos, ok := n.space.GatePos(n.id, j)
-		if !ok {
-			continue
-		}
-		for {
-			u, ok := n.q.Peek(int(j), n.τ[gatePos]+1)
-			if !ok || !n.space.Deliverable(n.id, n.τ, j, u.ts) {
-				break
-			}
-			n.q.Remove(int(j), n.τ[gatePos]+1)
-			if !u.metaOnly {
-				n.store[u.reg] = u.val
-			}
-			n.space.MergeInPlace(n.id, n.τ, j, u.ts)
-			n.vecFree = append(n.vecFree, u.ts)
-			if !u.metaOnly {
-				out = append(out, Applied{
-					OracleID: u.oracleID, From: u.from, Reg: u.reg, Val: u.val,
-				})
-			}
-			// j's own next head is retried by this loop; queue the other
-			// affected senders.
-			for _, m := range n.space.RecheckOnApply(n.id, j) {
-				if m != j && !n.inWork[m] && n.q.QueueLen(int(m)) > 0 {
-					work = append(work, m)
-					n.inWork[m] = true
-				}
-			}
+// SpaceClocks returns the edge-indexed clocks over s, one per replica. A
+// sender k is untracked at i when e_{ki} is missing from either side's
+// timestamp graph (truncated graphs, or k = i).
+func SpaceClocks(s *timestamp.Space) func(sharegraph.ReplicaID) Clock {
+	clocks := make([]spaceClock, s.NumReplicas())
+	for i := range clocks {
+		c := &clocks[i]
+		c.s, c.i, c.senders = s, sharegraph.ReplicaID(i), make([]Sender, len(clocks))
+		for k := range c.senders {
+			from := &c.senders[k]
+			from.Len = s.Len(sharegraph.ReplicaID(k))
+			from.SeqPos, from.Tracked = s.SeqPos(c.i, sharegraph.ReplicaID(k))
+			from.GatePos, _ = s.GatePos(c.i, sharegraph.ReplicaID(k))
 		}
 	}
-	n.applyBuf = out
-	n.work = work
-	return out
+	return func(i sharegraph.ReplicaID) Clock { return &clocks[i] }
 }
 
-// drainNaive is the reference engine: rescan the whole buffer until no
-// pending update is deliverable.
-func (n *edgeNode) drainNaive() []Applied {
-	var out []Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if !n.space.Deliverable(n.id, n.τ, u.from, u.ts) {
-				continue
-			}
-			// Apply atomically: write value (unless this is a dummy
-			// metadata-only update), merge timestamp, unbuffer.
-			if !u.metaOnly {
-				n.store[u.reg] = u.val
-			}
-			n.space.MergeInPlace(n.id, n.τ, u.from, u.ts)
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			if !u.metaOnly {
-				out = append(out, Applied{
-					OracleID: u.oracleID, From: u.from, Reg: u.reg, Val: u.val,
-				})
-			}
-			progress = true
-			idx-- // the slot now holds the next pending update
-		}
-		if !progress {
-			return out
-		}
-	}
+func (c *spaceClock) Zero() timestamp.Vec { return c.s.Zero(c.i) }
+func (c *spaceClock) Entries() int        { return c.s.Len(c.i) }
+func (c *spaceClock) Senders() []Sender   { return c.senders }
+
+func (c *spaceClock) Advance(τ timestamp.Vec, x sharegraph.Register, _ []sharegraph.ReplicaID) {
+	c.s.AdvanceInPlace(c.i, τ, x)
 }
 
-// Read implements step 1: respond with the local copy. Dummy copies are
-// never readable.
-func (n *edgeNode) Read(x sharegraph.Register) (Value, bool) {
-	if !n.realStore(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
+func (c *spaceClock) Meta(τ timestamp.Vec, _ sharegraph.ReplicaID) (timestamp.Vec, bool) {
+	return τ, true
 }
 
-func (n *edgeNode) PendingCount() int {
-	if n.naive {
-		return len(n.pending)
-	}
-	return n.q.Len()
+func (c *spaceClock) Deliverable(τ timestamp.Vec, k sharegraph.ReplicaID, T timestamp.Vec) bool {
+	return c.s.Deliverable(c.i, τ, k, T)
 }
 
-func (n *edgeNode) PendingOracleIDs() []causality.UpdateID {
-	if n.naive {
-		out := make([]causality.UpdateID, 0, len(n.pending))
-		for _, u := range n.pending {
-			if !u.metaOnly {
-				out = append(out, u.oracleID)
-			}
-		}
-		return out
-	}
-	out := make([]causality.UpdateID, 0, n.q.Len())
-	n.q.All(func(u pendingUpdate) {
-		if !u.metaOnly {
-			out = append(out, u.oracleID)
-		}
-	})
-	return out
+func (c *spaceClock) Merge(τ timestamp.Vec, k sharegraph.ReplicaID, T timestamp.Vec) {
+	c.s.MergeInPlace(c.i, τ, k, T)
 }
 
-func (n *edgeNode) MetadataEntries() int { return len(n.τ) }
-
-// Timestamp returns a copy of the node's current vector (diagnostics).
-func (n *edgeNode) Timestamp() timestamp.Vec { return n.τ.Clone() }
+func (c *spaceClock) Recheck(k sharegraph.ReplicaID) []sharegraph.ReplicaID {
+	return c.s.RecheckOnApply(c.i, k)
+}

@@ -159,7 +159,7 @@ func TestMetadataEntriesMatchTimestampGraph(t *testing.T) {
 func TestNodeTimestampClone(t *testing.T) {
 	g := sharegraph.Fig3Example()
 	nodes := newNodes(t, newProto(t, g))
-	en := nodes[0].(*edgeNode)
+	en := nodes[0].(*replica)
 	ts := en.Timestamp()
 	if len(ts) == 0 {
 		t.Fatal("empty timestamp")
@@ -205,7 +205,7 @@ func BenchmarkHandleMessage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	recv := nodes[1].(*edgeNode)
+	recv := nodes[1].(*replica)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -215,7 +215,7 @@ func BenchmarkHandleMessage(b *testing.B) {
 		if recv.PendingCount() != 0 {
 			b.Fatal("queue did not drain")
 		}
-		recv.τ = recv.space.Zero(1)
+		recv.τ = recv.clock.Zero()
 	}
 }
 

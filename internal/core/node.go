@@ -1,13 +1,25 @@
 // Package core implements the replica prototype of Section 2.1 of
-// Xiang & Vaidya (PODC 2019) and its Section 3.3 instantiation with
-// edge-indexed vector timestamps — the paper's primary contribution.
+// Xiang & Vaidya (PODC 2019) — once — and its Section 3.3 instantiation
+// with edge-indexed vector timestamps, the paper's primary contribution.
+//
+// The paper defines one prototype (store registers; buffer received
+// updates; apply one when predicate J holds; merge its timestamp) and
+// treats its own algorithm, the protocols it argues against and the
+// Appendix D relays as instantiations that differ only in the timestamp,
+// advance, merge and J. The code has the same shape: Prototype is the one
+// node implementation in the repository, and a protocol is a Prototype
+// plus a Clock (the vector and its three operations) and a Router (whom a
+// write reaches, as data or as metadata only; what an applied update
+// materializes and forwards). EdgeIndexed pairs the prototype with
+// timestamp.Space; internal/baseline and internal/optimize supply the
+// other clocks and routers.
 //
 // The protocol logic is a pure, single-threaded state machine per replica
 // (a Node): client operations and message deliveries are methods that
-// return the messages to send and the updates applied. Runtimes — the
-// deterministic simulator and the live goroutine cluster in internal/sim —
-// layer scheduling, transport and concurrency on top without duplicating
-// any protocol logic.
+// emit the messages to send and return the updates applied. Runtimes — the
+// deterministic simulator and the live goroutine cluster in internal/sim,
+// the sharded and TCP runtimes — layer scheduling, transport and
+// concurrency on top without duplicating any protocol logic.
 package core
 
 import (

@@ -29,7 +29,7 @@ func FuzzSenderQueues(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			from := int(int8(data[i])) // frequently out of range, incl. negative
 			seq := uint64(data[i+1] % 16)
-			if from < 0 || from >= q.NumSenders() {
+			if from < 0 || from >= senders {
 				// Caller contract: out-of-range senders are dropped before
 				// filing (the protocols guard and log them).
 				continue

@@ -1,15 +1,13 @@
-// Package ingest implements the per-sender buffering every indexed
-// delivery engine in this repository shares. All four protocols
-// (edge-indexed, fifo-only, the vector-clock pair, matrix) gate delivery
-// from a given sender on a per-receiver sequence number that each send
-// advances by exactly one, so a receiver can file buffered updates in
+// Package ingest implements the per-sender buffering of the indexed
+// drain in core's replica prototype. Every clock in this repository gates
+// delivery from a given sender on a per-receiver sequence number that each
+// send advances by exactly one, so a receiver can file buffered updates in
 // per-sender queues keyed by that number: an out-of-order arrival is one
 // map insert, and at most one entry per sender — the exact key gate+1 —
-// can ever be deliverable. SenderQueues centralizes that filing logic
-// (range and duplicate guards, lazy map initialization, the gate
-// comparison, dead parking, pending accounting), which before this package
-// was instantiated separately in core.edgeNode and the three baseline
-// nodes.
+// can ever be deliverable. SenderQueues holds that filing logic (duplicate
+// guard, lazy map initialization, the gate comparison, dead parking,
+// pending accounting) and the one staleness rule every protocol follows:
+// an update the gate has passed is kept, counted and never offered again.
 package ingest
 
 // SenderQueues buffers not-yet-deliverable updates of type P, one queue
@@ -32,17 +30,13 @@ type SenderQueues[P any] struct {
 	n    int
 }
 
-// NewSenderQueues builds queues for the given number of senders.
+// NewSenderQueues builds queues for the given number of senders. Callers
+// bounds-check envelope senders against it before filing (the guard lives
+// with the node, which also serves the reference drain and logs with
+// protocol context); Offer indexes by sender unchecked.
 func NewSenderQueues[P any](senders int) SenderQueues[P] {
 	return SenderQueues[P]{queues: make([]map[uint64]P, senders)}
 }
-
-// NumSenders returns the number of per-sender queues. Callers must
-// bounds-check envelope senders against the replica set before filing
-// (the guard lives with the protocols, which also serve the reference
-// engines and log with protocol context); Offer indexes by sender
-// unchecked.
-func (q *SenderQueues[P]) NumSenders() int { return len(q.queues) }
 
 // Offer files update u from sender from, carrying sequence number seq,
 // given the receiver's current gate counter for that sender. Stale
@@ -93,6 +87,10 @@ func (q *SenderQueues[P]) Remove(from int, seq uint64) {
 // Len returns the number of buffered updates, counting dead-parked ones —
 // the pending_i set size of the replica prototype.
 func (q *SenderQueues[P]) Len() int { return q.n }
+
+// Live returns the number of buffered updates some future gate value can
+// still admit: everything filed, nothing dead-parked.
+func (q *SenderQueues[P]) Live() int { return q.n - len(q.dead) }
 
 // QueueLen returns the number of live (non-dead) updates buffered from
 // one sender. Drain loops use it to skip senders with nothing filed.

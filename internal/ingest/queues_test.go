@@ -7,9 +7,6 @@ import (
 
 func TestOfferGateAndDup(t *testing.T) {
 	q := NewSenderQueues[string](3)
-	if q.NumSenders() != 3 {
-		t.Errorf("NumSenders = %d", q.NumSenders())
-	}
 	// seq exactly gate+1 reports deliverable.
 	if !q.Offer(0, 1, 0, "a1") {
 		t.Error("Offer(gate+1) = false")
@@ -27,8 +24,8 @@ func TestOfferGateAndDup(t *testing.T) {
 		t.Error("dup Offer = true")
 	}
 	q.Park("untracked")
-	if q.Len() != 5 {
-		t.Errorf("Len = %d, want 5", q.Len())
+	if q.Len() != 5 || q.Live() != 2 {
+		t.Errorf("Len = %d, Live = %d, want 5 and 2", q.Len(), q.Live())
 	}
 	if q.QueueLen(0) != 2 || q.QueueLen(1) != 0 {
 		t.Errorf("QueueLen = %d/%d", q.QueueLen(0), q.QueueLen(1))
@@ -44,8 +41,8 @@ func TestOfferGateAndDup(t *testing.T) {
 		t.Error("Peek on empty sender found something")
 	}
 	q.Remove(0, 1)
-	if q.Len() != 4 || q.QueueLen(0) != 1 {
-		t.Errorf("after Remove: Len=%d QueueLen=%d", q.Len(), q.QueueLen(0))
+	if q.Len() != 4 || q.Live() != 1 || q.QueueLen(0) != 1 {
+		t.Errorf("after Remove: Len=%d Live=%d QueueLen=%d", q.Len(), q.Live(), q.QueueLen(0))
 	}
 
 	var all []string

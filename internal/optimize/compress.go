@@ -8,12 +8,21 @@
 //   - dummy registers: planting metadata-only register copies reshapes the
 //     share graph, trading messages and false dependencies for smaller
 //     timestamps (full-replication emulation as the extreme);
-//   - ring breaking with virtual registers (Figure 13): removing a share
-//     edge and relaying its updates hop-by-hop turns a cycle's 2n counters
-//     into a path's ≤4 per replica, at a latency cost of n−1 hops;
+//   - placements: breaking a register takes its share edges out of the
+//     graph and relays its updates hop by hop along a route of virtual
+//     registers; a search looks for the broken set with the fewest
+//     counters. Ring breaking (Figure 13) is the placement with one
+//     register of a ring broken: a cycle's 2n counters become a path's ≤4
+//     per replica, at a latency cost of n−1 hops;
 //   - l-hop truncation ("sacrificing causality"): dropping counters for
 //     loops longer than l is safe exactly when long paths are slower than
 //     single hops, and detectably unsafe otherwise.
+//
+// None of the protocols built here has a node of its own. Each is core's
+// replica prototype with the edge-indexed clock over a modified graph —
+// an effective share graph, or truncated timestamp graphs — and, for
+// placements, a router that turns broken-register writes into hop writes
+// and applied hop writes into materializations and forwards.
 package optimize
 
 import (

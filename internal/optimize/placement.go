@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/sharegraph"
 	"repro/internal/timestamp"
@@ -212,38 +211,25 @@ func (p *Placement) BrokenRegisters() []sharegraph.Register {
 // ---------------------------------------------------------------------------
 // Relay protocol over a placement
 
-// hopInfo resolves a hop register back to its real register and hop
-// index.
-type hopInfo struct {
-	reg sharegraph.Register // the broken (real) register
-	hop int                 // route hop index: connects route[hop] and route[hop+1]
-}
-
-// PlacementProtocol runs the edge-indexed machinery over a placement's
-// effective graph, relaying broken-register updates along their routes —
-// the generalization of RingBreak to arbitrary broken sets. Writes at a
-// route member emit hop messages in both directions; every holder on
-// the route materializes the value, interior members forward away from
-// the sender. Reads and client writes are accepted exactly where the
-// BASE graph stores the register, so the oracle's model of the
-// placement never changes.
+// PlacementProtocol is the edge-indexed clock over a placement's
+// effective graph with a relaying router: a write to a broken register
+// leaves its writer as hop messages in both directions along the route,
+// every holder on the route materializes the value, and interior members
+// forward away from the sender. Reads and client writes are accepted
+// exactly where the BASE graph stores the register, so the oracle's model
+// of the placement never changes.
+//
+// The timestamps order hop writes like any other write of the effective
+// graph, which is all they know about: a relayed value is causally safe
+// only where nothing a holder does after materializing it can reach
+// another holder of the same register ahead of the relay, as on a broken
+// ring, whose effective graph is the route itself. Validate does not check
+// this (ROADMAP item L).
 type PlacementProtocol struct {
-	place *Placement
-	base  *sharegraph.Graph
+	core.Prototype
 	eff   *sharegraph.Graph
 	space *timestamp.Space
-	name  string
-	diag  *core.Diag
-
-	routes map[sharegraph.Register]Route                        // broken register → route
-	pos    map[sharegraph.Register]map[sharegraph.ReplicaID]int // broken register → route position
-	hops   map[sharegraph.Register]hopInfo                      // hop register → (real register, hop index)
 }
-
-var (
-	_ core.Protocol     = (*PlacementProtocol)(nil)
-	_ core.DiagSettable = (*PlacementProtocol)(nil)
-)
 
 // Protocol builds the relay protocol for the placement. The name shows
 // up in diagnostics and benchmarks.
@@ -259,31 +245,15 @@ func (p *Placement) Protocol(name string) (*PlacementProtocol, error) {
 	if err != nil {
 		return nil, fmt.Errorf("optimize: placement space: %w", err)
 	}
-	pp := &PlacementProtocol{
-		place: p, base: p.Base, eff: eff, space: space, name: name,
-		routes: make(map[sharegraph.Register]Route, len(p.Broken)),
-		pos:    make(map[sharegraph.Register]map[sharegraph.ReplicaID]int, len(p.Broken)),
-		hops:   make(map[sharegraph.Register]hopInfo),
+	share := core.ShareRoutes(eff, nil, false)
+	routes := make([]core.Router, eff.NumReplicas())
+	for i := range routes {
+		routes[i] = newRelayRoute(p, share, sharegraph.ReplicaID(i))
 	}
-	for x, route := range p.Broken {
-		pp.routes[x] = route
-		at := make(map[sharegraph.ReplicaID]int, len(route))
-		for i, r := range route {
-			at[r] = i
-		}
-		pp.pos[x] = at
-		for h := 0; h+1 < len(route); h++ {
-			pp.hops[hopRegister(x, h)] = hopInfo{reg: x, hop: h}
-		}
-	}
-	return pp, nil
+	proto := core.NewPrototype(name, len(routes), core.SpaceClocks(space),
+		func(i sharegraph.ReplicaID) core.Router { return routes[i] })
+	return &PlacementProtocol{Prototype: *proto, eff: eff, space: space}, nil
 }
-
-// Name implements core.Protocol.
-func (p *PlacementProtocol) Name() string { return p.name }
-
-// SetDiag implements core.DiagSettable.
-func (p *PlacementProtocol) SetDiag(d *core.Diag) { p.diag = d }
 
 // Effective returns the share graph the timestamps run over.
 func (p *PlacementProtocol) Effective() *sharegraph.Graph { return p.eff }
@@ -291,239 +261,73 @@ func (p *PlacementProtocol) Effective() *sharegraph.Graph { return p.eff }
 // Space exposes the timestamp space (size accounting, diagnostics).
 func (p *PlacementProtocol) Space() *timestamp.Space { return p.space }
 
-// NewNodes implements core.Protocol.
-func (p *PlacementProtocol) NewNodes() ([]core.Node, error) {
-	n := p.base.NumReplicas()
-	nodes := make([]core.Node, n)
-	for i := range nodes {
-		id := sharegraph.ReplicaID(i)
-		nodes[i] = &placeNode{
-			p:     p,
-			id:    id,
-			τ:     p.space.Zero(id),
-			store: make(map[sharegraph.Register]core.Value, p.base.Stores(id).Len()),
-		}
-	}
-	return nodes, nil
+// delivery is what an applied hop message becomes at one route member.
+type delivery struct {
+	reg    sharegraph.Register // the broken register relayed
+	holder bool                // this member stores it: materialize
+	fwd    []core.Hop          // the next hop away from the sender, if any
 }
 
-type placePending struct {
-	from     sharegraph.ReplicaID
-	ts       timestamp.Vec
-	reg      sharegraph.Register
-	val      core.Value
-	oracleID causality.UpdateID
+// relayRoute is one replica's core.Router under a placement: unbroken
+// registers travel as in the effective share graph, broken ones as writes
+// to their routes' hop registers. Immutable once built, so every node the
+// protocol builds for the replica shares it.
+type relayRoute struct {
+	core.Router // over the effective graph
+	base        *sharegraph.Graph
+	id          sharegraph.ReplicaID
+	writes      map[sharegraph.Register][]core.Hop // broken register → first hops
+	hops        map[sharegraph.Register]delivery   // hop register → delivery
 }
 
-// placeNode is one replica of the placement relay protocol: edge-indexed
-// deliverability over the effective graph, with hop-register messages
-// materialized at holders and forwarded by interior route members.
-type placeNode struct {
-	p       *PlacementProtocol
-	id      sharegraph.ReplicaID
-	τ       timestamp.Vec
-	store   map[sharegraph.Register]core.Value
-	pending []placePending
-}
-
-var (
-	_ core.Node        = (*placeNode)(nil)
-	_ core.Snapshotter = (*placeNode)(nil)
-)
-
-func (n *placeNode) ID() sharegraph.ReplicaID { return n.id }
-
-func (n *placeNode) HandleWrite(x sharegraph.Register, v core.Value, id causality.UpdateID, out core.Sink) error {
-	if !n.p.base.StoresRegister(n.id, x) {
-		return &core.NotStoredError{Replica: n.id, Register: x}
+func newRelayRoute(p *Placement, share func(sharegraph.ReplicaID) core.Router, id sharegraph.ReplicaID) *relayRoute {
+	r := &relayRoute{
+		Router: share(id), base: p.Base, id: id,
+		writes: make(map[sharegraph.Register][]core.Hop),
+		hops:   make(map[sharegraph.Register]delivery),
 	}
-	n.store[x] = v
-	if route, broken := n.p.routes[x]; broken {
-		// Relay in both directions from the writer's route position; each
-		// hop message is a write to the hop's virtual register.
-		pos := n.p.pos[x][n.id]
-		if pos > 0 {
-			out.Emit(n.hopEnvelope(x, pos-1, route[pos-1], v, id))
-		}
-		if pos+1 < len(route) {
-			out.Emit(n.hopEnvelope(x, pos, route[pos+1], v, id))
-		}
-		return nil
-	}
-	n.τ = n.p.space.Advance(n.id, n.τ, x)
-	meta := timestamp.Encode(n.τ)
-	for _, k := range n.p.eff.UpdateRecipients(n.id, x) {
-		out.Emit(core.Envelope{From: n.id, To: k, Reg: x, Val: v, Meta: meta, OracleID: id})
-	}
-	return nil
-}
-
-// hopEnvelope advances the timestamp on hop h's virtual register of
-// broken register x and builds the message to the hop's other end.
-func (n *placeNode) hopEnvelope(x sharegraph.Register, h int, to sharegraph.ReplicaID, v core.Value, id causality.UpdateID) core.Envelope {
-	vr := hopRegister(x, h)
-	n.τ = n.p.space.Advance(n.id, n.τ, vr)
-	return core.Envelope{
-		From: n.id, To: to, Reg: vr, Val: v,
-		Meta: timestamp.Encode(n.τ), OracleID: id,
-	}
-}
-
-func (n *placeNode) HandleMessage(env core.Envelope, out core.Sink) []core.Applied {
-	ts, err := timestamp.Decode(env.Meta)
-	if err != nil {
-		n.p.diag.Dropf(n.id, "%s: replica %d dropping corrupt metadata from %d: %v", n.p.name, n.id, env.From, err)
-		return nil
-	}
-	if int(env.From) < 0 || int(env.From) >= n.p.space.NumReplicas() {
-		n.p.diag.Dropf(n.id, "%s: replica %d dropping update from invalid sender %d", n.p.name, n.id, env.From)
-		return nil
-	}
-	if len(ts) != n.p.space.Len(env.From) {
-		n.p.diag.Dropf(n.id, "%s: replica %d dropping update from %d with %d-entry timestamp, want %d",
-			n.p.name, n.id, env.From, len(ts), n.p.space.Len(env.From))
-		return nil
-	}
-	n.pending = append(n.pending, placePending{
-		from: env.From, ts: ts, reg: env.Reg, val: env.Val, oracleID: env.OracleID,
-	})
-	return n.drain(out)
-}
-
-func (n *placeNode) drain(out core.Sink) []core.Applied {
-	var applied []core.Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if stalePending(n.p.space, n.id, n.τ, u.from, u.ts) {
-				// Fault-injected duplicate of an already-applied update:
-				// can never deliver again; drop it so it cannot linger as
-				// a dead pending or double-forward after replay.
-				n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-				idx--
+	for x, route := range p.Broken {
+		for pos, member := range route {
+			if member != id {
 				continue
 			}
-			if !n.p.space.Deliverable(n.id, n.τ, u.from, u.ts) {
-				continue
+			// Hop h connects route[h] and route[h+1]; this member sits
+			// on hops pos−1 (to its left) and pos (to its right).
+			var left, right []core.Hop
+			if pos > 0 {
+				left = []core.Hop{{Reg: hopRegister(x, pos-1), To: []sharegraph.ReplicaID{route[pos-1]}}}
 			}
-			n.p.space.MergeInPlace(n.id, n.τ, u.from, u.ts)
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			if hi, isHop := n.p.hops[u.reg]; isHop {
-				route := n.p.routes[hi.reg]
-				pos := n.p.pos[hi.reg][n.id]
-				if n.p.base.StoresRegister(n.id, hi.reg) {
-					// A holder on the route: materialize the relayed value.
-					n.store[hi.reg] = u.val
-					applied = append(applied, core.Applied{
-						OracleID: u.oracleID, From: u.from, Reg: hi.reg, Val: u.val,
-					})
-				}
-				// Forward away from the sender: a message on hop hi.hop
-				// reached us moving left or right along the route.
-				if pos == hi.hop && pos > 0 {
-					out.Emit(n.hopEnvelope(hi.reg, pos-1, route[pos-1], u.val, u.oracleID))
-				} else if pos == hi.hop+1 && pos+1 < len(route) {
-					out.Emit(n.hopEnvelope(hi.reg, pos, route[pos+1], u.val, u.oracleID))
-				}
-			} else {
-				n.store[u.reg] = u.val
-				applied = append(applied, core.Applied{
-					OracleID: u.oracleID, From: u.from, Reg: u.reg, Val: u.val,
-				})
+			if pos+1 < len(route) {
+				right = []core.Hop{{Reg: hopRegister(x, pos), To: []sharegraph.ReplicaID{route[pos+1]}}}
 			}
-			progress = true
-			idx--
-		}
-		if !progress {
-			return applied
-		}
-	}
-}
-
-func (n *placeNode) Read(x sharegraph.Register) (core.Value, bool) {
-	if !n.p.base.StoresRegister(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
-}
-
-func (n *placeNode) PendingCount() int { return len(n.pending) }
-
-func (n *placeNode) PendingOracleIDs() []causality.UpdateID {
-	out := make([]causality.UpdateID, 0, len(n.pending))
-	for _, u := range n.pending {
-		// In-transit relays are protocol-internal: the update is not yet
-		// "at" this replica in the oracle's model.
-		if _, isHop := n.p.hops[u.reg]; !isHop {
-			out = append(out, u.oracleID)
+			holder := p.Base.StoresRegister(id, x)
+			if holder {
+				r.writes[x] = append(append([]core.Hop(nil), left...), right...)
+			}
+			// A message on the left hop is moving right, and vice versa.
+			if left != nil {
+				r.hops[left[0].Reg] = delivery{reg: x, holder: holder, fwd: right}
+			}
+			if right != nil {
+				r.hops[right[0].Reg] = delivery{reg: x, holder: holder, fwd: left}
+			}
 		}
 	}
-	return out
+	return r
 }
 
-func (n *placeNode) MetadataEntries() int { return len(n.τ) }
+func (r *relayRoute) Stores(x sharegraph.Register) bool { return r.base.StoresRegister(r.id, x) }
 
-var _ core.LivePendingCounter = (*placeNode)(nil)
-
-// LivePending implements core.LivePendingCounter; see relayNode.
-func (n *placeNode) LivePending() int {
-	live := 0
-	for _, u := range n.pending {
-		if !stalePending(n.p.space, n.id, n.τ, u.from, u.ts) {
-			live++
-		}
+func (r *relayRoute) Fanout(x sharegraph.Register) []core.Hop {
+	if hops, broken := r.writes[x]; broken {
+		return hops
 	}
-	return live
+	return r.Router.Fanout(x)
 }
 
-// Snapshot implements core.Snapshotter.
-func (n *placeNode) Snapshot() *core.NodeCheckpoint {
-	ck := &core.NodeCheckpoint{
-		Replica: n.id,
-		Tau:     n.τ.Clone(),
-		Store:   make(map[sharegraph.Register]core.Value, len(n.store)),
+func (r *relayRoute) Deliver(reg sharegraph.Register) (sharegraph.Register, bool, []core.Hop) {
+	if d, isHop := r.hops[reg]; isHop {
+		return d.reg, d.holder, d.fwd
 	}
-	for x, v := range n.store {
-		ck.Store[x] = v
-	}
-	for _, u := range n.pending {
-		ck.Pending = append(ck.Pending, core.Envelope{
-			From: u.from, To: n.id, Reg: u.reg, Val: u.val,
-			Meta: timestamp.Encode(u.ts), OracleID: u.oracleID,
-		})
-	}
-	return ck
-}
-
-// Install implements core.Snapshotter; see relayNode.Install for the
-// no-re-emission argument and NodeCheckpoint for nil-Tau semantics.
-func (n *placeNode) Install(ck *core.NodeCheckpoint) ([]core.Applied, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("optimize: nil checkpoint")
-	}
-	if ck.Replica != n.id {
-		return nil, fmt.Errorf("optimize: checkpoint of replica %d installed at %d", ck.Replica, n.id)
-	}
-	switch {
-	case ck.Tau == nil:
-		for i := range n.τ {
-			n.τ[i] = 0
-		}
-	case len(ck.Tau) != len(n.τ):
-		return nil, fmt.Errorf("optimize: checkpoint has %d timestamp entries, node tracks %d — different timestamp graphs",
-			len(ck.Tau), len(n.τ))
-	default:
-		copy(n.τ, ck.Tau)
-	}
-	n.store = make(map[sharegraph.Register]core.Value, len(ck.Store))
-	for x, v := range ck.Store {
-		n.store[x] = v
-	}
-	n.pending = nil
-	var out []core.Applied
-	for _, env := range ck.Pending {
-		out = append(out, n.HandleMessage(env, core.DiscardSink{})...)
-	}
-	return out, nil
+	return reg, true, nil
 }

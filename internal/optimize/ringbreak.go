@@ -3,36 +3,23 @@ package optimize
 import (
 	"fmt"
 
-	"repro/internal/causality"
-	"repro/internal/core"
 	"repro/internal/sharegraph"
-	"repro/internal/timestamp"
 )
 
-// RingBreak implements the Figure 13 optimization: on an n-replica ring,
-// direct communication between replicas 0 and n−1 is disallowed, turning
-// the share graph into a path. Updates to their shared register are
-// relayed hop-by-hop as writes to virtual registers (never client
-// accessed), with the final hop materializing the value. Per-replica
-// timestamps shrink from 2n counters (every replica tracks the whole
-// cycle) to at most 4 (a path has no loops); the relayed register pays
-// n−1 message hops of latency.
+// RingBreak is the Figure 13 optimization: on an n-replica ring, direct
+// communication between replicas 0 and n−1 is disallowed, turning the
+// share graph into a path. It is the placement over Ring(n) with the one
+// register those two share broken and routed the long way round: updates
+// to it are relayed hop by hop as writes to virtual registers (never
+// client accessed), with the final hop materializing the value.
+// Per-replica timestamps shrink from 2n counters (every replica tracks the
+// whole cycle) to at most 4 (a path has no loops); the relayed register
+// pays n−1 message hops of latency.
 type RingBreak struct {
+	PlacementProtocol
 	base   *sharegraph.Graph
-	n      int
 	broken sharegraph.Register
-	line   *sharegraph.Graph
-	space  *timestamp.Space
-	diag   *core.Diag
 }
-
-var (
-	_ core.Protocol     = (*RingBreak)(nil)
-	_ core.DiagSettable = (*RingBreak)(nil)
-)
-
-// SetDiag implements core.DiagSettable.
-func (p *RingBreak) SetDiag(d *core.Diag) { p.diag = d }
 
 // BreakRing builds the broken-ring protocol over sharegraph.Ring(n). The
 // register shared by replicas 0 and n−1 ("ring<n-1>") becomes the relayed
@@ -41,309 +28,25 @@ func BreakRing(n int) (*RingBreak, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("optimize: ring break needs n >= 3, got %d", n)
 	}
-	base := sharegraph.Ring(n)
+	place := NewPlacement(sharegraph.Ring(n))
 	broken := sharegraph.Register(fmt.Sprintf("ring%d", n-1))
-	stores := make([]sharegraph.RegisterSet, n)
-	for i := 0; i < n; i++ {
-		s := base.Stores(sharegraph.ReplicaID(i)).Clone()
-		delete(s, broken)
-		stores[i] = s
+	route, ok := place.buildRoute(broken)
+	if !ok {
+		return nil, fmt.Errorf("optimize: no relay route for %q", broken)
 	}
-	for i := 0; i < n-1; i++ {
-		vr := relayRegister(i)
-		stores[i].Add(vr)
-		stores[i+1].Add(vr)
-	}
-	line, err := sharegraph.NewFromSets(stores)
+	place.Broken[broken] = route
+	pp, err := place.Protocol("ring-break")
 	if err != nil {
-		return nil, fmt.Errorf("optimize: line graph: %w", err)
+		return nil, err
 	}
-	space, err := timestamp.NewSpace(line, sharegraph.BuildAllTSGraphs(line, sharegraph.LoopOptions{}))
-	if err != nil {
-		return nil, fmt.Errorf("optimize: line space: %w", err)
-	}
-	return &RingBreak{base: base, n: n, broken: broken, line: line, space: space}, nil
-}
-
-// relayRegister names the virtual register carrying relayed updates over
-// the path edge (i, i+1).
-func relayRegister(i int) sharegraph.Register {
-	return sharegraph.Register(fmt.Sprintf("__relay%d", i))
+	return &RingBreak{PlacementProtocol: *pp, base: place.Base, broken: broken}, nil
 }
 
 // Base returns the original ring share graph (the oracle's view).
 func (p *RingBreak) Base() *sharegraph.Graph { return p.base }
 
 // Line returns the broken (path) share graph the timestamps run over.
-func (p *RingBreak) Line() *sharegraph.Graph { return p.line }
+func (p *RingBreak) Line() *sharegraph.Graph { return p.Effective() }
 
 // Broken returns the relayed register.
 func (p *RingBreak) Broken() sharegraph.Register { return p.broken }
-
-// Name implements core.Protocol.
-func (p *RingBreak) Name() string { return "ring-break" }
-
-// NewNodes implements core.Protocol.
-func (p *RingBreak) NewNodes() ([]core.Node, error) {
-	nodes := make([]core.Node, p.n)
-	for i := range nodes {
-		id := sharegraph.ReplicaID(i)
-		nodes[i] = &relayNode{
-			p:     p,
-			id:    id,
-			τ:     p.space.Zero(id),
-			store: make(map[sharegraph.Register]core.Value),
-		}
-	}
-	return nodes, nil
-}
-
-type relayPending struct {
-	from     sharegraph.ReplicaID
-	ts       timestamp.Vec
-	reg      sharegraph.Register
-	val      core.Value
-	oracleID causality.UpdateID
-}
-
-// relayNode runs the edge-indexed machinery over the path graph and
-// relays broken-register updates hop by hop.
-type relayNode struct {
-	p       *RingBreak
-	id      sharegraph.ReplicaID
-	τ       timestamp.Vec
-	store   map[sharegraph.Register]core.Value
-	pending []relayPending
-}
-
-var _ core.Node = (*relayNode)(nil)
-
-func (n *relayNode) ID() sharegraph.ReplicaID { return n.id }
-
-func (n *relayNode) HandleWrite(x sharegraph.Register, v core.Value, id causality.UpdateID, out core.Sink) error {
-	if !n.p.base.StoresRegister(n.id, x) {
-		return &core.NotStoredError{Replica: n.id, Register: x}
-	}
-	n.store[x] = v
-	if x == n.p.broken {
-		// Only replicas 0 and n−1 store the broken register; relay toward
-		// the far end.
-		next := sharegraph.ReplicaID(1)
-		if n.id == sharegraph.ReplicaID(n.p.n-1) {
-			next = sharegraph.ReplicaID(n.p.n - 2)
-		}
-		out.Emit(n.relayEnvelope(next, v, id))
-		return nil
-	}
-	n.τ = n.p.space.Advance(n.id, n.τ, x)
-	meta := timestamp.Encode(n.τ)
-	for _, k := range n.p.line.UpdateRecipients(n.id, x) {
-		out.Emit(core.Envelope{
-			From: n.id, To: k, Reg: x, Val: v, Meta: meta, OracleID: id,
-		})
-	}
-	return nil
-}
-
-// relayEnvelope advances the timestamp on the virtual register of the hop
-// (n.id → to) and builds the hop message.
-func (n *relayNode) relayEnvelope(to sharegraph.ReplicaID, v core.Value, id causality.UpdateID) core.Envelope {
-	lo := n.id
-	if to < lo {
-		lo = to
-	}
-	vr := relayRegister(int(lo))
-	n.τ = n.p.space.Advance(n.id, n.τ, vr)
-	return core.Envelope{
-		From: n.id, To: to, Reg: vr, Val: v,
-		Meta: timestamp.Encode(n.τ), OracleID: id,
-	}
-}
-
-func (n *relayNode) HandleMessage(env core.Envelope, out core.Sink) []core.Applied {
-	ts, err := timestamp.Decode(env.Meta)
-	if err != nil {
-		n.p.diag.Dropf(n.id, "ring-break: replica %d dropping corrupt metadata from %d: %v", n.id, env.From, err)
-		return nil
-	}
-	// The drain indexes the space's per-sender plans by From; an
-	// out-of-range sender or a wrong-length vector is harness corruption
-	// that must be dropped, not dereferenced.
-	if int(env.From) < 0 || int(env.From) >= n.p.space.NumReplicas() {
-		n.p.diag.Dropf(n.id, "ring-break: replica %d dropping update from invalid sender %d", n.id, env.From)
-		return nil
-	}
-	if len(ts) != n.p.space.Len(env.From) {
-		n.p.diag.Dropf(n.id, "ring-break: replica %d dropping update from %d with %d-entry timestamp, want %d",
-			n.id, env.From, len(ts), n.p.space.Len(env.From))
-		return nil
-	}
-	n.pending = append(n.pending, relayPending{
-		from: env.From, ts: ts, reg: env.Reg, val: env.Val, oracleID: env.OracleID,
-	})
-	return n.drain(out)
-}
-
-func (n *relayNode) drain(out core.Sink) []core.Applied {
-	var applied []core.Applied
-	for {
-		progress := false
-		for idx := 0; idx < len(n.pending); idx++ {
-			u := n.pending[idx]
-			if stalePending(n.p.space, n.id, n.τ, u.from, u.ts) {
-				// A fault-injected duplicate of an already-applied update:
-				// the gate only grows, so predicate J can never admit it
-				// again. Drop it so chaos duplicates cannot accumulate as
-				// dead pendings — and, on the relay path, cannot
-				// double-forward after a replay.
-				n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-				idx--
-				continue
-			}
-			if !n.p.space.Deliverable(n.id, n.τ, u.from, u.ts) {
-				continue
-			}
-			n.p.space.MergeInPlace(n.id, n.τ, u.from, u.ts)
-			n.pending = append(n.pending[:idx], n.pending[idx+1:]...)
-			switch {
-			case isRelayRegister(u.reg):
-				// A relayed broken-register update.
-				if n.id == 0 || int(n.id) == n.p.n-1 {
-					// Terminal hop: materialize the value.
-					n.store[n.p.broken] = u.val
-					applied = append(applied, core.Applied{
-						OracleID: u.oracleID, From: u.from, Reg: n.p.broken, Val: u.val,
-					})
-				} else {
-					next := 2*n.id - u.from // keep moving away from the sender
-					out.Emit(n.relayEnvelope(next, u.val, u.oracleID))
-				}
-			default:
-				n.store[u.reg] = u.val
-				applied = append(applied, core.Applied{
-					OracleID: u.oracleID, From: u.from, Reg: u.reg, Val: u.val,
-				})
-			}
-			progress = true
-			idx--
-		}
-		if !progress {
-			return applied
-		}
-	}
-}
-
-func (n *relayNode) Read(x sharegraph.Register) (core.Value, bool) {
-	if !n.p.base.StoresRegister(n.id, x) {
-		return 0, false
-	}
-	return n.store[x], true
-}
-
-func (n *relayNode) PendingCount() int { return len(n.pending) }
-
-func (n *relayNode) PendingOracleIDs() []causality.UpdateID {
-	out := make([]causality.UpdateID, 0, len(n.pending))
-	for _, u := range n.pending {
-		// In-transit relays are protocol-internal: the update is not yet
-		// "at" this replica in the oracle's model, so it cannot be a false
-		// dependency here.
-		if !isRelayRegister(u.reg) {
-			out = append(out, u.oracleID)
-		}
-	}
-	return out
-}
-
-func isRelayRegister(x sharegraph.Register) bool {
-	return len(x) > 7 && x[:7] == "__relay"
-}
-
-func (n *relayNode) MetadataEntries() int { return len(n.τ) }
-
-var _ core.LivePendingCounter = (*relayNode)(nil)
-
-// LivePending implements core.LivePendingCounter. The drain drops stale
-// duplicates eagerly, so the buffer is live by construction; the filter
-// here re-applies the same rule defensively.
-func (n *relayNode) LivePending() int {
-	live := 0
-	for _, u := range n.pending {
-		if !stalePending(n.p.space, n.id, n.τ, u.from, u.ts) {
-			live++
-		}
-	}
-	return live
-}
-
-// stalePending reports whether a buffered update's sequence number on the
-// tracked edge (from → i) is already at or below the receiver's gate
-// counter: predicate J requires strict equality with gate+1 and the gate
-// only grows, so such an update can never be delivered. Untracked edges
-// (no SeqPos) never report stale.
-func stalePending(s *timestamp.Space, i sharegraph.ReplicaID, τ timestamp.Vec, from sharegraph.ReplicaID, ts timestamp.Vec) bool {
-	sp, ok := s.SeqPos(i, from)
-	if !ok {
-		return false
-	}
-	gp, _ := s.GatePos(i, from)
-	return ts[sp] <= τ[gp]
-}
-
-var _ core.Snapshotter = (*relayNode)(nil)
-
-// Snapshot implements core.Snapshotter, making the relay protocol
-// crash/restartable under the fault layer.
-func (n *relayNode) Snapshot() *core.NodeCheckpoint {
-	ck := &core.NodeCheckpoint{
-		Replica: n.id,
-		Tau:     n.τ.Clone(),
-		Store:   make(map[sharegraph.Register]core.Value, len(n.store)),
-	}
-	for x, v := range n.store {
-		ck.Store[x] = v
-	}
-	for _, u := range n.pending {
-		ck.Pending = append(ck.Pending, core.Envelope{
-			From: u.from, To: n.id, Reg: u.reg, Val: u.val,
-			Meta: timestamp.Encode(u.ts), OracleID: u.oracleID,
-		})
-	}
-	return ck
-}
-
-// Install implements core.Snapshotter. Pendings re-file through
-// HandleMessage with a discard sink: they were undeliverable at snapshot
-// time and the restored τ is identical, so determinism keeps them
-// buffered and nothing is re-emitted.
-func (n *relayNode) Install(ck *core.NodeCheckpoint) ([]core.Applied, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("optimize: nil checkpoint")
-	}
-	if ck.Replica != n.id {
-		return nil, fmt.Errorf("optimize: checkpoint of replica %d installed at %d", ck.Replica, n.id)
-	}
-	switch {
-	case ck.Tau == nil:
-		// Store-only checkpoint (live reconfiguration onto a new
-		// timestamp space): keep the fresh zero vector.
-		for i := range n.τ {
-			n.τ[i] = 0
-		}
-	case len(ck.Tau) != len(n.τ):
-		return nil, fmt.Errorf("optimize: checkpoint has %d timestamp entries, node tracks %d — different timestamp graphs",
-			len(ck.Tau), len(n.τ))
-	default:
-		copy(n.τ, ck.Tau)
-	}
-	n.store = make(map[sharegraph.Register]core.Value, len(ck.Store))
-	for x, v := range ck.Store {
-		n.store[x] = v
-	}
-	n.pending = nil
-	var out []core.Applied
-	for _, env := range ck.Pending {
-		out = append(out, n.HandleMessage(env, core.DiscardSink{})...)
-	}
-	return out, nil
-}

@@ -3,6 +3,8 @@ package optimize
 import (
 	"testing"
 
+	"repro/internal/causality"
+	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/sharegraph"
 )
@@ -187,5 +189,65 @@ func TestBuildRouteRingLongWay(t *testing.T) {
 	}
 	if len(route) != n {
 		t.Fatalf("route %v has %d members, want all %d replicas", route, len(route), n)
+	}
+}
+
+// TestSharedHopForwardsInApplyOrder: two broken registers relayed over the
+// same directed hop must cross it in the order the relay applied them.
+// Leaf 3 writes x and then z; leaf 2 sees z and writes y, so y depends on
+// x. Both are relayed through hub 0 to leaf 1, from different senders, and
+// the hub applies them in one delivery when the x hop arrives late.
+func TestSharedHopForwardsInApplyOrder(t *testing.T) {
+	g, err := sharegraph.New([][]sharegraph.Register{
+		{"a", "b", "c"}, {"c", "x", "y"}, {"b", "y", "z"}, {"a", "x", "z"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlacement(g)
+	p.Broken["x"] = Route{1, 0, 3}
+	p.Broken["y"] = Route{1, 0, 2}
+	pp, err := p.Protocol("shared-hop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range []*core.Prototype{&pp.Prototype, pp.Rescan()} {
+		nodes, err := proto.NewNodes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracker := causality.NewTracker(g)
+		write := func(r sharegraph.ReplicaID, x sharegraph.Register) core.Envelope {
+			envs, err := core.CollectWrite(nodes[r], x, 1, tracker.OnIssue(r, x))
+			if err != nil || len(envs) != 1 {
+				t.Fatalf("write %s at %d: %d messages, err %v", x, r, len(envs), err)
+			}
+			return envs[0]
+		}
+		deliver := func(env core.Envelope) []core.Envelope {
+			applied, fwd := core.CollectMessage(nodes[env.To], env)
+			for _, a := range applied {
+				tracker.OnApply(env.To, a.OracleID)
+			}
+			return fwd
+		}
+		xHop := write(3, "x")
+		deliver(write(3, "z"))
+		yHop := write(2, "y")
+		if fwd := deliver(yHop); len(fwd) != 0 {
+			t.Fatalf("hub forwarded y before x arrived: %v", fwd)
+		}
+		fwd := deliver(xHop)
+		if len(fwd) != 2 || fwd[0].To != 1 || fwd[1].To != 1 {
+			t.Fatalf("hub forwards = %v, want x then y to replica 1", fwd)
+		}
+		deliver(fwd[1])
+		deliver(fwd[0])
+		if !tracker.Ok() {
+			t.Errorf("%s: %v", proto.Name(), tracker.Violations())
+		}
+		if vs := tracker.CheckLiveness(); len(vs) != 0 {
+			t.Errorf("%s: liveness: %v", proto.Name(), vs)
+		}
 	}
 }

@@ -2,40 +2,6 @@ package runtime
 
 import "time"
 
-// Inboxes is the send/forward delivery contract both deployment seams
-// satisfy: the in-process Engine (bounded channel-backed inboxes drained
-// by the worker pool) and, across process boundaries, the TCP transport
-// in internal/wire (bounded per-peer frame queues drained by writer
-// goroutines). Runtimes written against this interface do not care
-// whether a destination is a struct or a process.
-//
-// The contract, shared verbatim by both implementations:
-//
-//   - Send applies backpressure: it blocks while a destination's queue is
-//     at capacity, so a fast writer cannot grow memory without bound.
-//   - Forward is backpressure-exempt: messages produced while delivering
-//     another message enqueue above capacity, because a delivering worker
-//     that blocked on a full queue could deadlock the pipeline.
-//   - Both return the number of messages accepted (a prefix); sends
-//     racing shutdown are dropped, never half-applied.
-//   - Quiesce blocks until nothing is in flight; Close drains then stops,
-//     leaving no goroutines behind.
-type Inboxes[M Message] interface {
-	Send(ms ...M) int
-	Forward(ms ...M) int
-	Quiesce()
-	Close()
-	Outstanding() int
-}
-
-// seamMsg pins the compile-time assertion below without reaching into a
-// client package's message type.
-type seamMsg struct{}
-
-func (seamMsg) Dest() int { return 0 }
-
-var _ Inboxes[seamMsg] = (*Engine[seamMsg])(nil)
-
 // Backoff returns the delay before retry attempt n (n ≥ 1): base doubled
 // per attempt, saturating at max. It is the repository's single retry
 // discipline — the fault layer's retransmit queue and the wire

@@ -74,7 +74,7 @@ func TestShardedBeatsSequentialClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded := median(2, 3, func() { r.RunMulti(ms, 0) })
-	if st := r.Stats(); st.Messages == 0 {
+	if m := r.Metrics(); m.Envelopes == 0 {
 		t.Fatal("sharded run delivered no envelopes")
 	}
 	r.Close()

@@ -316,7 +316,7 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 	// Per-edge attribution must happen before the engine sees the batch:
 	// once accepted, a worker may deliver and recycle it concurrently.
 	// The one batch a shutdown race rejects is therefore over-counted in
-	// the registry (not in the authoritative Stats totals below) —
+	// the registry (not in the authoritative totals Metrics reports) —
 	// harmless for monitoring, unsafe to fix by reading b.items later.
 	if r.reg != nil {
 		r.reg.Batch(n)
@@ -535,30 +535,6 @@ func (r *Runtime) StateSnapshot(space int) []map[sharegraph.Register]core.Value 
 		out[rep] = m
 	}
 	return out
-}
-
-// Stats are the runtime's aggregate transport counters.
-type Stats struct {
-	Messages  int64 // envelopes accepted by the engine
-	Batches   int64 // batch pushes accepted by the engine
-	MetaBytes int64 // metadata bytes across accepted envelopes
-}
-
-// AvgBatch returns the mean envelopes per batch.
-func (s Stats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Messages) / float64(s.Batches)
-}
-
-// Stats returns the runtime's counters so far.
-func (r *Runtime) Stats() Stats {
-	return Stats{
-		Messages:  r.msgs.Load(),
-		Batches:   r.nbatches.Load(),
-		MetaBytes: r.metaB.Load(),
-	}
 }
 
 // Metrics snapshots the runtime in the unified observability schema.

@@ -74,8 +74,8 @@ func TestShardedBasicConvergence(t *testing.T) {
 			}
 		}
 	}
-	if st := r.Stats(); st.Batches > 0 && st.AvgBatch() < 1 {
-		t.Errorf("stats inconsistent: %+v", st)
+	if m := r.Metrics(); m.Batches > 0 && m.Envelopes < m.Batches {
+		t.Errorf("metrics inconsistent: %d envelopes in %d batches", m.Envelopes, m.Batches)
 	}
 }
 

@@ -4,9 +4,9 @@ package sim
 // per-sender seq-keyed engine must produce results indistinguishable from
 // the reference full-buffer rescan on identical workloads and schedules —
 // same applies, messages, oracle verdicts, stuck counts, false-dependency
-// accounting and per-step pending maxima. Only the Protocol name (and the
-// apply order within a single delivery, which no Result field observes)
-// may differ.
+// accounting and per-step pending maxima. Only the Protocol name may
+// differ: both drains apply the lowest deliverable sender first, so a
+// relaying protocol forwards concurrent updates in one order too.
 
 import (
 	"fmt"
@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/optimize"
 	"repro/internal/sharegraph"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -57,6 +58,63 @@ func enginePairs() []enginePair {
 	}
 }
 
+// relayPair is the pair of a placement's relay protocol.
+func relayPair(name string, build func(*sharegraph.Graph) (*optimize.PlacementProtocol, error)) enginePair {
+	return enginePair{
+		name:    name,
+		indexed: func(g *sharegraph.Graph) (core.Protocol, error) { return build(g) },
+		reference: func(g *sharegraph.Graph) (core.Protocol, error) {
+			pp, err := build(g)
+			if err != nil {
+				return nil, err
+			}
+			return pp.Rescan(), nil
+		},
+	}
+}
+
+// ringRelayPairs are built over rings only: the Figure 13 ring break and
+// the placement the search finds there.
+func ringRelayPairs(t *testing.T) []enginePair {
+	return []enginePair{
+		relayPair("ring-break", func(g *sharegraph.Graph) (*optimize.PlacementProtocol, error) {
+			rb, err := optimize.BreakRing(g.NumReplicas())
+			if err != nil {
+				return nil, err
+			}
+			return &rb.PlacementProtocol, nil
+		}),
+		relayPair("searched-placement", func(g *sharegraph.Graph) (*optimize.PlacementProtocol, error) {
+			return searchProtocol(t, g, 1), nil
+		}),
+	}
+}
+
+// sharedHopGraph is a hub (replica 0) with three leaves, two of which (2
+// and 3) also share a register directly. sharedHopPair breaks the two
+// registers leaf 1 shares with them, so both are relayed through the hub
+// and their routes share the directed hop 0→1: what 3 writes to x and what
+// 2 then writes to y reach the hub from different senders and must leave
+// it for 1 in causal order.
+func sharedHopGraph() *sharegraph.Graph {
+	g, err := sharegraph.New([][]sharegraph.Register{
+		{"a", "b", "c"}, {"c", "x", "y"}, {"b", "y", "z"}, {"a", "x", "z"},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func sharedHopPair() enginePair {
+	return relayPair("shared-hop-placement", func(g *sharegraph.Graph) (*optimize.PlacementProtocol, error) {
+		p := optimize.NewPlacement(g)
+		p.Broken["x"] = optimize.Route{1, 0, 3}
+		p.Broken["y"] = optimize.Route{1, 0, 2}
+		return p.Protocol("shared-hop")
+	})
+}
+
 // equivSchedulers returns fresh schedulers per call so both runs see
 // identical pick sequences: seeded-random reorderings, the adversarial
 // LIFO reversal, and benign FIFO.
@@ -81,10 +139,16 @@ func TestEngineEquivalence(t *testing.T) {
 		{"ring8", sharegraph.Ring(8)},
 		{"grid9", sharegraph.Grid(3, 3)},
 		{"randomk8", sharegraph.RandomK(8, 24, 3, 5)},
+		{"sharedhop4", sharedHopGraph()},
+	}
+	relays := map[string][]enginePair{
+		"ring8":      ringRelayPairs(t),
+		"sharedhop4": {sharedHopPair()},
 	}
 	for _, topo := range topos {
 		script := workload.SharedOnly(topo.g, 400, 3)
-		for _, pair := range enginePairs() {
+		for pairIdx, pair := range append(enginePairs(), relays[topo.name]...) {
+			relayed := pairIdx >= len(enginePairs())
 			pi, err := pair.indexed(topo.g)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", topo.name, pair.name, err)
@@ -111,6 +175,11 @@ func TestEngineEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(ri, rr) {
 						t.Errorf("engines diverge:\nindexed:   %+v\nreference: %+v", ri, rr)
 					}
+					// Relaying must stay causally consistent, not just the
+					// same under both drains.
+					if relayed && (len(ri.Violations) > 0 || ri.StuckPending > 0) {
+						t.Errorf("%d violations, %d stuck; first: %v", len(ri.Violations), ri.StuckPending, ri.Violations)
+					}
 				})
 			}
 		}
@@ -129,7 +198,7 @@ func TestEngineEquivalenceAdversarialScripted(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		picks = append(picks, i%13, (i*7)%11, 0)
 	}
-	for _, pair := range enginePairs() {
+	for _, pair := range append(enginePairs(), ringRelayPairs(t)...) {
 		pi, err := pair.indexed(g)
 		if err != nil {
 			t.Fatal(err)

@@ -53,11 +53,11 @@ func (o TransportOptions) withDefaults() TransportOptions {
 
 // Transport is the TCP half of the runtime seam: the counterpart, across
 // process boundaries, of internal/runtime.Engine's in-process inboxes
-// (see runtime.Inboxes for the shared contract). One Transport serves one
-// local replica; it owns a lazily-created outgoing connection per peer,
-// each with a bounded frame queue drained by a dedicated writer
-// goroutine that dials on demand and reconnects with capped exponential
-// backoff.
+// (that package's doc states the backpressure contract the two share).
+// One Transport serves one local replica; it owns a lazily-created
+// outgoing connection per peer, each with a bounded frame queue drained by
+// a dedicated writer goroutine that dials on demand and reconnects with
+// capped exponential backoff (runtime.Backoff).
 //
 //   - Send mirrors Engine.Send: it blocks while the peer's queue is at
 //     capacity (client-operation backpressure).

@@ -152,7 +152,7 @@
 // load concentrates — many writes per shard per interval, as in the
 // zipf-skewed multi-tenant workloads workload.GenerateMulti produces —
 // where it amortizes the engine's per-message handoff across dozens of
-// envelopes (Stats reports the achieved batch sizes).
+// envelopes (Metrics reports the achieved Envelopes per Batches).
 //
 // # Observability
 //
@@ -199,20 +199,34 @@
 //
 // # Performance
 //
-// The delivery engine exploits the shape of the paper's deliverability
-// predicate J: for a fixed (receiver i, sender k) pair, J requires
-// τ_i[e_ki] = T[e_ki] − 1 exactly, and every update k sends to i advances
-// the e_{ki} counter by exactly one — so the counter carried in an
-// update's metadata is a consecutive per-receiver sequence number, and at
-// most one buffered update per sender can ever be deliverable. Each
-// replica therefore files buffered updates in per-sender queues keyed by
-// that sequence number; an out-of-order arrival is a single O(1) map
-// insert, and applying an update re-examines only the sender heads whose
-// predicate reads the one gate counter the merge advanced (a set
-// precomputed per topology). The reference full-buffer rescan engine is
-// retained behind core.NewEdgeIndexedNaive and the baselines' *Rescan
-// constructors; differential tests assert the two engines produce
-// identical measurements on every schedule.
+// There is one replica implementation. Section 2.1 defines a single
+// prototype — store registers, buffer received updates, apply one when
+// predicate J holds, merge its timestamp — and core.Prototype is that
+// prototype once: ingest guards, buffering, draining, reads, pending
+// accounting and checkpointing. A protocol is the prototype plus a clock
+// (core.Clock: the vector, advance, merge, J) and a router (core.Router:
+// whom a write reaches, what an applied update materializes and
+// forwards). The Section 3.3 algorithm, its dummy-register and truncated
+// variants, the four baselines and the Appendix D relaying placements
+// (ring breaking included) differ in nothing else.
+//
+// The prototype's drain exploits a shape every one of those predicates
+// shares: for a fixed (receiver i, sender k) pair J requires one counter
+// of the update's timestamp to be exactly one past one counter of τ_i —
+// for the edge-indexed clock, τ_i[e_ki] = T[e_ki] − 1 — and every update
+// k sends to i advances the former by exactly one. The counter carried in
+// an update's metadata is therefore a consecutive per-receiver sequence
+// number, and at most one buffered update per sender can ever be
+// deliverable. Each replica files buffered updates in per-sender queues
+// keyed by that number; an out-of-order arrival is a single O(1) map
+// insert, and applying an update re-examines only the sender heads the
+// clock says the merge can have unblocked (for the edge-indexed clock, a
+// set precomputed per topology). The reference full-buffer rescan is the
+// same node with one flag set, reachable through core.NewEdgeIndexedNaive,
+// the baselines' *Rescan constructors and Prototype.Rescan. Both drains
+// apply the lowest-numbered deliverable sender first, so one delivery's
+// applies and relay forwards come out in one order, and differential tests
+// assert the two produce identical measurements on every schedule.
 //
 // The protocol⇄runtime boundary is an emit contract: instead of
 // allocating and returning an envelope slice per write, a node pushes
@@ -634,15 +648,6 @@ func (c *Cluster) Check() error {
 // always, per-replica and per-edge breakdowns when
 // ClusterOptions.Metrics (or LoadAware) armed the registry.
 func (c *Cluster) Metrics() Metrics { return c.inner.Metrics() }
-
-// Stats reports transport-level counters.
-//
-// Deprecated: use Metrics, whose Messages and MetaBytes fields carry
-// the same totals in the unified cross-runtime snapshot schema.
-func (c *Cluster) Stats() (messages int64, metaBytes int64) {
-	m := c.Metrics()
-	return m.Messages, m.MetaBytes
-}
 
 // Workers returns the delivery worker-pool size.
 func (c *Cluster) Workers() int { return c.inner.Workers() }

@@ -154,17 +154,6 @@ func (s *ShardedSystem) Snapshot(space int) []map[Register]Value {
 // "replica i of every space"); queue gauges are per engine shard.
 func (s *ShardedSystem) Metrics() Metrics { return s.inner.Metrics() }
 
-// Stats reports the batching efficiency counters: engine messages
-// (batches pushed), envelopes carried, and metadata bytes copied.
-//
-// Deprecated: use Metrics, whose Batches, Envelopes and MetaBytes
-// fields carry the same totals in the unified cross-runtime snapshot
-// schema.
-func (s *ShardedSystem) Stats() (batches, envelopes, metaBytes int64) {
-	m := s.Metrics()
-	return m.Batches, m.Envelopes, m.MetaBytes
-}
-
 // Close flushes staged batches, drains the engine and stops the shared
 // worker pool; no goroutines outlive it. Idempotent.
 func (s *ShardedSystem) Close() { s.inner.Close() }
