@@ -728,10 +728,9 @@ func BenchmarkLiveCluster(b *testing.B) {
 // end. Every candidate evaluation rebuilds the effective graph's
 // timestamp graphs — the search's dominant cost — so with a fixed
 // deterministic budget (same seed, same moves, same evaluation count)
-// ns/op growth here means candidate evaluation itself got slower. Gated
-// by prcc-benchgate. The entries_saved metric pins the search's result
-// quality alongside its cost: ring cases must rediscover the line
-// (2n² → 4n−4).
+// ns/op growth here means candidate evaluation itself got slower. The
+// entries_saved metric pins the search's result quality alongside its
+// cost: ring cases must rediscover the line (2n² → 4n−4).
 func BenchmarkPlacementSearch(b *testing.B) {
 	cases := []struct {
 		name string

@@ -11,9 +11,9 @@ import (
 
 // TestLiveChaoticConvergence runs the concurrent client workload over a
 // faulty inter-replica transport: 5% loss and 5% duplication on every
-// edge. Drops retransmit and duplicates are discarded by the server's
-// stale guard, so the oracle's full audit — safety and liveness — must
-// still come back clean.
+// edge. Drops retransmit and duplicates park dead in the servers' nodes,
+// so the oracle's full audit — safety and liveness — must still come back
+// clean.
 func TestLiveChaoticConvergence(t *testing.T) {
 	sys := bridgeSystem(t, true)
 	ls := NewLiveChaotic(sys, rt.Options{}, rt.FaultPlan{
@@ -62,20 +62,22 @@ func TestLiveChaoticConvergence(t *testing.T) {
 		t.Errorf("violations under chaos: %v", vs)
 	}
 	if f := ls.Faults(); f.Duped() > 0 && ls.StaleDrops() == 0 {
-		t.Errorf("%d duplicates injected but no server discarded any", f.Duped())
+		t.Errorf("%d duplicates injected but no server parked any", f.Duped())
 	}
 }
 
-// TestServerDropsDuplicateUpdates pins the ingest guard directly: the
-// same update delivered twice is applied once and discarded once, and a
-// replayed older update is discarded too.
+// TestServerDropsDuplicateUpdates pins the prototype's staleness rule at
+// the server: the same update delivered twice is applied once and parked
+// dead once, a replayed older update parks dead too, and neither counts as
+// pending; a misrouted or corrupt envelope is dropped outright. StaleDrops
+// counts all of them.
 func TestServerDropsDuplicateUpdates(t *testing.T) {
 	sys := bridgeSystem(t, true)
 	servers := []*Server{NewServer(sys, 0), NewServer(sys, 1), NewServer(sys, 2), NewServer(sys, 3)}
 	client := NewClient(sys, 1)
 
 	var out Outcome
-	mkUpdate := func(v core.Value) UpdateMsg {
+	mkUpdate := func(v core.Value) core.Envelope {
 		t.Helper()
 		req, err := client.NewRequest("c", v, false)
 		if err != nil {
@@ -90,43 +92,43 @@ func TestServerDropsDuplicateUpdates(t *testing.T) {
 		client.AbsorbResponse(out.Responses[0])
 		return out.Updates[0]
 	}
-
-	u1 := mkUpdate(7)
-	u1dup := u1
-	u1dup.TS = u1.TS.Clone()
-	u2 := mkUpdate(8)
-	u2dup := u2
-	u2dup.TS = u2.TS.Clone()
-
-	deliver := func(u UpdateMsg) int {
+	// HandleUpdate recycles the Meta it is handed, so every delivery gets
+	// its own copy.
+	deliver := func(env core.Envelope) int {
+		env.Meta = append([]byte(nil), env.Meta...)
 		out.Reset()
-		servers[0].HandleUpdate(u, &out)
-		applies := 0
-		for _, ev := range out.Events {
-			if ev.IsApply {
-				applies++
-			}
-		}
-		return applies
+		servers[0].HandleUpdate(env, &out)
+		return len(out.Applied)
 	}
+
+	u1, u2 := mkUpdate(7), mkUpdate(8)
 	if got := deliver(u1); got != 1 {
 		t.Fatalf("first delivery applied %d updates, want 1", got)
 	}
-	if got := deliver(u1dup); got != 0 {
+	if got := deliver(u1); got != 0 {
 		t.Fatalf("duplicate delivery applied %d updates, want 0", got)
 	}
 	if got := deliver(u2); got != 1 {
 		t.Fatalf("second update applied %d, want 1", got)
 	}
-	// u1 again, now doubly stale: also discarded, not buffered forever.
-	if got := deliver(u2dup); got != 0 {
+	if got := deliver(u2); got != 0 {
 		t.Fatalf("stale replay applied %d updates, want 0", got)
 	}
 	if servers[0].PendingUpdates() != 0 {
-		t.Errorf("%d updates stuck in pending after replays", servers[0].PendingUpdates())
+		t.Errorf("%d updates live in pending after replays", servers[0].PendingUpdates())
 	}
 	if servers[0].StaleDrops() != 2 {
-		t.Errorf("StaleDrops = %d, want 2", servers[0].StaleDrops())
+		t.Errorf("StaleDrops = %d, want 2 (both replays parked dead)", servers[0].StaleDrops())
+	}
+	misrouted, corrupt := u2, u2
+	misrouted.To = 1
+	corrupt.Meta = u2.Meta[:len(u2.Meta)-1]
+	if deliver(misrouted)+deliver(corrupt) != 0 {
+		t.Fatal("malformed envelope applied")
+	}
+	if servers[0].StaleDrops() != 4 || servers[0].PendingUpdates() != 0 {
+		t.Errorf("after two malformed envelopes: StaleDrops = %d, pending = %d; want 4, 0",
+			servers[0].StaleDrops(), servers[0].PendingUpdates())
 	}
 }
 
@@ -148,10 +150,10 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		req.Replica = 3
 		out.Reset()
 		server.HandleRequest(req, &out)
-		// Stand in for the consumers: recycle the vectors the update
+		// Stand in for the consumers: recycle the buffers the update
 		// receivers and the client would.
 		for i := range out.Updates {
-			sys.putVec(out.Updates[i].TS)
+			sys.meta.Put(out.Updates[i].Meta)
 		}
 		for i := range out.Responses {
 			sys.putVec(out.Responses[i].Tau)

@@ -1,8 +1,29 @@
 // Package clientserver implements the client-server architecture of
-// Section 6 and Appendix E of Xiang & Vaidya (PODC 2019): clients maintain
-// their own edge-indexed timestamps µ_c over the union of the augmented
-// timestamp graphs of the replicas they may access, and replicas buffer
-// client requests behind predicates J1/J2 and remote updates behind J3.
+// Section 6 and Appendix E of Xiang & Vaidya (PODC 2019) as what the paper
+// says it is: the Section 2.1 replica prototype run over the augmented
+// timestamp graphs Ê_i, plus a thin client layer.
+//
+// A Server is one node of core.Prototype — the same node every peer-to-peer
+// protocol runs — built from timestamp.NewSpace(Aug.G, Ê) and the share
+// graph's routes. The node stores the registers, buffers inter-replica
+// updates and applies them. Appendix E's server differs from the
+// prototype in three places, and each one is the prototype's own operation
+// over Ê_i:
+//
+//   - J3 is predicate J: τ[e_ki] = T[e_ki] − 1 and τ[e_ji] ≥ T[e_ji] on the
+//     other edges into i that Ê_i and Ê_k both track.
+//   - merge3 is merge: the element-wise maximum over Ê_i ∩ Ê_k.
+//   - advance for a client write is "raise τ by the client's µ_c, then
+//     advance": Appendix E increments e_ik for x ∈ X_ik and takes max(τ, µ)
+//     elsewhere, and on the incremented edges the max is a no-op because
+//     only replica i ever increments them, so no µ can be ahead of τ_i. The
+//     raise cannot move a gate either: J2 admitted the write only once τ
+//     dominated µ on every edge into i, which is where all gates live.
+//
+// The client layer is what is left: requests buffered behind J1/J2,
+// the µ_c raise, responses carrying τ_i, and clients merging them into µ_c
+// over ∪_{i∈Rc} Ê_i (merge1/merge2). Every alignment between a client's
+// edge order and a replica's is computed once per System.
 //
 // Clients accessing multiple replicas propagate causal dependencies even
 // between replicas sharing no registers; the augmented share graph
@@ -22,18 +43,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/sharegraph"
 	"repro/internal/timestamp"
+	"repro/internal/transport"
 )
 
 // ---------------------------------------------------------------------------
 // Vector freelist
 //
-// The client-server hot path clones timestamps constantly: every request
-// carries µ_c, every response carries τ_i, and every update message
-// carries τ_i once per recipient. All of those vectors have a clear
-// single owner and a clear end of life (the receiver merges them and is
-// done), so instead of leaving a clone per message to the garbage
-// collector they cycle through a per-System freelist: cloneVec takes a
-// recycled vector, putVec returns one. Hanging the freelist off System —
+// The client layer clones timestamps constantly: every request carries
+// µ_c and every response carries τ_i. Those vectors have a clear single
+// owner and a clear end of life (the receiver merges them and is done),
+// so instead of leaving a clone per message to the garbage collector they
+// cycle through a per-System freelist: cloneVec takes a recycled vector,
+// putVec returns one. Hanging the freelist off System —
 // rather than a process-wide global — keeps vector lifetimes and mutex
 // contention confined to one deployment: independent live systems and
 // benchmarks in the same process never serialize on each other's clones,
@@ -80,9 +101,10 @@ func (s *System) putVec(v timestamp.Vec) {
 }
 
 // System holds the structure shared by all servers and clients: the
-// augmented graph, every replica's augmented timestamp graph Ê_i, and
-// every client's timestamp universe ∪_{i∈Rc} Ê_i — all immutable after
-// construction — plus the deployment's timestamp-vector freelist.
+// augmented graph, every replica's augmented timestamp graph Ê_i, every
+// client's timestamp universe ∪_{i∈Rc} Ê_i, the prototype instantiated
+// over the Ê_i and the client↔replica alignments — all immutable after
+// construction — plus the deployment's freelists.
 type System struct {
 	Aug *sharegraph.AugmentedGraph
 	// ReplicaGraphs[i] indexes replica i's timestamp τ_i.
@@ -90,8 +112,27 @@ type System struct {
 	// ClientGraphs[c] indexes client c's timestamp µ_c.
 	ClientGraphs []*sharegraph.TSGraph
 
+	// proto builds the servers' nodes; in-package differential tests swap
+	// in its Rescan() twin.
+	proto *core.Prototype
+	// views[c][i] aligns µ_c with τ_i for every i ∈ R_c.
+	views [][]clientView
+
 	vecMu   sync.Mutex
 	vecFree []timestamp.Vec
+	// meta recycles the encoded timestamps of in-flight updates: Outcome
+	// copies an emitted Meta through it, HandleUpdate returns it.
+	meta transport.BytePool
+}
+
+// clientView is everything client c and a replica i ∈ R_c need of each
+// other's edge orders, computed once.
+type clientView struct {
+	ok bool // i ∈ R_c
+	// raise aligns Ê_i with c's universe as (τ_i, µ_c) positions, incoming
+	// is its edges into i (what J1/J2 read), absorb is raise the other way
+	// round (merge1/merge2).
+	raise, incoming, absorb timestamp.Alignment
 }
 
 // NewSystem computes Ê_i per Definition 28 and the client universes.
@@ -110,50 +151,53 @@ func NewSystemWithPlainGraphs(aug *sharegraph.AugmentedGraph) *System {
 }
 
 func newSystemWithGraphs(aug *sharegraph.AugmentedGraph, graphs []*sharegraph.TSGraph) *System {
-	s := &System{Aug: aug, ReplicaGraphs: graphs}
+	space, err := timestamp.NewSpace(aug.G, graphs)
+	if err != nil {
+		panic(err) // graphs was built just above, one per replica in order
+	}
+	n := aug.G.NumReplicas()
+	s := &System{
+		Aug: aug, ReplicaGraphs: graphs,
+		proto: core.NewPrototype("client-server", n, core.SpaceClocks(space), core.ShareRoutes(aug.G, nil, false)),
+	}
 	for c := 0; c < aug.NumClients(); c++ {
 		edges := aug.ClientTSEdges(sharegraph.ClientID(c), graphs)
 		// The owner field is unused for client universes; store the client
 		// id for diagnostics.
-		s.ClientGraphs = append(s.ClientGraphs, sharegraph.NewTSGraphFromEdges(sharegraph.ReplicaID(c), edges))
+		cidx := sharegraph.NewTSGraphFromEdges(sharegraph.ReplicaID(c), edges)
+		s.ClientGraphs = append(s.ClientGraphs, cidx)
+		views := make([]clientView, n)
+		for _, i := range aug.ClientReplicas(sharegraph.ClientID(c)) {
+			raise := timestamp.Align(graphs[i], cidx)
+			views[i] = clientView{
+				ok: true, raise: raise, absorb: timestamp.Align(cidx, graphs[i]),
+				incoming: raise.Keep(graphs[i], func(e sharegraph.Edge) bool { return e.To == i }),
+			}
+		}
+		s.views = append(s.views, views)
 	}
 	return s
-}
-
-// mergeMax sets dst[e] = max(dst[e], src[e]) for every edge tracked by
-// both index graphs — the shape shared by merge1, merge2 and merge3.
-func mergeMax(dstIdx *sharegraph.TSGraph, dst timestamp.Vec, srcIdx *sharegraph.TSGraph, src timestamp.Vec) {
-	for _, pair := range dstIdx.Intersection(srcIdx) {
-		if src[pair[1]] > dst[pair[0]] {
-			dst[pair[0]] = src[pair[1]]
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
 // Server
 
-// Server is one replica's state machine for the client-server prototype
-// (Appendix E.1). Not safe for concurrent use.
+// Server is one replica of the client-server architecture (Appendix E.1):
+// one node of the prototype over Ê_i, which stores the registers, buffers
+// inter-replica updates behind J3 and merges them, plus the client layer —
+// requests buffered behind J1/J2, the µ_c raise before a write, responses
+// carrying τ_i. Not safe for concurrent use.
 type Server struct {
-	sys    *System
-	id     sharegraph.ReplicaID
-	eidx   *sharegraph.TSGraph
-	τ      timestamp.Vec
-	store  map[sharegraph.Register]core.Value
-	recips sharegraph.RecipientCache
+	sys  *System
+	id   sharegraph.ReplicaID
+	node core.Layered
+	diag *core.Diag
+	// tracker, when a runtime sets it, is told every apply and every
+	// accepted request in the order they happen here, and names the
+	// writes; nil runs unaudited.
+	tracker *causality.Tracker
 
-	pendingUpdates  []serverUpdate
 	pendingRequests []Request
-	staleDrops      int
-}
-
-type serverUpdate struct {
-	from     sharegraph.ReplicaID
-	ts       timestamp.Vec
-	reg      sharegraph.Register
-	val      core.Value
-	oracleID causality.UpdateID
 }
 
 // Request is a client read or write request carrying the client's
@@ -178,98 +222,35 @@ type Response struct {
 	Tau     timestamp.Vec
 }
 
-// UpdateMsg is an inter-replica update message.
-type UpdateMsg struct {
-	From     sharegraph.ReplicaID
-	To       sharegraph.ReplicaID
-	Reg      sharegraph.Register
-	Val      core.Value
-	TS       timestamp.Vec
-	OracleID causality.UpdateID
-}
-
-// MetaBytes returns the encoded size of the update's timestamp.
-func (u UpdateMsg) MetaBytes() int { return timestamp.EncodedSize(u.TS) }
-
-// Dest returns the destination replica as an inbox index — the routing
-// hook the shared worker-pool engine (internal/runtime) keys on.
-func (u UpdateMsg) Dest() int { return int(u.To) }
-
-// Source returns the sending replica — the hook the engine's fault
-// layer keys its per-edge loss, duplication and partition plans on.
-func (u UpdateMsg) Source() int { return int(u.From) }
-
 // NewServer builds replica i's server.
 func NewServer(sys *System, i sharegraph.ReplicaID) *Server {
-	eidx := sys.ReplicaGraphs[i]
-	return &Server{
-		sys:    sys,
-		id:     i,
-		eidx:   eidx,
-		τ:      make(timestamp.Vec, eidx.Len()),
-		store:  make(map[sharegraph.Register]core.Value),
-		recips: sharegraph.NewRecipientCache(sys.Aug.G, i),
-	}
+	// Ingest drops are counted, not logged: StaleDrops reports them.
+	diag := core.NewDiag(func(string, ...any) {}, nil)
+	return &Server{sys: sys, id: i, node: sys.proto.NewNode(i, diag), diag: diag}
 }
 
 // ID returns the replica id.
 func (s *Server) ID() sharegraph.ReplicaID { return s.id }
 
 // Timestamp returns a copy of τ_i.
-func (s *Server) Timestamp() timestamp.Vec { return s.τ.Clone() }
+func (s *Server) Timestamp() timestamp.Vec { return s.node.Tau().Clone() }
 
 // MetadataEntries returns |Ê_i|.
-func (s *Server) MetadataEntries() int { return s.eidx.Len() }
+func (s *Server) MetadataEntries() int { return s.node.MetadataEntries() }
 
-// PendingUpdates returns the number of buffered inter-replica updates.
-func (s *Server) PendingUpdates() int { return len(s.pendingUpdates) }
+// PendingUpdates returns the number of buffered inter-replica updates
+// still awaiting delivery (core.LivePendingCounter).
+func (s *Server) PendingUpdates() int { return s.node.LivePending() }
 
 // PendingRequests returns the number of buffered client requests.
 func (s *Server) PendingRequests() int { return len(s.pendingRequests) }
 
-// StaleDrops returns the number of update messages this server
-// discarded at ingest: duplicates, stale replays, and malformed
-// envelopes (unknown sender, misrouted, wrong-length timestamp). See
-// HandleUpdate.
-func (s *Server) StaleDrops() int { return s.staleDrops }
-
-// requestReady implements J1 = J2: τ[e_ji] ≥ µ[e_ji] for every edge into
-// this replica tracked by Ê_i.
-func (s *Server) requestReady(req Request) bool {
-	cidx := s.sys.ClientGraphs[req.Client]
-	for pos, e := range s.eidx.Edges() {
-		if e.To != s.id {
-			continue
-		}
-		if mpos, ok := cidx.Index(e); ok && s.τ[pos] < req.Mu[mpos] {
-			return false
-		}
-	}
-	return true
-}
-
-// updateReady implements J3: τ[e_ki] = T[e_ki] − 1 and τ[e_ji] ≥ T[e_ji]
-// for every e_ji ∈ Ê_i ∩ Ê_k with j ≠ k.
-func (s *Server) updateReady(u serverUpdate) bool {
-	kidx := s.sys.ReplicaGraphs[u.from]
-	eki := sharegraph.Edge{From: u.from, To: s.id}
-	rpos, okR := s.eidx.Index(eki)
-	spos, okS := kidx.Index(eki)
-	if !okR || !okS {
-		return false
-	}
-	if s.τ[rpos] != u.ts[spos]-1 {
-		return false
-	}
-	for pos, e := range s.eidx.Edges() {
-		if e.To != s.id || e.From == u.from {
-			continue
-		}
-		if kpos, ok := kidx.Index(e); ok && s.τ[pos] < u.ts[kpos] {
-			return false
-		}
-	}
-	return true
+// StaleDrops returns the number of received update messages J3 can never
+// admit: duplicates, stale replays and updates from untracked senders,
+// which the node parks dead, plus the malformed envelopes (corrupt or
+// wrong-length timestamp, unknown sender, misrouted) dropped at ingest.
+func (s *Server) StaleDrops() int {
+	return s.node.PendingCount() - s.node.LivePending() + int(s.diag.Drops())
 }
 
 // HandleRequest ingests a client request, appending everything it
@@ -277,205 +258,131 @@ func (s *Server) updateReady(u serverUpdate) bool {
 // half of the contract that keeps the serve path allocation-free). If
 // the request's predicate holds it is served immediately; otherwise it
 // is buffered until later update applications unblock it. The server
-// takes ownership of req.Mu. Returns false — without consuming req —
-// if the request is addressed to a different replica.
+// takes ownership of req.Mu. Returns false — without consuming req — if
+// the request does not belong here: addressed to a different replica,
+// from an unknown client or one that may not access this replica, naming
+// a register not stored here, or carrying a µ of the wrong length.
 func (s *Server) HandleRequest(req Request, out *Outcome) bool {
-	if req.Replica != s.id {
+	if req.Replica != s.id || req.Client < 0 || int(req.Client) >= len(s.sys.views) ||
+		!s.sys.views[req.Client][s.id].ok || len(req.Mu) != s.sys.ClientGraphs[req.Client].Len() ||
+		!s.sys.Aug.G.StoresRegister(s.id, req.Reg) {
 		return false
 	}
 	if !s.requestReady(req) {
 		s.pendingRequests = append(s.pendingRequests, req)
 		return true
 	}
+	out.meta = &s.sys.meta
 	s.serve(req, out)
 	return true
 }
 
-// Outcome aggregates everything one event produced: responses to clients,
-// update messages to replicas, and an ordered trail of applies and
-// request acceptances. The trail preserves the true interleaving inside a
-// drain, which the causality oracle needs to audit accesses correctly.
+// requestReady implements J1 = J2: τ[e_ji] ≥ µ[e_ji] for every edge into
+// this replica tracked by Ê_i.
+func (s *Server) requestReady(req Request) bool {
+	return s.sys.views[req.Client][s.id].incoming.Dominates(s.node.Tau(), req.Mu)
+}
+
+// Outcome collects everything one event produced: responses to clients,
+// update messages to replicas (it is the core.Sink the server's node
+// emits into) and the updates applied.
 //
 // Callers pass an Outcome into HandleRequest/HandleUpdate and recycle it
-// with Reset once its contents are consumed. Ownership of the timestamp
-// vectors inside (Updates[i].TS, Responses[i].Tau) transfers to whoever
-// consumes the message: update receivers recycle TS after merging it,
-// clients recycle Tau when absorbing the response.
+// with Reset once its contents are consumed. Ownership of the buffers
+// inside (Updates[i].Meta, Responses[i].Tau) transfers to whoever consumes
+// the message: HandleUpdate recycles Meta after ingest, clients recycle
+// Tau when absorbing the response.
 type Outcome struct {
 	Responses []Response
-	Updates   []UpdateMsg
-	Events    []OutcomeEvent
+	Updates   []core.Envelope
+	Applied   []core.Applied
+
+	meta *transport.BytePool // the serving System's; set before any Emit
+}
+
+// Emit implements core.Sink: the node's Meta is scratch, so the retained
+// envelope gets a pooled copy.
+func (o *Outcome) Emit(env core.Envelope) {
+	env.Meta = o.meta.Copy(env.Meta)
+	o.Updates = append(o.Updates, env)
 }
 
 // Reset clears the outcome for reuse, keeping capacity. It does not
-// release the timestamp vectors referenced by the cleared entries —
-// their ownership moved to the message consumers at dispatch.
+// release the buffers referenced by the cleared entries — their ownership
+// moved to the message consumers at dispatch.
 func (o *Outcome) Reset() {
 	o.Responses = o.Responses[:0]
 	o.Updates = o.Updates[:0]
-	o.Events = o.Events[:0]
-}
-
-// OutcomeEvent is one step of an outcome trail: an update application
-// (IsApply true) or a client request acceptance.
-type OutcomeEvent struct {
-	IsApply bool
-	Apply   core.Applied
-	Accept  AcceptedAccess
-}
-
-// AcceptedAccess is one client request acceptance.
-type AcceptedAccess struct {
-	Client  sharegraph.ClientID
-	Replica sharegraph.ReplicaID
-	Reg     sharegraph.Register
-	IsWrite bool
-	// UpdateSeq and NumUpdates locate this write's update messages within
-	// Outcome.Updates so the runner can stamp their oracle IDs after
-	// informing the oracle; reads have NumUpdates 0.
-	UpdateSeq  int
-	NumUpdates int
+	o.Applied = o.Applied[:0]
 }
 
 // serve executes an accepted request (predicate already true), recycling
-// the request's µ once it is consumed.
+// the request's µ once it is consumed. A write is the prototype's, after
+// τ is raised by µ; J2 just checked that τ dominates µ on every edge into
+// i, so the raise moves no gate (see the package comment).
 func (s *Server) serve(req Request, out *Outcome) {
-	if req.IsRead {
-		out.Events = append(out.Events, OutcomeEvent{Accept: AcceptedAccess{
-			Client: req.Client, Replica: s.id, Reg: req.Reg,
-		}})
-		out.Responses = append(out.Responses, Response{
-			Client: req.Client, Replica: s.id, Reg: req.Reg,
-			Val: s.store[req.Reg], IsRead: true, Tau: s.sys.cloneVec(s.τ),
-		})
-		s.sys.putVec(req.Mu)
-		return
+	if s.tracker != nil {
+		s.tracker.OnClientAccess(req.Client, s.id)
 	}
-	// Write: advance per Appendix E — increment edges e_{i,k} with
-	// x ∈ X_ik; take max(τ, µ) elsewhere. τ is mutated in place: every
-	// copy handed out (responses, updates, Timestamp) is a clone, so no
-	// one aliases it.
-	s.store[req.Reg] = req.Val
-	cidx := s.sys.ClientGraphs[req.Client]
-	for pos, e := range s.eidx.Edges() {
-		if e.From == s.id && s.sys.Aug.G.Shared(s.id, e.To).Has(req.Reg) {
-			s.τ[pos]++
-			continue
+	val := req.Val
+	if req.IsRead {
+		val, _ = s.node.Read(req.Reg)
+	} else {
+		var id causality.UpdateID
+		if s.tracker != nil {
+			id = s.tracker.OnClientWrite(req.Client, s.id, req.Reg)
 		}
-		if mpos, ok := cidx.Index(e); ok && req.Mu[mpos] > s.τ[pos] {
-			s.τ[pos] = req.Mu[mpos]
+		s.node.RaiseTau(s.sys.views[req.Client][s.id].raise, req.Mu)
+		if err := s.node.HandleWrite(req.Reg, val, id, out); err != nil {
+			panic(err) // HandleRequest admits only registers stored here
 		}
 	}
 	s.sys.putVec(req.Mu)
-	seq := len(out.Updates)
-	for _, k := range s.recips.Recipients(req.Reg) {
-		out.Updates = append(out.Updates, UpdateMsg{
-			From: s.id, To: k, Reg: req.Reg, Val: req.Val, TS: s.sys.cloneVec(s.τ),
-		})
-	}
-	out.Events = append(out.Events, OutcomeEvent{Accept: AcceptedAccess{
-		Client: req.Client, Replica: s.id, Reg: req.Reg, IsWrite: true,
-		UpdateSeq: seq, NumUpdates: len(out.Updates) - seq,
-	}})
 	out.Responses = append(out.Responses, Response{
 		Client: req.Client, Replica: s.id, Reg: req.Reg,
-		Val: req.Val, Tau: s.sys.cloneVec(s.τ),
+		Val: val, IsRead: req.IsRead, Tau: s.sys.cloneVec(s.node.Tau()),
 	})
 }
 
 // HandleUpdate ingests an inter-replica update (step 3 of the replica
-// prototype), draining both buffered updates and buffered client requests
-// to a fixpoint into out. The server takes ownership of u.TS.
+// prototype) and then serves the buffered client requests the applies
+// unblocked, into out. The server takes ownership of env.Meta.
 //
-// Duplicate and stale deliveries are discarded at the door: replica k
-// increments the e_ki entry for every update it sends here, so
-// τ_i[e_ki] ≥ T[e_ki] means this exact update (or a successor) has
-// already been applied. Without the guard a re-delivered envelope would
-// sit in pendingUpdates forever — J3 demands τ[e_ki] = T[e_ki] − 1
-// exactly — leaking memory and polluting false-dependency accounting.
-func (s *Server) HandleUpdate(u UpdateMsg, out *Outcome) {
-	// Malformed envelopes are discarded at the door: an unknown sender,
-	// a misrouted destination, or a timestamp that does not match the
-	// sender's graph would otherwise index out of bounds (or merge
-	// nonsense) deep inside the predicate machinery.
-	if u.From < 0 || int(u.From) >= len(s.sys.ReplicaGraphs) || u.To != s.id ||
-		len(u.TS) != s.sys.ReplicaGraphs[u.From].Len() {
-		s.staleDrops++
-		s.sys.putVec(u.TS)
+// Serving a request never unblocks an update — a write moves only this
+// replica's outgoing edges, J3 reads incoming ones — so "drain updates,
+// then requests, once" is the fixpoint.
+func (s *Server) HandleUpdate(env core.Envelope, out *Outcome) {
+	if env.To != s.id {
+		s.diag.Dropf(s.id, "client-server: replica %d dropping update addressed to %d", s.id, env.To)
+		s.sys.meta.Put(env.Meta)
 		return
 	}
-	eki := sharegraph.Edge{From: u.From, To: s.id}
-	if rpos, ok := s.eidx.Index(eki); ok {
-		if spos, ok2 := s.sys.ReplicaGraphs[u.From].Index(eki); ok2 {
-			if s.τ[rpos] >= u.TS[spos] {
-				s.staleDrops++
-				s.sys.putVec(u.TS)
-				return
-			}
-			// A duplicate of a still-buffered update passes the applied
-			// check (τ has not advanced yet) but would rot forever once
-			// its twin applies — J3 demands equality, never ≤. Discard it
-			// against the buffer.
-			for i := range s.pendingUpdates {
-				pu := &s.pendingUpdates[i]
-				if pu.from == u.From && pu.ts[spos] == u.TS[spos] {
-					s.staleDrops++
-					s.sys.putVec(u.TS)
-					return
-				}
-			}
+	out.meta = &s.sys.meta
+	applied := s.node.HandleMessage(env, out)
+	s.sys.meta.Put(env.Meta)
+	if len(applied) == 0 {
+		return
+	}
+	if s.tracker != nil {
+		for _, a := range applied {
+			s.tracker.OnApply(s.id, a.OracleID)
 		}
 	}
-	s.pendingUpdates = append(s.pendingUpdates, serverUpdate{
-		from: u.From, ts: u.TS, reg: u.Reg, val: u.Val, oracleID: u.OracleID,
-	})
-	s.drain(out)
-}
-
-// drain alternates between applying deliverable updates (J3) and serving
-// unblocked client requests (J1/J2) until neither makes progress.
-func (s *Server) drain(out *Outcome) {
-	for {
-		progress := false
-		for idx := 0; idx < len(s.pendingUpdates); idx++ {
-			u := s.pendingUpdates[idx]
-			if !s.updateReady(u) {
-				continue
-			}
-			s.store[u.reg] = u.val
-			mergeMax(s.eidx, s.τ, s.sys.ReplicaGraphs[u.from], u.ts)
-			s.sys.putVec(u.ts)
-			s.pendingUpdates = append(s.pendingUpdates[:idx], s.pendingUpdates[idx+1:]...)
-			out.Events = append(out.Events, OutcomeEvent{IsApply: true, Apply: core.Applied{
-				OracleID: u.oracleID, From: u.from, Reg: u.reg, Val: u.val,
-			}})
-			progress = true
-			idx--
-		}
-		for idx := 0; idx < len(s.pendingRequests); idx++ {
-			req := s.pendingRequests[idx]
-			if !s.requestReady(req) {
-				continue
-			}
-			s.pendingRequests = append(s.pendingRequests[:idx], s.pendingRequests[idx+1:]...)
+	out.Applied = append(out.Applied, applied...)
+	kept := s.pendingRequests[:0]
+	for _, req := range s.pendingRequests {
+		if s.requestReady(req) {
 			s.serve(req, out)
-			progress = true
-			idx--
-		}
-		if !progress {
-			return
+		} else {
+			kept = append(kept, req)
 		}
 	}
+	s.pendingRequests = kept
 }
 
 // Read returns the local copy (diagnostics; client reads go through
 // HandleRequest).
-func (s *Server) Read(x sharegraph.Register) (core.Value, bool) {
-	if !s.sys.Aug.G.StoresRegister(s.id, x) {
-		return 0, false
-	}
-	return s.store[x], true
-}
+func (s *Server) Read(x sharegraph.Register) (core.Value, bool) { return s.node.Read(x) }
 
 // ---------------------------------------------------------------------------
 // Client
@@ -535,6 +442,6 @@ func (c *Client) NewRequest(x sharegraph.Register, v core.Value, isRead bool) (R
 // with τ over Ê_i, unchanged elsewhere. The response's Tau is consumed —
 // recycled into the vector freelist — so callers must not retain it.
 func (c *Client) AbsorbResponse(resp Response) {
-	mergeMax(c.cidx, c.µ, c.sys.ReplicaGraphs[resp.Replica], resp.Tau)
+	c.sys.views[c.id][resp.Replica].absorb.MergeInto(c.µ, resp.Tau)
 	c.sys.putVec(resp.Tau)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/sharegraph"
+	"repro/internal/timestamp"
 	"repro/internal/transport"
 )
 
@@ -155,24 +156,30 @@ func TestJ1BlocksStaleRead(t *testing.T) {
 	}
 }
 
+// bridgeSweepRun is one case of the random sweep over the bridge system:
+// seeded random scripts under a seeded random schedule.
+func bridgeSweepRun(sys *System, seed int64) RunConfig {
+	rng := transport.NewRandom(seed)
+	regsByClient := [][]sharegraph.Register{{"a", "b", "p1", "p2"}, {"a", "b", "c"}}
+	scripts := make([][]ClientOp, 2)
+	for c := range scripts {
+		n := 3 + rng.Pick(8)
+		for k := 0; k < n; k++ {
+			scripts[c] = append(scripts[c], ClientOp{
+				Reg:    regsByClient[c][rng.Pick(len(regsByClient[c]))],
+				IsRead: rng.Pick(4) == 0,
+			})
+		}
+	}
+	return RunConfig{Sys: sys, Scripts: scripts, Sched: transport.NewRandom(seed ^ 0x77)}
+}
+
 func TestClientServerRandomSweep(t *testing.T) {
 	// Random scripts over the bridge system under random schedules must
 	// always be clean with augmented graphs.
 	sys := bridgeSystem(t, true)
 	prop := func(seed int64) bool {
-		rng := transport.NewRandom(seed)
-		regsByClient := [][]sharegraph.Register{{"a", "b", "p1", "p2"}, {"a", "b", "c"}}
-		scripts := make([][]ClientOp, 2)
-		for c := range scripts {
-			n := 3 + rng.Pick(8)
-			for k := 0; k < n; k++ {
-				scripts[c] = append(scripts[c], ClientOp{
-					Reg:    regsByClient[c][rng.Pick(len(regsByClient[c]))],
-					IsRead: rng.Pick(4) == 0,
-				})
-			}
-		}
-		res, err := Run(RunConfig{Sys: sys, Scripts: scripts, Sched: transport.NewRandom(seed ^ 0x77)})
+		res, err := Run(bridgeSweepRun(sys, seed))
 		if err != nil {
 			t.Log(err)
 			return false
@@ -188,15 +195,26 @@ func TestClientServerRandomSweep(t *testing.T) {
 	}
 }
 
+// fig5PinnedRun is Fig5Example with one client pinned to each replica.
+func fig5PinnedRun(t *testing.T, seed int64) RunConfig {
+	t.Helper()
+	aug, err := sharegraph.NewAugmented(sharegraph.Fig5Example(), sharegraph.ClientAssignment{{0}, {1}, {2}, {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RunConfig{Sys: NewSystem(aug), Sched: transport.NewRandom(seed), Scripts: [][]ClientOp{
+		{{Reg: "y"}, {Reg: "a"}},
+		{{Reg: "x"}, {Reg: "y", IsRead: true}},
+		{{Reg: "x"}, {Reg: "z"}},
+		{{Reg: "w"}, {Reg: "z"}},
+	}}
+}
+
 func TestClientServerReducesToPeerToPeer(t *testing.T) {
 	// One client pinned to each replica: the augmented graph equals the
 	// plain share graph, and runs are clean.
 	g := sharegraph.Fig5Example()
-	aug, err := sharegraph.NewAugmented(g, sharegraph.ClientAssignment{{0}, {1}, {2}, {3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := NewSystem(aug)
+	sys := fig5PinnedRun(t, 0).Sys
 	plain := sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{})
 	for i, tg := range sys.ReplicaGraphs {
 		if tg.Len() != plain[i].Len() {
@@ -204,14 +222,8 @@ func TestClientServerReducesToPeerToPeer(t *testing.T) {
 				i, tg.Len(), plain[i].Len())
 		}
 	}
-	scripts := [][]ClientOp{
-		{{Reg: "y"}, {Reg: "a"}},
-		{{Reg: "x"}, {Reg: "y", IsRead: true}},
-		{{Reg: "x"}, {Reg: "z"}},
-		{{Reg: "w"}, {Reg: "z"}},
-	}
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := Run(RunConfig{Sys: sys, Scripts: scripts, Sched: transport.NewRandom(seed)})
+		res, err := Run(fig5PinnedRun(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,10 +233,10 @@ func TestClientServerReducesToPeerToPeer(t *testing.T) {
 	}
 }
 
-// TestGeoSocialSweep runs a larger client-server deployment — the
-// examples/geosocial placement — across many random schedules, checking
-// Definition 26 end to end with three roaming clients.
-func TestGeoSocialSweep(t *testing.T) {
+// geoSocialSystem is the examples/geosocial placement with three roaming
+// clients.
+func geoSocialSystem(t *testing.T) *System {
+	t.Helper()
 	g, err := sharegraph.New([][]sharegraph.Register{
 		{"global", "tech", "eu-board"},
 		{"global", "sports", "us-board"},
@@ -238,24 +250,36 @@ func TestGeoSocialSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(aug)
+	return NewSystem(aug)
+}
+
+// geoSocialRun is one seeded case of the sweep over geoSocialSystem.
+func geoSocialRun(sys *System, seed int64) RunConfig {
 	regs := [][]sharegraph.Register{
 		{"global", "tech", "eu-board", "sports"},
 		{"global", "sports", "tech", "oceania"},
 		{"tech", "oceania", "aus-board", "sports"},
 	}
-	for seed := int64(0); seed < 25; seed++ {
-		rng := transport.NewRandom(seed)
-		scripts := make([][]ClientOp, 3)
-		for c := range scripts {
-			for k := 0; k < 4+rng.Pick(6); k++ {
-				scripts[c] = append(scripts[c], ClientOp{
-					Reg:    regs[c][rng.Pick(len(regs[c]))],
-					IsRead: rng.Pick(3) == 0,
-				})
-			}
+	rng := transport.NewRandom(seed)
+	scripts := make([][]ClientOp, 3)
+	for c := range scripts {
+		for k := 0; k < 4+rng.Pick(6); k++ {
+			scripts[c] = append(scripts[c], ClientOp{
+				Reg:    regs[c][rng.Pick(len(regs[c]))],
+				IsRead: rng.Pick(3) == 0,
+			})
 		}
-		res, err := Run(RunConfig{Sys: sys, Scripts: scripts, Sched: transport.NewRandom(seed ^ 0xbeef)})
+	}
+	return RunConfig{Sys: sys, Scripts: scripts, Sched: transport.NewRandom(seed ^ 0xbeef)}
+}
+
+// TestGeoSocialSweep runs a larger client-server deployment — the
+// examples/geosocial placement — across many random schedules, checking
+// Definition 26 end to end with three roaming clients.
+func TestGeoSocialSweep(t *testing.T) {
+	sys := geoSocialSystem(t)
+	for seed := int64(0); seed < 25; seed++ {
+		res, err := Run(geoSocialRun(sys, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,8 +320,31 @@ func TestRunValidationAndAccessErrors(t *testing.T) {
 	if srv.ID() != 0 || srv.MetadataEntries() == 0 {
 		t.Error("bad server identity")
 	}
-	if srv.HandleRequest(Request{Replica: 2}, &Outcome{}) {
-		t.Error("misrouted request processed")
+	// Requests that do not belong at replica 0 are refused before they
+	// are buffered or index anything. Client 1 accesses {3, 0}; client 0
+	// accesses {1, 2}.
+	good, err := NewClient(sys, 1).NewRequest("c", 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good.Replica = 0
+	for name, mutate := range map[string]func(*Request){
+		"misrouted":           func(r *Request) { r.Replica = 2 },
+		"negative client":     func(r *Request) { r.Client = -1 },
+		"unknown client":      func(r *Request) { r.Client = 2 },
+		"replica not in Rc":   func(r *Request) { r.Client = 0; r.Mu = make(timestamp.Vec, sys.ClientGraphs[0].Len()) },
+		"short µ":             func(r *Request) { r.Mu = r.Mu[:len(r.Mu)-1] },
+		"nil µ":               func(r *Request) { r.Mu = nil },
+		"register not stored": func(r *Request) { r.Reg = "b" },
+	} {
+		req := good
+		mutate(&req)
+		if srv.HandleRequest(req, &Outcome{}) || srv.PendingRequests() != 0 {
+			t.Errorf("%s request processed", name)
+		}
+	}
+	if !srv.HandleRequest(good, &Outcome{}) {
+		t.Error("well-formed request refused")
 	}
 	if _, ok := srv.Read("b"); ok {
 		t.Error("Read of unstored register ok")

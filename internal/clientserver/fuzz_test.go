@@ -9,10 +9,11 @@ import (
 
 // FuzzServerUpdateIngest hammers Server.HandleUpdate with mutated
 // inter-replica updates: exact duplicates, stale replays, unknown and
-// negative senders, misrouted destinations, and truncated or padded
-// timestamps. The server must never panic, never apply one sender's
-// updates out of send order (predicate J3), and never let a replayed
-// update rot in the pending buffer.
+// negative senders, misrouted destinations, and truncated, padded or
+// missing timestamps. The server must never panic, never apply one
+// sender's updates out of send order (predicate J3), count as pending
+// exactly the updates that can still apply, and account for every other
+// envelope in StaleDrops.
 func FuzzServerUpdateIngest(f *testing.F) {
 	// In-order, duplicated back to back.
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 0})
@@ -36,7 +37,7 @@ func FuzzServerUpdateIngest(f *testing.F) {
 
 		// A pool of genuine in-order updates 0→1 with increasing values.
 		const writes = 16
-		updates := make([]UpdateMsg, writes)
+		updates := make([]core.Envelope, writes)
 		var out Outcome
 		for i := 0; i < writes; i++ {
 			req, err := client.NewRequest("x", core.Value(i+1), false)
@@ -51,21 +52,22 @@ func FuzzServerUpdateIngest(f *testing.F) {
 				t.Fatalf("write %d outcome: %+v", i, out)
 			}
 			updates[i] = out.Updates[0]
-			updates[i].TS = updates[i].TS.Clone()
 			client.AbsorbResponse(out.Responses[0])
 		}
 
 		lastVal := core.Value(0)
 		seen := make(map[int]bool) // genuine updates delivered intact at least once
+		delivered := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			idx := int(data[i]) % writes
 			u := updates[idx]
-			u.TS = u.TS.Clone() // the receiver consumes TS; keep the pool intact
+			// The receiver recycles Meta; keep the pool of updates intact.
+			u.Meta = append([]byte(nil), u.Meta...)
 			switch data[i+1] % 8 {
 			case 1: // truncated timestamp
-				u.TS = u.TS[:len(u.TS)/2]
+				u.Meta = u.Meta[:len(u.Meta)/2]
 			case 2: // padded timestamp
-				u.TS = append(u.TS, 0, 0)
+				u.Meta = append(u.Meta, 0, 0)
 			case 3: // sender beyond the replica set
 				u.From = 9
 			case 4: // negative sender
@@ -73,26 +75,24 @@ func FuzzServerUpdateIngest(f *testing.F) {
 			case 5: // misrouted destination
 				u.To = 0
 			case 6: // nil timestamp
-				u.TS = nil
+				u.Meta = nil
 			default: // deliver intact (dups and stale replays arise from repeats)
 				seen[idx] = true
 			}
 			out.Reset()
 			recv.HandleUpdate(u, &out)
-			for _, ev := range out.Events {
-				if !ev.IsApply {
-					continue
+			delivered++
+			for _, a := range out.Applied {
+				if a.Val <= lastVal {
+					t.Fatalf("applied value %d after %d: out of send order", a.Val, lastVal)
 				}
-				if ev.Apply.Val <= lastVal {
-					t.Fatalf("applied value %d after %d: out of send order", ev.Apply.Val, lastVal)
-				}
-				lastVal = ev.Apply.Val
+				lastVal = a.Val
 			}
-			// Exact pending model: an intact update buffers iff its
-			// predecessors have not all arrived, and buffers ONCE — dups of
-			// buffered updates must be discarded, dups of applied updates
-			// must be discarded, so pending is exactly the distinct
-			// not-yet-applied updates ever seen.
+			// Exact pending model: an intact update is live iff its
+			// predecessors have not all arrived, and live ONCE — a duplicate
+			// of a buffered or an applied update parks dead — so pending is
+			// exactly the distinct not-yet-applied updates ever seen, and
+			// every envelope that neither applied nor is live is a stale drop.
 			wantPending := 0
 			for j := range seen {
 				if core.Value(j+1) > lastVal {
@@ -102,6 +102,10 @@ func FuzzServerUpdateIngest(f *testing.F) {
 			if got := recv.PendingUpdates(); got != wantPending {
 				t.Fatalf("pending = %d, model %d (applied through %d, seen %d)",
 					got, wantPending, lastVal, len(seen))
+			}
+			if got, want := recv.StaleDrops(), delivered-int(lastVal)-wantPending; got != want {
+				t.Fatalf("StaleDrops = %d, want %d (%d delivered, applied through %d, %d live)",
+					got, want, delivered, lastVal, wantPending)
 			}
 		}
 	})

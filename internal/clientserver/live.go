@@ -26,7 +26,7 @@ type LiveSystem struct {
 	sys     *System
 	tracker *causality.Tracker
 	servers []*liveServer
-	eng     *rt.Engine[UpdateMsg]
+	eng     *rt.Engine[core.Envelope]
 	// reg mirrors Options.Obs: nil is the disarmed state, every
 	// recording call is nil-safe (the engine-wide metrics discipline).
 	reg *obs.Registry
@@ -72,11 +72,11 @@ func NewLiveWith(sys *System, opts rt.Options) *LiveSystem {
 func NewLiveChaotic(sys *System, opts rt.Options, plan rt.FaultPlan) *LiveSystem {
 	ls := newLiveBase(sys)
 	ls.reg = opts.Obs
-	clone := func(u UpdateMsg) UpdateMsg {
-		// The duplicate needs its own timestamp: the original's TS is
-		// consumed (recycled) by whichever server ingests it first.
-		u.TS = sys.cloneVec(u.TS)
-		return u
+	clone := func(env core.Envelope) core.Envelope {
+		// The duplicate needs its own Meta: the original's is recycled by
+		// whichever server ingests it first.
+		env.Meta = sys.meta.Copy(env.Meta)
+		return env
 	}
 	ls.eng = rt.NewWithFaults(len(ls.servers), opts, plan, clone, ls.deliver)
 	return ls
@@ -91,14 +91,16 @@ func newLiveBase(sys *System) *LiveSystem {
 	}
 	for i := range ls.servers {
 		ls.servers[i] = &liveServer{s: NewServer(sys, sharegraph.ReplicaID(i))}
+		ls.servers[i].s.tracker = ls.tracker
 	}
 	return ls
 }
 
 // Faults exposes the fault injector; nil unless built with NewLiveChaotic.
-func (ls *LiveSystem) Faults() *rt.FaultInjector[UpdateMsg] { return ls.eng.Faults() }
+func (ls *LiveSystem) Faults() *rt.FaultInjector[core.Envelope] { return ls.eng.Faults() }
 
-// StaleDrops sums the duplicate/stale updates every server discarded.
+// StaleDrops sums the undeliverable updates every server received (see
+// Server.StaleDrops).
 func (ls *LiveSystem) StaleDrops() int {
 	total := 0
 	for _, srv := range ls.servers {
@@ -111,7 +113,7 @@ func (ls *LiveSystem) StaleDrops() int {
 
 // outcomePool recycles Outcome scratch across client calls and update
 // deliveries; dispatch copies everything out of the outcome (updates and
-// responses move by value, their vectors by ownership transfer), so an
+// responses move by value, their buffers by ownership transfer), so an
 // outcome is reusable as soon as dispatch returns.
 var outcomePool = sync.Pool{New: func() any { return &Outcome{} }}
 
@@ -150,7 +152,7 @@ func (ls *LiveSystem) Metrics() obs.Snapshot {
 	}
 	for i, srv := range ls.servers {
 		srv.mu.Lock()
-		p := int64(srv.s.PendingUpdates() + srv.s.PendingRequests())
+		p := int64(srv.s.node.PendingCount() + srv.s.PendingRequests())
 		srv.mu.Unlock()
 		if i < len(s.Replicas) {
 			s.Replicas[i].Parked = p
@@ -213,7 +215,6 @@ func (lc *LiveClient) doResp(x sharegraph.Register, v core.Value, isRead bool) (
 	out := getOutcome()
 	srv.mu.Lock()
 	srv.s.HandleRequest(req, out)
-	ls.recordOutcome(srv.s, out)
 	srv.mu.Unlock()
 	// Dispatch outside the server lock: Send applies inbox backpressure
 	// and may block; a blocked sender holding a server lock could starve
@@ -227,30 +228,6 @@ func (lc *LiveClient) doResp(x sharegraph.Register, v core.Value, isRead bool) (
 	resp := <-ch // served immediately or unblocked by a later update
 	lc.c.AbsorbResponse(resp)
 	return resp, nil
-}
-
-// recordOutcome audits the ordered event trail and stamps oracle IDs onto
-// outgoing updates. Callers hold the originating server's lock, preserving
-// the per-server event order the oracle requires.
-func (ls *LiveSystem) recordOutcome(server *Server, out *Outcome) {
-	if out == nil {
-		return
-	}
-	for i := range out.Events {
-		ev := &out.Events[i]
-		if ev.IsApply {
-			ls.tracker.OnApply(server.ID(), ev.Apply.OracleID)
-			continue
-		}
-		acc := &ev.Accept
-		ls.tracker.OnClientAccess(acc.Client, acc.Replica)
-		if acc.IsWrite {
-			id := ls.tracker.OnClientWrite(acc.Client, acc.Replica, acc.Reg)
-			for k := 0; k < acc.NumUpdates; k++ {
-				out.Updates[acc.UpdateSeq+k].OracleID = id
-			}
-		}
-	}
 }
 
 // dispatch hands an outcome's updates to the engine and routes responses
@@ -272,13 +249,9 @@ func (ls *LiveSystem) dispatch(out *Outcome, backpressure bool) {
 		// shutdown race dropped — so Stats matches what was delivered.
 		ls.updates.Add(int64(accepted))
 		for i := 0; i < accepted; i++ {
-			ls.metaBytes.Add(int64(out.Updates[i].MetaBytes()))
-		}
-		if ls.reg != nil {
-			for i := 0; i < accepted; i++ {
-				u := &out.Updates[i]
-				ls.reg.Sent(int(u.From), int(u.To), u.MetaBytes())
-			}
+			u := &out.Updates[i]
+			ls.metaBytes.Add(int64(len(u.Meta)))
+			ls.reg.Sent(int(u.From), int(u.To), len(u.Meta))
 		}
 	}
 	for _, resp := range out.Responses {
@@ -293,22 +266,13 @@ func (ls *LiveSystem) dispatch(out *Outcome, backpressure bool) {
 
 // deliver ingests one inter-replica update at its destination server; the
 // engine calls it from pool workers.
-func (ls *LiveSystem) deliver(u UpdateMsg) {
-	srv := ls.servers[u.To]
+func (ls *LiveSystem) deliver(env core.Envelope) {
+	srv := ls.servers[env.To]
 	out := getOutcome()
 	srv.mu.Lock()
-	srv.s.HandleUpdate(u, out)
-	ls.recordOutcome(srv.s, out)
+	srv.s.HandleUpdate(env, out)
 	srv.mu.Unlock()
-	if ls.reg != nil {
-		applied := 0
-		for i := range out.Events {
-			if out.Events[i].IsApply {
-				applied++
-			}
-		}
-		ls.reg.Deliver(int(u.From), int(u.To), applied)
-	}
+	ls.reg.Deliver(int(env.From), int(env.To), len(out.Applied))
 	ls.dispatch(out, false)
 	putOutcome(out)
 }

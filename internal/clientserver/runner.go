@@ -67,7 +67,7 @@ type event struct {
 	kind   eventKind
 	req    Request
 	resp   Response
-	update UpdateMsg
+	update core.Envelope
 }
 
 type eventKind uint8
@@ -91,15 +91,16 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, fmt.Errorf("clientserver: %d scripts for %d clients", len(cfg.Scripts), nClients)
 	}
 	nReplicas := aug.G.NumReplicas()
+	tracker := causality.NewTracker(aug.G)
 	servers := make([]*Server, nReplicas)
 	for i := range servers {
 		servers[i] = NewServer(cfg.Sys, sharegraph.ReplicaID(i))
+		servers[i].tracker = tracker
 	}
 	clients := make([]*Client, nClients)
 	for c := range clients {
 		clients[c] = NewClient(cfg.Sys, sharegraph.ClientID(c))
 	}
-	tracker := causality.NewTracker(aug.G)
 	res := &RunResult{}
 
 	scripts := make([][]ClientOp, nClients)
@@ -118,25 +119,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	var scratch Outcome // recycled across server calls; pool copies own their data
 	nextVal := core.Value(1)
 
-	processOutcome := func(server *Server, out *Outcome) {
-		for i := range out.Events {
-			ev := &out.Events[i]
-			if ev.IsApply {
-				tracker.OnApply(server.ID(), ev.Apply.OracleID)
-				continue
-			}
-			acc := &ev.Accept
-			tracker.OnClientAccess(acc.Client, acc.Replica)
-			if acc.IsWrite {
-				id := tracker.OnClientWrite(acc.Client, acc.Replica, acc.Reg)
-				for k := 0; k < acc.NumUpdates; k++ {
-					out.Updates[acc.UpdateSeq+k].OracleID = id
-				}
-			}
-		}
+	processOutcome := func(out *Outcome) {
 		for i := range out.Updates {
 			res.UpdatesSent++
-			res.MetaBytes += out.Updates[i].MetaBytes()
+			res.MetaBytes += len(out.Updates[i].Meta)
 			pool = append(pool, event{kind: evUpdate, update: out.Updates[i]})
 		}
 		for i := range out.Responses {
@@ -183,11 +169,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			case evRequest:
 				scratch.Reset()
 				servers[ev.req.Replica].HandleRequest(ev.req, &scratch)
-				processOutcome(servers[ev.req.Replica], &scratch)
+				processOutcome(&scratch)
 			case evUpdate:
 				scratch.Reset()
 				servers[ev.update.To].HandleUpdate(ev.update, &scratch)
-				processOutcome(servers[ev.update.To], &scratch)
+				processOutcome(&scratch)
 			case evResponse:
 				clients[ev.resp.Client].AbsorbResponse(ev.resp)
 				awaiting[ev.resp.Client] = false

@@ -10,9 +10,17 @@
 // node implementation in the repository, and a protocol is a Prototype
 // plus a Clock (the vector and its three operations) and a Router (whom a
 // write reaches, as data or as metadata only; what an applied update
-// materializes and forwards). EdgeIndexed pairs the prototype with
-// timestamp.Space; internal/baseline and internal/optimize supply the
-// other clocks and routers.
+// materializes and forwards):
+//
+//	protocol                                Clock                          Router
+//	EdgeIndexed (Section 3.3)               SpaceClocks over E_i           ShareRoutes
+//	baseline FIFO / vector / matrix         dense clocks                   ShareRoutes (Broadcast: everyone)
+//	optimize dummy copies, truncation       SpaceClocks over the new E_i   ShareRoutes with realStore
+//	optimize placements, ring breaking      SpaceClocks, effective graph   relayRoute
+//	clientserver.Server (Section 6)         SpaceClocks over Ê_i           ShareRoutes of the share graph
+//
+// The client-server row is a node plus a layer: its servers admit client
+// requests against τ_i and raise it by µ_c before a write, through Layered.
 //
 // The protocol logic is a pure, single-threaded state machine per replica
 // (a Node): client operations and message deliveries are methods that

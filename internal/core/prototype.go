@@ -187,18 +187,44 @@ func (p *Prototype) NewNodes() ([]Node, error) {
 	replicas := make([]replica, p.n)
 	nodes := make([]Node, p.n)
 	for i := range replicas {
-		id := sharegraph.ReplicaID(i)
-		n := &replicas[i]
-		*n = replica{
-			id: id, name: p.name, clock: p.clock(id), route: p.route(id),
-			naive: p.naive, diag: p.diag,
-		}
-		n.senders, n.τ = n.clock.Senders(), n.clock.Zero()
-		n.store = make(map[sharegraph.Register]Value)
-		n.resetPending()
-		nodes[i] = n
+		p.init(&replicas[i], sharegraph.ReplicaID(i), p.diag)
+		nodes[i] = &replicas[i]
 	}
 	return nodes, nil
+}
+
+// NewNode builds replica i's node alone, reporting ingest drops through d
+// — for a layer that runs on top of one node and counts its own drops.
+func (p *Prototype) NewNode(i sharegraph.ReplicaID, d *Diag) Layered {
+	n := new(replica)
+	p.init(n, i, d)
+	return n
+}
+
+func (p *Prototype) init(n *replica, id sharegraph.ReplicaID, d *Diag) {
+	*n = replica{
+		id: id, name: p.name, clock: p.clock(id), route: p.route(id),
+		naive: p.naive, diag: d,
+	}
+	n.senders, n.τ = n.clock.Senders(), n.clock.Zero()
+	n.store = make(map[sharegraph.Register]Value)
+	n.resetPending()
+}
+
+// Layered is a prototype node as seen by a layer that runs on top of it —
+// the client-server architecture of Section 6, whose servers admit client
+// requests against τ_i and fold the client's timestamp into it before a
+// write. Every node a Prototype builds implements it.
+type Layered interface {
+	LivePendingCounter
+	// Tau returns τ_i itself, not a copy: read-only, and valid until the
+	// next call on the node.
+	Tau() timestamp.Vec
+	// RaiseTau raises τ_i to its element-wise maximum with T over al
+	// (τ_i's positions first). T must not exceed τ_i at any Sender's
+	// GatePos — the layer's own admission predicate has to guarantee it —
+	// or updates already buffered behind that gate are skipped for good.
+	RaiseTau(al timestamp.Alignment, T timestamp.Vec)
 }
 
 // pendingUpdate is one buffered update(k, T, x, v) message.
@@ -237,8 +263,8 @@ type replica struct {
 }
 
 var (
-	_ Snapshotter        = (*replica)(nil)
-	_ LivePendingCounter = (*replica)(nil)
+	_ Snapshotter = (*replica)(nil)
+	_ Layered     = (*replica)(nil)
 )
 
 func (n *replica) ID() sharegraph.ReplicaID { return n.id }
@@ -479,6 +505,10 @@ func (n *replica) MetadataEntries() int { return n.clock.Entries() }
 
 // Timestamp returns a copy of the node's current vector (diagnostics).
 func (n *replica) Timestamp() timestamp.Vec { return n.τ.Clone() }
+
+func (n *replica) Tau() timestamp.Vec { return n.τ }
+
+func (n *replica) RaiseTau(al timestamp.Alignment, T timestamp.Vec) { al.MergeInto(n.τ, T) }
 
 func (n *replica) resetPending() {
 	n.pending = nil

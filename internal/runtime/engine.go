@@ -32,7 +32,7 @@ import (
 )
 
 // Message is anything the engine can route: it names its destination
-// inbox. core.Envelope and clientserver.UpdateMsg implement it.
+// inbox. core.Envelope implements it.
 type Message interface {
 	Dest() int
 }

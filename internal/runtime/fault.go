@@ -9,8 +9,7 @@ import (
 // EdgeMessage is optionally implemented by messages that know their
 // sender. The fault layer keys its per-edge plans and lotteries on the
 // (Source, Dest) pair; messages that do not implement it are treated as
-// coming from the pseudo-source -1. Both core.Envelope and
-// clientserver.UpdateMsg implement it.
+// coming from the pseudo-source -1. core.Envelope implements it.
 type EdgeMessage interface {
 	Message
 	Source() int

@@ -5,12 +5,13 @@
 // remote update) and the delivery predicate J — manipulate those counters.
 //
 // Timestamps of different replicas have different lengths and are indexed
-// by different edge sets; a Space precomputes the pairwise intersections
-// E_i ∩ E_k that merge and J operate on, so the per-operation cost is
-// linear in the intersection size with no map lookups.
+// by different edge sets; a Space precomputes, as Alignments, the pairwise
+// intersections E_i ∩ E_k that merge and J operate on, so the per-operation
+// cost is linear in the intersection size with no map lookups.
 package timestamp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -57,6 +58,68 @@ type pairIdx struct {
 	b int // index in the second vector
 }
 
+// Alignment lists the edges two timestamp graphs both track as aligned
+// positions, in the first graph's edge order. Vectors of different owners
+// are only ever combined through one, built when the graphs are known;
+// how it is laid out is known to its methods alone.
+type Alignment []pairIdx
+
+// Align builds the alignment of a's and b's edge orders over E_a ∩ E_b.
+// Every TSGraph lists its edges sorted by (From, To), so this is one merge
+// pass.
+func Align(a, b *sharegraph.TSGraph) Alignment {
+	ea, eb := a.Edges(), b.Edges()
+	al := make(Alignment, 0, min(len(ea), len(eb)))
+	for i, j := 0, 0; i < len(ea) && j < len(eb); {
+		c := cmp.Compare(ea[i].From, eb[j].From)
+		if c == 0 {
+			c = cmp.Compare(ea[i].To, eb[j].To)
+		}
+		switch {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			al = append(al, pairIdx{a: i, b: j})
+			i, j = i+1, j+1
+		}
+	}
+	return al
+}
+
+// Keep returns the part of al whose edges — a is the first graph al was
+// built from — keep accepts.
+func (al Alignment) Keep(a *sharegraph.TSGraph, keep func(sharegraph.Edge) bool) Alignment {
+	var out Alignment
+	for _, p := range al {
+		if keep(a.Edges()[p.a]) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// MergeInto raises dst, indexed by the first graph, to the element-wise
+// maximum with src, indexed by the second, over the aligned edges.
+func (al Alignment) MergeInto(dst, src Vec) {
+	for _, p := range al {
+		if src[p.b] > dst[p.a] {
+			dst[p.a] = src[p.b]
+		}
+	}
+}
+
+// Dominates reports whether dst ≥ src on every aligned edge.
+func (al Alignment) Dominates(dst, src Vec) bool {
+	for _, p := range al {
+		if dst[p.a] < src[p.b] {
+			return false
+		}
+	}
+	return true
+}
+
 // deliveryPlan precomputes what predicate J(i, ·, k, ·) inspects for a
 // fixed (receiver i, sender k) pair: the position of e_{ki} in both
 // vectors, and the aligned positions of every other incoming edge
@@ -65,7 +128,7 @@ type deliveryPlan struct {
 	valid    bool
 	ekiRecv  int // index of e_{ki} in τ_i
 	ekiSend  int // index of e_{ki} in T (sender's order)
-	incoming []pairIdx
+	incoming Alignment
 }
 
 // Space holds the per-replica timestamp graphs plus every precomputed
@@ -77,8 +140,9 @@ type Space struct {
 	// advanceIdx[i][x] lists the positions in τ_i that a write to x at i
 	// increments: edges e_{ij} with x ∈ X_ij.
 	advanceIdx []map[sharegraph.Register][]int
-	// inter[i][k] aligns E_i ∩ E_k as (pos in τ_i, pos in τ_k).
-	inter [][][]pairIdx
+	// inter[i][k] aligns E_i ∩ E_k as (pos in τ_i, pos in τ_k), for the
+	// pairs with a valid plan.
+	inter [][]Alignment
 	// plans[i][k] is the predicate-J plan for i receiving from k.
 	plans [][]deliveryPlan
 	// recheck[i][k] lists the senders whose predicate J(i, ·, m, ·) reads
@@ -108,7 +172,7 @@ func NewSpace(g *sharegraph.Graph, graphs []*sharegraph.TSGraph) (*Space, error)
 	s := &Space{
 		graphs:     graphs,
 		advanceIdx: make([]map[sharegraph.Register][]int, n),
-		inter:      make([][][]pairIdx, n),
+		inter:      make([][]Alignment, n),
 		plans:      make([][]deliveryPlan, n),
 		recheck:    make([][][]sharegraph.ReplicaID, n),
 	}
@@ -125,19 +189,24 @@ func NewSpace(g *sharegraph.Graph, graphs []*sharegraph.TSGraph) (*Space, error)
 				s.advanceIdx[i][x] = append(s.advanceIdx[i][x], idx)
 			}
 		}
-		s.inter[i] = make([][]pairIdx, n)
+		s.inter[i] = make([]Alignment, n)
 		s.plans[i] = make([]deliveryPlan, n)
 		for k := 0; k < n; k++ {
 			if k == i {
 				continue
 			}
-			pairs := graphs[i].Intersection(graphs[k])
-			ip := make([]pairIdx, len(pairs))
-			for p, pr := range pairs {
-				ip[p] = pairIdx{a: pr[0], b: pr[1]}
+			// Predicate J reads e_{ki} in both vectors; without it on both
+			// sides k's updates are never admitted here, and only a
+			// diagnostic will ask how the pair aligns (see align).
+			eki := sharegraph.Edge{From: sharegraph.ReplicaID(k), To: ri}
+			recvIdx, okR := graphs[i].Index(eki)
+			sendIdx, okS := graphs[k].Index(eki)
+			if !okR || !okS {
+				continue
 			}
-			s.inter[i][k] = ip
-			s.plans[i][k] = buildPlan(graphs[i], graphs[k], ri, sharegraph.ReplicaID(k))
+			s.inter[i][k] = Align(graphs[i], graphs[k])
+			s.plans[i][k] = deliveryPlan{valid: true, ekiRecv: recvIdx, ekiSend: sendIdx,
+				incoming: s.inter[i][k].Keep(graphs[i], func(e sharegraph.Edge) bool { return e.To == ri && e.From != eki.From })}
 		}
 		s.recheck[i] = buildRecheck(s.plans[i])
 	}
@@ -170,26 +239,6 @@ func buildRecheck(plans []deliveryPlan) [][]sharegraph.ReplicaID {
 		out[k] = lst
 	}
 	return out
-}
-
-func buildPlan(gi, gk *sharegraph.TSGraph, i, k sharegraph.ReplicaID) deliveryPlan {
-	eki := sharegraph.Edge{From: k, To: i}
-	recvIdx, okR := gi.Index(eki)
-	sendIdx, okS := gk.Index(eki)
-	if !okR || !okS {
-		return deliveryPlan{}
-	}
-	plan := deliveryPlan{valid: true, ekiRecv: recvIdx, ekiSend: sendIdx}
-	for _, e := range gi.Edges() {
-		if e.To != i || e.From == k {
-			continue
-		}
-		if sidx, ok := gk.Index(e); ok {
-			ridx, _ := gi.Index(e)
-			plan.incoming = append(plan.incoming, pairIdx{a: ridx, b: sidx})
-		}
-	}
-	return plan
 }
 
 // Graph returns replica i's timestamp graph.
@@ -264,21 +313,22 @@ func (s *Space) RecheckOnApply(i, k sharegraph.ReplicaID) []sharegraph.ReplicaID
 // leaving counters for E_i − E_k untouched. τ is not modified.
 func (s *Space) Merge(i sharegraph.ReplicaID, τ Vec, k sharegraph.ReplicaID, T Vec) Vec {
 	out := τ.Clone()
-	for _, p := range s.inter[i][k] {
-		if T[p.b] > out[p.a] {
-			out[p.a] = T[p.b]
-		}
-	}
+	s.align(i, k).MergeInto(out, T)
 	return out
+}
+
+// align returns the alignment of E_i and E_k: precomputed for the pairs that
+// exchange updates, built on the spot for any other a diagnostic asks about.
+func (s *Space) align(i, k sharegraph.ReplicaID) Alignment {
+	if al := s.inter[i][k]; al != nil {
+		return al
+	}
+	return Align(s.graphs[i], s.graphs[k])
 }
 
 // MergeInPlace is Merge without the defensive copy, for hot paths that own τ.
 func (s *Space) MergeInPlace(i sharegraph.ReplicaID, τ Vec, k sharegraph.ReplicaID, T Vec) {
-	for _, p := range s.inter[i][k] {
-		if T[p.b] > τ[p.a] {
-			τ[p.a] = T[p.b]
-		}
-	}
+	s.align(i, k).MergeInto(τ, T)
 }
 
 // Deliverable implements predicate J(i, τ_i, k, T) for k ≠ i:
@@ -294,15 +344,7 @@ func (s *Space) Deliverable(i sharegraph.ReplicaID, τ Vec, k sharegraph.Replica
 	if !plan.valid {
 		return false
 	}
-	if τ[plan.ekiRecv] != T[plan.ekiSend]-1 {
-		return false
-	}
-	for _, p := range plan.incoming {
-		if τ[p.a] < T[p.b] {
-			return false
-		}
-	}
-	return true
+	return τ[plan.ekiRecv] == T[plan.ekiSend]-1 && plan.incoming.Dominates(τ, T)
 }
 
 // EncodedSize returns the number of bytes Encode will produce for v.

@@ -2,6 +2,7 @@ package timestamp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,5 +364,77 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		Encode(τ)
+	}
+}
+
+// TestAlignmentEqualsIntersection pins Alignment — the one place that
+// knows how two edge orders line up — to TSGraph.Intersection pair for
+// pair, on truncated (MaxLen) graphs where the replicas track different
+// edge sets and the alignment is not the identity; and its filtered,
+// merge and dominance forms to the definition read off the pairs.
+func TestAlignmentEqualsIntersection(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nonIdentity := 0
+	for _, g := range []*sharegraph.Graph{sharegraph.Ring(8), sharegraph.RandomK(10, 24, 3, 7), sharegraph.Fig5Example()} {
+		graphs := sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{MaxLen: 4})
+		space, err := NewSpace(g, graphs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A client universe, as clientserver builds them: a union of edge
+		// sets handed over in no particular order.
+		union := append(append([]sharegraph.Edge(nil), graphs[2].Edges()...), graphs[0].Edges()...)
+		graphs = append(graphs, sharegraph.NewTSGraphFromEdges(0, union))
+		for _, gi := range graphs {
+			for _, gk := range graphs {
+				want := gi.Intersection(gk)
+				al := Align(gi, gk)
+				if len(al) != len(want) {
+					t.Fatalf("Align(%d, %d) has %d pairs, Intersection %d", gi.Owner, gk.Owner, len(al), len(want))
+				}
+				dst, src := make(Vec, gi.Len()), make(Vec, gk.Len())
+				for p := range dst {
+					dst[p] = uint64(rng.Intn(4))
+				}
+				for p := range src {
+					src[p] = uint64(rng.Intn(4))
+				}
+				merged, dominates := dst.Clone(), true
+				var into Alignment // the pairs of edges into i, as J1/J2 and J filter them
+				for p, pr := range want {
+					if al[p].a != pr[0] || al[p].b != pr[1] {
+						t.Fatalf("Align(%d, %d)[%d] = %+v, Intersection %v", gi.Owner, gk.Owner, p, al[p], pr)
+					}
+					if pr[0] != pr[1] {
+						nonIdentity++
+					}
+					merged[pr[0]] = max(merged[pr[0]], src[pr[1]])
+					dominates = dominates && dst[pr[0]] >= src[pr[1]]
+					if gi.Edges()[pr[0]].To == gi.Owner {
+						into = append(into, al[p])
+					}
+				}
+				if got := al.Keep(gi, func(e sharegraph.Edge) bool { return e.To == gi.Owner }); !slices.Equal(got, into) {
+					t.Fatalf("Align(%d, %d) kept to edges into %d = %v, want %v", gi.Owner, gk.Owner, gi.Owner, got, into)
+				}
+				if got := al.Dominates(dst, src); got != dominates {
+					t.Fatalf("Align(%d, %d).Dominates = %v, want %v", gi.Owner, gk.Owner, got, dominates)
+				}
+				// A Space precomputes the alignment only for pairs that exchange
+				// updates; Merge must be the same function of any pair.
+				if i, k := int(gi.Owner), int(gk.Owner); i != k && gi == graphs[i] && gk == graphs[k] {
+					if got := space.Merge(gi.Owner, dst, gk.Owner, src); !got.Equal(merged) {
+						t.Fatalf("Space.Merge(%d ← %d) = %v, want %v", i, k, got, merged)
+					}
+				}
+				al.MergeInto(dst, src)
+				if !dst.Equal(merged) {
+					t.Fatalf("Align(%d, %d).MergeInto = %v, want %v", gi.Owner, gk.Owner, dst, merged)
+				}
+			}
+		}
+	}
+	if nonIdentity == 0 {
+		t.Error("every alignment was the identity: the truncated graphs did not differ")
 	}
 }

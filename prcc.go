@@ -208,7 +208,10 @@
 // whom a write reaches, what an applied update materializes and
 // forwards). The Section 3.3 algorithm, its dummy-register and truncated
 // variants, the four baselines and the Appendix D relaying placements
-// (ring breaking included) differ in nothing else.
+// (ring breaking included) differ in nothing else. A client-server
+// replica (Section 6) is the same node over the augmented timestamp
+// graphs with a client layer on top that buffers requests behind J1/J2
+// and raises τ by the client's timestamp before a write.
 //
 // The prototype's drain exploits a shape every one of those predicates
 // shares: for a fixed (receiver i, sender k) pair J requires one counter
@@ -348,12 +351,10 @@
 //
 //	go test -run xxx -bench 'BenchmarkScaleDelivery|BenchmarkDrainOutOfOrder' -benchmem .
 //
-// or run scripts/bench.sh to capture the full suite as JSON (the CI
-// bench job replays it and fails on >25% scale-benchmark regressions via
-// cmd/prcc-benchgate). The dense random topology runs both truncated
-// (randomk32_5k, the Appendix D variant) and untruncated
-// (randomk32_5k_exact) so the cost of exact causality tracking stays
-// measured.
+// The dense random topology runs both truncated (randomk32_5k, the
+// Appendix D variant) and untruncated (randomk32_5k_exact) so the cost of
+// exact causality tracking stays measured. Performance claims are made
+// with benchmark/ (see its README), not with these rows.
 package prcc
 
 import (
