@@ -8,16 +8,13 @@ package prcc
 // metadata and recipient lists are recycled, never reallocated per write.
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/sharegraph"
-	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // deliverySink mimics the runtimes' sinks: it copies the node-owned Meta
@@ -88,42 +85,6 @@ func TestWriteFanoutSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("write fanout allocates %.2f objects/op in steady state, want 0", avg)
 			}
 		})
-	}
-}
-
-// TestAuditedOracleAllocBelowFlat is the end-to-end acceptance check for
-// the persistent copy-on-write oracle: a full audited simulation must
-// allocate strictly less under the default persistent tracker than under
-// the flat-clone reference, at a scale (ring of 32, 5k ops) where the
-// flat clone's quadratic bytes dominate. Differential tests elsewhere
-// pin the two to identical verdicts; this pins the reason the persistent
-// one is the default.
-func TestAuditedOracleAllocBelowFlat(t *testing.T) {
-	g := sharegraph.Ring(32)
-	p, err := core.NewEdgeIndexed(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := workload.SharedOnly(g, 5000, 1)
-	measure := func(flat bool) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := sim.Run(sim.Config{
-			Graph: g, Protocol: p, Script: script,
-			Sched: transport.NewRandom(11), FlatOracle: flat,
-		})
-		runtime.ReadMemStats(&after)
-		if err != nil || !res.Ok() {
-			t.Fatalf("run failed: %v", err)
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	flatBytes := measure(true)
-	persBytes := measure(false)
-	if persBytes >= flatBytes {
-		t.Errorf("audited run allocated %d B with the persistent oracle, %d B with the flat oracle; persistent must be strictly cheaper",
-			persBytes, flatBytes)
 	}
 }
 

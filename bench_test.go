@@ -281,9 +281,9 @@ func BenchmarkE16Truncation(b *testing.B) {
 // operations, under the seeded-random and adversarial LIFO schedules.
 // These sizes were unreachable before the engine rework (the seed capped
 // out at rings of 8 and 300 ops), and the 100k case only became
-// affordable when the oracle moved to persistent copy-on-write sets —
-// the flat-clone oracle pays O(ops²/8) bytes, over a gigabyte at that
-// size. The dense RandomK topology runs twice: once under the Appendix D
+// affordable once the oracle stopped cloning a flat causal past per
+// issue — that pays O(ops²/8) bytes, over a gigabyte at that size. The
+// dense RandomK topology runs twice: once under the Appendix D
 // loop-length truncation (MaxLen 5, the sacrificed-causality variant) and
 // once untruncated (randomk32_5k_exact) — the exact Definition 5 protocol,
 // reachable since the dominance-pruned loop engine replaced the

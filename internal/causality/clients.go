@@ -6,61 +6,59 @@ import "repro/internal/sharegraph"
 // dependencies between replicas they access, so the happened-before
 // relation ↪′ (Definition 25) gains a clause — an update issued by a
 // client depends on everything applied at every replica that client
-// previously accessed. The oracle models this with one causal-past set
+// previously accessed. The oracle models this with one dependency vector
 // per client.
 
-func (t *tracker[S]) OnClientAccess(c sharegraph.ClientID, i sharegraph.ReplicaID) {
+// OnClientAccess records that replica i accepted (responded to) a request
+// from client c, and audits the second safety clause of Definition 26:
+// every update in the client's observed past on a register i stores must
+// already be applied at i. The client then absorbs i's causal past.
+func (t *Tracker) OnClientAccess(c sharegraph.ClientID, i sharegraph.ReplicaID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	past := t.clientPast(c)
-	// Definition 26, second safety clause: anything in the client's
-	// observed past that is still missing at i is a stale access.
-	t.missing[int(i)].forEachDiff(past, t.none, func(u int) bool {
-		t.violations = append(t.violations, Violation{
-			Kind: StaleAccess, Replica: i, Update: UpdateID(u), Missing: UpdateID(u),
-		})
-		return true
-	})
-	past.orWith(t.knownPast[int(i)])
-}
-
-func (t *tracker[S]) OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := UpdateID(len(t.updates))
-	preds := t.knownPast[int(i)].snapshot()
-	past := t.clientPast(c)
-	preds.orWith(past)
-	t.updates = append(t.updates, updateInfo[S]{issuer: i, reg: x, preds: preds})
-	for _, h := range t.holders(x) {
-		if h != i {
-			t.missing[int(h)].set(int(id))
+	if !t.safeAt(i, past) {
+		for _, u := range t.missingAt(i, past) {
+			t.violations = append(t.violations, Violation{
+				Kind: StaleAccess, Replica: i, Update: u, Missing: u,
+			})
 		}
 	}
-	t.applied[int(i)].set(int(id))
-	t.knownPast[int(i)].set(int(id))
-	t.knownPast[int(i)].orWith(preds)
-	past.set(int(id))
-	past.orWith(preds)
+	maxInto(past, t.knownPast[i])
+}
+
+// OnClientWrite records that replica i accepted a write of register x from
+// client c: the new update's causal past is the union of the replica's and
+// the client's pasts (Definition 25, clauses (i) and (ii)); the update is
+// applied locally at i as part of issuing, and the client observes it.
+// Call OnClientAccess first to audit the access itself.
+func (t *Tracker) OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	past := t.clientPast(c)
+	dep := t.newVector()
+	copy(dep, t.knownPast[i])
+	maxInto(dep, past)
+	id := t.issue(i, x, dep)
+	copy(past, t.knownPast[i])
 	return id
 }
 
-// clientPast returns (lazily creating) client c's causal-past set.
+// clientPast returns (lazily creating) client c's dependency vector.
 // Caller holds t.mu.
-func (t *tracker[S]) clientPast(c sharegraph.ClientID) S {
-	if t.clients == nil {
-		t.clients = make(map[sharegraph.ClientID]S)
-	}
-	b, ok := t.clients[c]
+func (t *Tracker) clientPast(c sharegraph.ClientID) []int32 {
+	v, ok := t.clients[c]
 	if !ok {
-		b = t.newSet()
-		t.clients[c] = b
+		v = t.newVector()
+		t.clients[c] = v
 	}
-	return b
+	return v
 }
 
-func (t *tracker[S]) ClientPastSize(c sharegraph.ClientID) int {
+// ClientPastSize returns the number of updates in client c's observed
+// causal past.
+func (t *Tracker) ClientPastSize(c sharegraph.ClientID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.clientPast(c).count()
+	return t.pastSize(t.clientPast(c))
 }

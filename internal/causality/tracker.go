@@ -12,16 +12,31 @@
 // (the paper's algorithm is safe) and Theorem 8 (weakened timestamps are
 // not).
 //
-// The oracle's sets of update IDs come in two interchangeable
-// representations: the persistent copy-on-write pset (the default — its
-// O(1) snapshot removes the per-issue causal-past clone that made audited
-// runs quadratic in bytes; see persist.go) and the flat bitset reference
-// (NewFlatTracker), kept so differential tests can pin the two to
-// identical verdicts on identical event streams.
+// Each update's causal past is stored as a per-issuer dependency vector:
+// dep(u)[k] is the highest UpdateID issued by replica k that happened
+// before u, or −1. The vector is exact because every causal past is
+// prefix-closed per issuer:
+//   - a replica applies its own k-th update before it issues its
+//     (k+1)-th, and ↪ is transitive (Definition 1), so a past that holds
+//     one of k's updates holds all of k's earlier ones;
+//   - a client's past (Definition 25) and a replica's known past are
+//     unions of such pasts, and a union of prefix-closed sets is
+//     prefix-closed; a checkpoint restore rolls a replica back to an
+//     earlier such union and replays its retained log before it issues.
+//
+// These are Fidge/Mattern clocks over issuers, built from issue and apply
+// events alone, so HappenedBefore, CausalPastSize and every safety check
+// cost O(n) for n replicas. The safety checks compare a vector with
+// firstMissing(j, k), the lowest update of issuer k on a register j
+// stores that j has not applied: one ascending queue per (j, k), popped
+// as j applies. The flat-bitset tracker in the package tests is the
+// reference these verdicts are pinned to.
 package causality
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/sharegraph"
@@ -90,82 +105,221 @@ func (v Violation) String() string {
 	}
 }
 
-// updateSet is the contract both set representations satisfy. S is the
-// concrete pointer type itself, so the generic tracker below compiles to
-// direct calls on whichever representation it was instantiated with —
-// no per-word interface dispatch on the hot path.
-type updateSet[S any] interface {
-	set(idx int)
-	clear(idx int)
-	has(idx int) bool
-	count() int
-	// snapshot returns an independently mutable copy: O(1) structural
-	// sharing for pset, a full clone for the flat bitset.
-	snapshot() S
-	orWith(other S)
-	// intersectsDiff reports whether receiver ∩ mask ∩ ¬excl ≠ ∅; the
-	// zero S (nil) stands for the empty set.
-	intersectsDiff(mask, excl S) bool
-	// forEachDiff enumerates receiver ∩ mask ∩ ¬excl in ascending order.
-	forEachDiff(mask, excl S, fn func(idx int) bool)
+// update is one issued update. dep is its causal past, fixed at issue
+// time per Definition 1: dep[k] is the highest UpdateID of issuer k that
+// happened before it, −1 for none.
+type update struct {
+	issuer sharegraph.ReplicaID
+	seq    int32 // position in the issuer's issue order
+	reg    sharegraph.Register
+	dep    []int32
 }
 
-// oracle is the representation-independent surface Tracker delegates to.
-type oracle interface {
-	OnIssue(i sharegraph.ReplicaID, x sharegraph.Register) UpdateID
-	OnApply(j sharegraph.ReplicaID, id UpdateID)
-	OracleDeliverable(j sharegraph.ReplicaID, id UpdateID) bool
-	HappenedBefore(a, b UpdateID) bool
-	NumUpdates() int
-	Applied(j sharegraph.ReplicaID, id UpdateID) bool
-	CausalPastSize(id UpdateID) int
-	CheckLiveness() []Violation
-	Violations() []Violation
-	Ok() bool
-	OnClientAccess(c sharegraph.ClientID, i sharegraph.ReplicaID)
-	OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID, x sharegraph.Register) UpdateID
-	ClientPastSize(c sharegraph.ClientID) int
-	ExportCheckpoint(j sharegraph.ReplicaID) *ReplicaCheckpoint
-	RestoreCheckpoint(j sharegraph.ReplicaID, ck *ReplicaCheckpoint) error
-	Impl() string
+// idQueue is an ascending FIFO of update IDs whose head is kept
+// unapplied at its replica: the head is firstMissing.
+type idQueue struct {
+	ids  []int32
+	head int
+}
+
+// first returns the head, or MaxInt32 when the queue is empty.
+func (q *idQueue) first() int32 {
+	if q.head < len(q.ids) {
+		return q.ids[q.head]
+	}
+	return math.MaxInt32
+}
+
+// popApplied drops applied IDs off the head, compacting once the dead
+// prefix outgrows the live part (amortised O(1) per ID).
+func (q *idQueue) popApplied(applied *bitset) {
+	for q.head < len(q.ids) && applied.has(int(q.ids[q.head])) {
+		q.head++
+	}
+	if q.head > len(q.ids)/2 {
+		q.ids = q.ids[:copy(q.ids, q.ids[q.head:])]
+		q.head = 0
+	}
 }
 
 // Tracker is the oracle. It is safe for concurrent use, so the live
 // goroutine cluster and the deterministic simulator share the same code.
 type Tracker struct {
-	impl oracle
+	g *sharegraph.Graph
+	n int
+
+	mu      sync.Mutex
+	updates []update
+	issued  []int32  // issued[k] = updates replica k has issued
+	applied []bitset // applied[j] = updates applied at replica j
+	// knownPast[j] = the max of dep(u) and u's own ID over every u
+	// applied at j; copied per issue to fix the new update's past.
+	knownPast [][]int32
+	// waiting[j][k] holds, ascending, the updates of issuer k on
+	// registers j stores that j may not have applied yet.
+	waiting    [][]idQueue
+	holderIdx  map[sharegraph.Register][]sharegraph.ReplicaID
+	clients    map[sharegraph.ClientID][]int32
+	violations []Violation
+	// slab backs dependency vectors, n at a time.
+	slab []int32
 }
 
-// NewTracker builds an oracle for the given register placement, backed
-// by persistent copy-on-write sets (O(1) causal-past snapshot per issue).
+// NewTracker builds an oracle for the given register placement.
 func NewTracker(g *sharegraph.Graph) *Tracker {
-	return &Tracker{impl: newTrackerImpl(g, func() *pset { return &pset{} }, "persistent")}
+	n := g.NumReplicas()
+	t := &Tracker{
+		g:         g,
+		n:         n,
+		issued:    make([]int32, n),
+		applied:   make([]bitset, n),
+		knownPast: make([][]int32, n),
+		waiting:   make([][]idQueue, n),
+		holderIdx: make(map[sharegraph.Register][]sharegraph.ReplicaID),
+		clients:   make(map[sharegraph.ClientID][]int32),
+	}
+	for j := range t.knownPast {
+		t.knownPast[j] = t.newVector()
+		t.waiting[j] = make([]idQueue, n)
+	}
+	return t
 }
 
-// NewFlatTracker builds an oracle backed by flat bitsets — one full
-// causal-past clone per issue, O(ops²/8) bytes per run. It exists as the
-// reference for differential tests and memory benchmarks against the
-// persistent representation; behavior is identical.
-func NewFlatTracker(g *sharegraph.Graph) *Tracker {
-	return &Tracker{impl: newTrackerImpl(g, func() *bitset { return &bitset{} }, "flat")}
+// newVector returns an all −1 vector of length n. Caller holds t.mu or
+// owns t exclusively.
+func (t *Tracker) newVector() []int32 {
+	if len(t.slab) < t.n {
+		t.slab = make([]int32, 256*t.n)
+	}
+	v := t.slab[:t.n:t.n]
+	t.slab = t.slab[t.n:]
+	for k := range v {
+		v[k] = -1
+	}
+	return v
 }
 
-// Impl names the set representation backing this tracker ("persistent"
-// or "flat").
-func (t *Tracker) Impl() string { return t.impl.Impl() }
+// maxInto sets dst to the element-wise max of dst and src.
+func maxInto(dst, src []int32) {
+	for k, s := range src {
+		if s > dst[k] {
+			dst[k] = s
+		}
+	}
+}
+
+// holders caches g.Holders per register (the graph accessor copies).
+func (t *Tracker) holders(x sharegraph.Register) []sharegraph.ReplicaID {
+	hs, ok := t.holderIdx[x]
+	if !ok {
+		hs = t.g.Holders(x)
+		t.holderIdx[x] = hs
+	}
+	return hs
+}
+
+// safeAt reports whether everything in past on a register j stores is
+// applied at j: ∀k firstMissing(j, k) > past[k].
+func (t *Tracker) safeAt(j sharegraph.ReplicaID, past []int32) bool {
+	w := t.waiting[j]
+	for k, d := range past {
+		if w[k].first() <= d {
+			return false
+		}
+	}
+	return true
+}
+
+// missingAt lists, ascending, the updates in past on registers j stores
+// that j has not applied. Only a violation pays for it.
+func (t *Tracker) missingAt(j sharegraph.ReplicaID, past []int32) []UpdateID {
+	var out []UpdateID
+	for k, q := range t.waiting[j] {
+		for _, id := range q.ids[q.head:] {
+			if id > past[k] {
+				break
+			}
+			if !t.applied[j].has(int(id)) {
+				out = append(out, UpdateID(id))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// pastSize counts the updates a dependency vector covers.
+func (t *Tracker) pastSize(past []int32) int {
+	n := 0
+	for _, d := range past {
+		if d >= 0 {
+			n += int(t.updates[d].seq) + 1
+		}
+	}
+	return n
+}
+
+// issue records an update by replica i on register x whose causal past
+// is dep, applies it at i, and returns its ID. Caller holds t.mu.
+func (t *Tracker) issue(i sharegraph.ReplicaID, x sharegraph.Register, dep []int32) UpdateID {
+	id := int32(len(t.updates))
+	t.updates = append(t.updates, update{issuer: i, seq: t.issued[i], reg: x, dep: dep})
+	t.issued[i]++
+	for _, h := range t.holders(x) {
+		if h != i {
+			q := &t.waiting[h][i]
+			q.ids = append(q.ids, id)
+		}
+	}
+	t.applied[i].set(int(id))
+	// dep already covers knownPast[i]; the issuer now knows the update too.
+	copy(t.knownPast[i], dep)
+	t.knownPast[i][i] = id
+	return UpdateID(id)
+}
 
 // OnIssue records that replica i issued an update on register x and
 // returns its UpdateID. Per the replica prototype (step 2), the update is
 // also applied locally at i as part of issuing. The update's causal past
-// is the set of updates applied at i so far, transitively closed.
+// is everything applied at i so far, transitively closed.
 func (t *Tracker) OnIssue(i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
-	return t.impl.OnIssue(i, x)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dep := t.newVector()
+	copy(dep, t.knownPast[i])
+	return t.issue(i, x, dep)
 }
 
 // OnApply records that replica j applied update id (received from its
 // issuer) and checks the safety property of Definition 2: every update u2
 // with u2 ↪ id on a register j stores must already be applied at j.
-func (t *Tracker) OnApply(j sharegraph.ReplicaID, id UpdateID) { t.impl.OnApply(j, id) }
+func (t *Tracker) OnApply(j sharegraph.ReplicaID, id UpdateID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if int(id) >= len(t.updates) || !t.g.StoresRegister(j, t.updates[id].reg) {
+		t.violations = append(t.violations, Violation{Kind: ForeignApply, Replica: j, Update: id})
+		return
+	}
+	u := &t.updates[id]
+	if t.applied[j].has(int(id)) {
+		t.violations = append(t.violations, Violation{Kind: DuplicateApply, Replica: j, Update: id})
+		return
+	}
+	if !t.safeAt(j, u.dep) {
+		for _, m := range t.missingAt(j, u.dep) {
+			t.violations = append(t.violations, Violation{
+				Kind: SafetyViolation, Replica: j, Update: id, Missing: m,
+			})
+		}
+	}
+	t.applied[j].set(int(id))
+	t.waiting[j][u.issuer].popApplied(&t.applied[j])
+	kp := t.knownPast[j]
+	maxInto(kp, u.dep)
+	if int32(id) > kp[u.issuer] {
+		kp[u.issuer] = int32(id)
+	}
+}
 
 // OracleDeliverable reports whether, per the true ↪ relation, update id
 // could safely be applied at replica j right now: every causal predecessor
@@ -173,11 +327,23 @@ func (t *Tracker) OnApply(j sharegraph.ReplicaID, id UpdateID) { t.impl.OnApply(
 // measure false dependencies — moments when a protocol's predicate blocked
 // an update the oracle would admit.
 func (t *Tracker) OracleDeliverable(j sharegraph.ReplicaID, id UpdateID) bool {
-	return t.impl.OracleDeliverable(j, id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if int(id) >= len(t.updates) {
+		return false
+	}
+	return t.safeAt(j, t.updates[id].dep)
 }
 
 // HappenedBefore reports whether a ↪ b under the true relation.
-func (t *Tracker) HappenedBefore(a, b UpdateID) bool { return t.impl.HappenedBefore(a, b) }
+func (t *Tracker) HappenedBefore(a, b UpdateID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if int(a) >= len(t.updates) || int(b) >= len(t.updates) {
+		return false
+	}
+	return int32(a) <= t.updates[b].dep[t.updates[a].issuer]
+}
 
 // Concurrent reports whether neither a ↪ b nor b ↪ a.
 func (t *Tracker) Concurrent(a, b UpdateID) bool {
@@ -188,211 +354,40 @@ func (t *Tracker) Concurrent(a, b UpdateID) bool {
 }
 
 // NumUpdates returns the number of updates issued so far.
-func (t *Tracker) NumUpdates() int { return t.impl.NumUpdates() }
-
-// Applied reports whether update id has been applied at replica j.
-func (t *Tracker) Applied(j sharegraph.ReplicaID, id UpdateID) bool { return t.impl.Applied(j, id) }
-
-// CausalPastSize returns |preds(id)|, the number of updates that
-// happened-before id.
-func (t *Tracker) CausalPastSize(id UpdateID) int { return t.impl.CausalPastSize(id) }
-
-// CheckLiveness audits the liveness property of Definition 2 at
-// quiescence: every issued update must be applied at every replica storing
-// its register. Found gaps are recorded and returned.
-func (t *Tracker) CheckLiveness() []Violation { return t.impl.CheckLiveness() }
-
-// Violations returns all violations recorded so far (a copy).
-func (t *Tracker) Violations() []Violation { return t.impl.Violations() }
-
-// Ok reports whether no violation has been recorded.
-func (t *Tracker) Ok() bool { return t.impl.Ok() }
-
-// OnClientAccess records that replica i accepted (responded to) a request
-// from client c, and audits the second safety clause of Definition 26:
-// every update in the client's observed past on a register i stores must
-// already be applied at i. The client then absorbs i's causal past.
-func (t *Tracker) OnClientAccess(c sharegraph.ClientID, i sharegraph.ReplicaID) {
-	t.impl.OnClientAccess(c, i)
-}
-
-// OnClientWrite records that replica i accepted a write of register x from
-// client c: the new update's causal past is the union of the replica's and
-// the client's pasts (Definition 25, clauses (i) and (ii)); the update is
-// applied locally at i as part of issuing, and the client observes it.
-// Call OnClientAccess first to audit the access itself.
-func (t *Tracker) OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
-	return t.impl.OnClientWrite(c, i, x)
-}
-
-// ClientPastSize returns the number of updates in client c's observed
-// causal past.
-func (t *Tracker) ClientPastSize(c sharegraph.ClientID) int { return t.impl.ClientPastSize(c) }
-
-type updateInfo[S any] struct {
-	issuer sharegraph.ReplicaID
-	reg    sharegraph.Register
-	// preds is the transitive closure of ↪ predecessors (excluding the
-	// update itself), fixed at issue time per Definition 1.
-	preds S
-}
-
-// tracker is the oracle's logic, generic over the set representation.
-type tracker[S updateSet[S]] struct {
-	g      *sharegraph.Graph
-	newSet func() S
-	name   string
-	// none is the zero S (nil), standing for the empty excl argument of
-	// the diff primitives.
-	none S
-
-	mu      sync.Mutex
-	updates []updateInfo[S]
-	applied []S // applied[i] = set of updates applied at replica i
-	// knownPast[i] = ∪ over applied u of {u} ∪ preds(u); snapshotted per
-	// issue to fix the new update's causal past.
-	knownPast []S
-	// missing[i] = updates on registers replica i stores, not yet applied
-	// there — relevant(i) ∖ applied(i), maintained incrementally (set on
-	// issue at every non-issuing holder, cleared on apply). The per-apply
-	// safety test intersects the new update's preds against it, so the
-	// check scans only in-flight updates instead of the whole history.
-	missing    []S
-	holderIdx  map[sharegraph.Register][]sharegraph.ReplicaID
-	clients    map[sharegraph.ClientID]S
-	violations []Violation
-}
-
-func newTrackerImpl[S updateSet[S]](g *sharegraph.Graph, newSet func() S, name string) *tracker[S] {
-	n := g.NumReplicas()
-	t := &tracker[S]{
-		g:         g,
-		newSet:    newSet,
-		name:      name,
-		applied:   make([]S, n),
-		knownPast: make([]S, n),
-		missing:   make([]S, n),
-		holderIdx: make(map[sharegraph.Register][]sharegraph.ReplicaID),
-	}
-	for i := 0; i < n; i++ {
-		t.applied[i] = newSet()
-		t.knownPast[i] = newSet()
-		t.missing[i] = newSet()
-	}
-	return t
-}
-
-func (t *tracker[S]) Impl() string { return t.name }
-
-// holders caches g.Holders per register (the graph accessor copies).
-func (t *tracker[S]) holders(x sharegraph.Register) []sharegraph.ReplicaID {
-	hs, ok := t.holderIdx[x]
-	if !ok {
-		hs = t.g.Holders(x)
-		t.holderIdx[x] = hs
-	}
-	return hs
-}
-
-func (t *tracker[S]) OnIssue(i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := UpdateID(len(t.updates))
-	t.updates = append(t.updates, updateInfo[S]{
-		issuer: i,
-		reg:    x,
-		preds:  t.knownPast[int(i)].snapshot(),
-	})
-	for _, h := range t.holders(x) {
-		if h != i {
-			t.missing[int(h)].set(int(id))
-		}
-	}
-	t.applied[int(i)].set(int(id))
-	t.knownPast[int(i)].set(int(id))
-	return id
-}
-
-func (t *tracker[S]) OnApply(j sharegraph.ReplicaID, id UpdateID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) >= len(t.updates) {
-		t.violations = append(t.violations, Violation{Kind: ForeignApply, Replica: j, Update: id})
-		return
-	}
-	u := t.updates[id]
-	if !t.g.StoresRegister(j, u.reg) {
-		t.violations = append(t.violations, Violation{Kind: ForeignApply, Replica: j, Update: id})
-		return
-	}
-	if t.applied[int(j)].has(int(id)) {
-		t.violations = append(t.violations, Violation{Kind: DuplicateApply, Replica: j, Update: id})
-		return
-	}
-	// Fast path: pure word arithmetic over the in-flight set. Only on an
-	// actual violation does the per-element walk run to name the missing
-	// predecessors.
-	miss := t.missing[int(j)]
-	if miss.intersectsDiff(u.preds, t.none) {
-		miss.forEachDiff(u.preds, t.none, func(pred int) bool {
-			t.violations = append(t.violations, Violation{
-				Kind: SafetyViolation, Replica: j, Update: id, Missing: UpdateID(pred),
-			})
-			return true
-		})
-	}
-	miss.clear(int(id))
-	t.applied[int(j)].set(int(id))
-	t.knownPast[int(j)].set(int(id))
-	t.knownPast[int(j)].orWith(u.preds)
-}
-
-func (t *tracker[S]) OracleDeliverable(j sharegraph.ReplicaID, id UpdateID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) >= len(t.updates) {
-		return false
-	}
-	return !t.missing[int(j)].intersectsDiff(t.updates[id].preds, t.none)
-}
-
-func (t *tracker[S]) HappenedBefore(a, b UpdateID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(a) >= len(t.updates) || int(b) >= len(t.updates) {
-		return false
-	}
-	return t.updates[b].preds.has(int(a))
-}
-
-func (t *tracker[S]) NumUpdates() int {
+func (t *Tracker) NumUpdates() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.updates)
 }
 
-func (t *tracker[S]) Applied(j sharegraph.ReplicaID, id UpdateID) bool {
+// Applied reports whether update id has been applied at replica j.
+func (t *Tracker) Applied(j sharegraph.ReplicaID, id UpdateID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.applied[int(j)].has(int(id))
+	return t.applied[j].has(int(id))
 }
 
-func (t *tracker[S]) CausalPastSize(id UpdateID) int {
+// CausalPastSize returns |preds(id)|, the number of updates that
+// happened-before id.
+func (t *Tracker) CausalPastSize(id UpdateID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(id) >= len(t.updates) {
 		return 0
 	}
-	return t.updates[id].preds.count()
+	return t.pastSize(t.updates[id].dep)
 }
 
-func (t *tracker[S]) CheckLiveness() []Violation {
+// CheckLiveness audits the liveness property of Definition 2 at
+// quiescence: every issued update must be applied at every replica storing
+// its register. Found gaps are recorded and returned.
+func (t *Tracker) CheckLiveness() []Violation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Violation
 	for id, u := range t.updates {
 		for _, h := range t.holders(u.reg) {
-			if !t.applied[int(h)].has(id) {
+			if !t.applied[h].has(id) {
 				v := Violation{Kind: LivenessViolation, Replica: h, Update: UpdateID(id)}
 				out = append(out, v)
 				t.violations = append(t.violations, v)
@@ -402,13 +397,15 @@ func (t *tracker[S]) CheckLiveness() []Violation {
 	return out
 }
 
-func (t *tracker[S]) Violations() []Violation {
+// Violations returns all violations recorded so far (a copy).
+func (t *Tracker) Violations() []Violation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Violation(nil), t.violations...)
 }
 
-func (t *tracker[S]) Ok() bool {
+// Ok reports whether no violation has been recorded.
+func (t *Tracker) Ok() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.violations) == 0

@@ -273,17 +273,14 @@ func TestBitset(t *testing.T) {
 		t.Error("orWith lost bits")
 	}
 	var got []int
-	excl := &bitset{}
-	excl.set(64)
-	d.forEachAndNot(excl, func(i int) bool { got = append(got, i); return true })
-	if len(got) != 2 || got[0] != 3 || got[1] != 200 {
-		t.Errorf("forEachAndNot = %v, want [3 200]", got)
-	}
-	// Early stop.
-	calls := 0
-	d.forEachAndNot(&bitset{}, func(i int) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("early stop made %d calls", calls)
+	mask := &bitset{}
+	mask.set(3)
+	mask.set(200)
+	mask.set(201)
+	d.clear(3)
+	d.forEachAnd(mask, func(i int) { got = append(got, i) })
+	if len(got) != 1 || got[0] != 200 {
+		t.Errorf("forEachAnd after clear = %v, want [200]", got)
 	}
 }
 
@@ -291,10 +288,10 @@ func BenchmarkTrackerIssueApply(b *testing.B) {
 	g := sharegraph.Ring(8)
 	for _, impl := range []struct {
 		name string
-		mk   func(*sharegraph.Graph) *Tracker
+		mk   func(*sharegraph.Graph) issueApplier
 	}{
-		{"persistent", NewTracker},
-		{"flat", NewFlatTracker},
+		{"vector", func(g *sharegraph.Graph) issueApplier { return NewTracker(g) }},
+		{"flat", func(g *sharegraph.Graph) issueApplier { return newFlatTracker(g) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -115,61 +115,59 @@ func TestNodeCheckpointRoundtrip(t *testing.T) {
 }
 
 // TestOracleCheckpointRestore pins the oracle side: export, advance,
-// restore, and require rolled-back applied state plus a recomputed
-// missing index that re-demands post-checkpoint updates.
+// restore, and require rolled-back applied state plus rebuilt
+// not-yet-applied queues that re-demand post-checkpoint updates. The
+// "persistent" case also requires the checkpoint to outlive its restore:
+// advancing again and restoring the same checkpoint a second time rolls
+// back to the same state.
 func TestOracleCheckpointRestore(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		n    func(*sharegraph.Graph) *causality.Tracker
-	}{
-		{"persistent", causality.NewTracker},
-		{"flat", causality.NewFlatTracker},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			g := sharegraph.Ring(4)
-			tr := mk.n(g)
-			regs := g.Stores(0).Sorted()
-			x := regs[0]
-			holders := g.Holders(x)
+	t.Run("persistent", func(t *testing.T) {
+		g := sharegraph.Ring(4)
+		tr := causality.NewTracker(g)
+		regs := g.Stores(0).Sorted()
+		x := regs[0]
+		holders := g.Holders(x)
 
-			u1 := tr.OnIssue(0, x)
-			for _, h := range holders {
-				if h != 0 {
-					tr.OnApply(h, u1)
-				}
+		u1 := tr.OnIssue(0, x)
+		for _, h := range holders {
+			if h != 0 {
+				tr.OnApply(h, u1)
 			}
-			ck := tr.ExportCheckpoint(0)
+		}
+		ck := tr.ExportCheckpoint(0)
 
-			u2 := tr.OnIssue(0, x) // post-checkpoint issue at 0
-			if !tr.Applied(0, u2) {
-				t.Fatal("issue should apply locally")
-			}
-			if err := tr.RestoreCheckpoint(0, ck); err != nil {
-				t.Fatal(err)
-			}
-			if !tr.Applied(0, u1) {
-				t.Error("pre-checkpoint apply lost in restore")
-			}
-			if tr.Applied(0, u2) {
-				t.Error("post-checkpoint apply survived restore")
-			}
-			// Replaying u2 must be accepted cleanly (it is missing again).
-			tr.OnApply(0, u2)
-			if !tr.Applied(0, u2) || !tr.Ok() {
-				t.Fatalf("replay of rolled-back issue rejected: %v", tr.Violations())
-			}
-			// Cross-representation restores are refused.
-			other := causality.NewFlatTracker(g)
-			if mk.name == "flat" {
-				other = causality.NewTracker(g)
-			}
-			other.OnIssue(0, x)
-			if err := other.RestoreCheckpoint(0, ck); err == nil {
-				t.Error("cross-representation restore should fail")
-			}
-			if err := tr.RestoreCheckpoint(1, ck); err == nil {
-				t.Error("restoring at the wrong replica should fail")
-			}
-		})
-	}
+		u2 := tr.OnIssue(0, x) // post-checkpoint issue at 0
+		if !tr.Applied(0, u2) {
+			t.Fatal("issue should apply locally")
+		}
+		if err := tr.RestoreCheckpoint(0, ck); err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Applied(0, u1) {
+			t.Error("pre-checkpoint apply lost in restore")
+		}
+		if tr.Applied(0, u2) {
+			t.Error("post-checkpoint apply survived restore")
+		}
+		// Replaying u2 must be accepted cleanly (it is missing again).
+		tr.OnApply(0, u2)
+		if !tr.Applied(0, u2) || !tr.Ok() {
+			t.Fatalf("replay of rolled-back issue rejected: %v", tr.Violations())
+		}
+		// The same checkpoint restores again after further progress.
+		if err := tr.RestoreCheckpoint(0, ck); err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Applied(0, u1) || tr.Applied(0, u2) {
+			t.Errorf("second restore: applied(u1)=%v applied(u2)=%v, want true, false",
+				tr.Applied(0, u1), tr.Applied(0, u2))
+		}
+		tr.OnApply(0, u2)
+		if !tr.Ok() {
+			t.Fatalf("replay after second restore rejected: %v", tr.Violations())
+		}
+		if err := tr.RestoreCheckpoint(1, ck); err == nil {
+			t.Error("restoring at the wrong replica should fail")
+		}
+	})
 }

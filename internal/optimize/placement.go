@@ -90,7 +90,8 @@ func (p *Placement) EffectiveGraph() (*sharegraph.Graph, error) {
 // registers (each hop pair must still share at least one surviving
 // register OR be adjacent via the hop registers themselves — the hop
 // register it introduces always satisfies this, so the real constraint
-// is the effective graph round-tripping through NewFromSets connected).
+// is the effective graph round-tripping through NewFromSets connected);
+// and no route has a bypass (see safeRoute).
 func (p *Placement) Validate() error {
 	n := p.Base.NumReplicas()
 	for x, route := range p.Broken {
@@ -117,8 +118,66 @@ func (p *Placement) Validate() error {
 			}
 		}
 	}
-	_, err := p.EffectiveGraph()
-	return err
+	eff, err := p.EffectiveGraph()
+	if err != nil {
+		return err
+	}
+	for _, x := range p.BrokenRegisters() {
+		if err := safeRoute(eff, p.Broken[x]); err != nil {
+			return fmt.Errorf("optimize: route for %q: %w", x, err)
+		}
+	}
+	return nil
+}
+
+// safeRoute requires every interior member route[i] to separate, in the
+// effective graph, the members before it from the members after it.
+//
+// That is what makes a relay causally safe. Let holder route[a] write x
+// (hop write h) and let any causal chain of effective-graph messages
+// leave route[a] afterwards for holder route[b], b > a (the other
+// direction is symmetric). Separation at route[a+1] forces the chain
+// through route[a+1]; the message it arrives on has h in its causal
+// past, so route[a+1] applies h first and issues its forward f in the
+// same step, putting f in the past of everything it sends on. Induction
+// over route[a+2], … carries the forward to route[b]'s last hop, whose
+// hop register route[b] stores, so it materializes x's value before
+// the chain's message. A chain starting at a holder that materialized
+// the value instead of writing it crosses, by the same separation, every
+// member between it and the target, one of which already forwarded the
+// value toward the target.
+//
+// Without separation a chain can go around the route: in the unsafe
+// placements the search used to return on dense random graphs, a
+// holder applied a later write of x's writer, or a write that read x,
+// before the relay reached it.
+func safeRoute(eff *sharegraph.Graph, route Route) error {
+	n := eff.NumReplicas()
+	for i := 1; i+1 < len(route); i++ {
+		cut := route[i]
+		seen := make([]bool, n)
+		seen[cut] = true
+		queue := append([]sharegraph.ReplicaID(nil), route[:i]...)
+		for _, r := range queue {
+			seen[r] = true
+		}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			for _, nb := range eff.Neighbors(cur) {
+				if !seen[nb] {
+					seen[nb] = true
+					queue = append(queue, nb)
+				}
+			}
+		}
+		for _, r := range route[i+1:] {
+			if seen[r] {
+				return fmt.Errorf("member %d is reachable from the members before %d without passing it", r, cut)
+			}
+		}
+	}
+	return nil
 }
 
 // buildRoute constructs a relay route for register x under the current
@@ -197,6 +256,27 @@ func (p *Placement) buildRoute(x sharegraph.Register) (Route, bool) {
 	return route, true
 }
 
+// toggle is the search's move: a copy of p with x un-broken if it is
+// broken, else broken along buildRoute's route. It fails when there is no
+// route or the copy does not validate: breaking or un-breaking one
+// register can open a bypass around another register's route.
+func (p *Placement) toggle(x sharegraph.Register) (*Placement, bool) {
+	q := p.Clone()
+	if _, broken := p.Broken[x]; broken {
+		delete(q.Broken, x)
+	} else {
+		route, ok := p.buildRoute(x)
+		if !ok {
+			return nil, false
+		}
+		q.Broken[x] = route
+	}
+	if q.Validate() != nil {
+		return nil, false
+	}
+	return q, true
+}
+
 // BrokenRegisters returns the broken set in sorted order (deterministic
 // iteration for printing and scoring).
 func (p *Placement) BrokenRegisters() []sharegraph.Register {
@@ -223,8 +303,8 @@ func (p *Placement) BrokenRegisters() []sharegraph.Register {
 // graph, which is all they know about: a relayed value is causally safe
 // only where nothing a holder does after materializing it can reach
 // another holder of the same register ahead of the relay, as on a broken
-// ring, whose effective graph is the route itself. Validate does not check
-// this (ROADMAP item L).
+// ring, whose effective graph is the route itself. Validate enforces this
+// through safeRoute, and Protocol refuses placements that fail it.
 type PlacementProtocol struct {
 	core.Prototype
 	eff   *sharegraph.Graph

@@ -78,7 +78,8 @@ func (r *SearchResult) Tight() bool {
 
 // Search runs seeded local search over placements of g: hill-climbing
 // with random restarts, where a move breaks one more register (relaying
-// it along a route built over the surviving edges) or un-breaks one.
+// it along a route built over the surviving edges) or un-breaks one, and
+// only moves that leave a placement Validate accepts are taken.
 // Candidates are scored by rebuilding the effective graph's timestamp
 // graphs and summing tracked entries, optionally weighted per edge; the
 // placement with the lowest score wins. The identity placement is always
@@ -165,20 +166,12 @@ func Search(g *sharegraph.Graph, opts SearchOptions) (*SearchResult, error) {
 			order := rng.Perm(len(regs))
 			for _, ri := range order {
 				x := regs[ri]
-				var cand *Placement
-				if _, broken := p.Broken[x]; broken {
-					cand = p.Clone()
-					delete(cand.Broken, x)
-				} else {
-					if opts.MaxBroken > 0 && len(p.Broken) >= opts.MaxBroken {
-						continue
-					}
-					route, routeOK := p.buildRoute(x)
-					if !routeOK {
-						continue
-					}
-					cand = p.Clone()
-					cand.Broken[x] = route
+				if _, broken := p.Broken[x]; !broken && opts.MaxBroken > 0 && len(p.Broken) >= opts.MaxBroken {
+					continue
+				}
+				cand, ok := p.toggle(x)
+				if !ok {
+					continue
 				}
 				cs, ce, scored := score(cand)
 				if !scored {
@@ -210,8 +203,8 @@ func Search(g *sharegraph.Graph, opts SearchOptions) (*SearchResult, error) {
 				if rng.Intn(3) != 0 {
 					continue
 				}
-				if route, routeOK := p.buildRoute(x); routeOK {
-					p.Broken[x] = route
+				if cand, ok := p.toggle(x); ok {
+					p = cand
 				}
 			}
 			s, e, scored := score(p)

@@ -60,24 +60,36 @@ func TestSearchRingBound(t *testing.T) {
 	}
 }
 
-// TestSearchRandomKImproves checks the acceptance criterion on the dense
-// random topology: strictly fewer total tracked entries, within a small
-// evaluation budget.
+// TestSearchRandomKImproves checks the search on random topologies. On a
+// sparse one (two holders per register) it must strictly reduce the
+// total tracked entries with a placement that validates. On the dense
+// RandomK(32, 96, 3) no relay route avoids a bypass, so every break is
+// unsafe and the search must return the identity placement unchanged.
 func TestSearchRandomKImproves(t *testing.T) {
-	g := sharegraph.RandomK(32, 96, 3, 7)
-	res, err := Search(g, SearchOptions{Seed: 7, Restarts: 1, MaxEvals: 12})
+	sparse := sharegraph.RandomK(12, 16, 2, 8)
+	res, err := Search(sparse, SearchOptions{Seed: 7, Restarts: 1, MaxEvals: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Entries >= res.BaseEntries {
-		t.Errorf("RandomK(32,96,3): no improvement (base %d, got %d in %d evals)",
+		t.Errorf("RandomK(12,16,2): no improvement (base %d, got %d in %d evals)",
 			res.BaseEntries, res.Entries, res.Evals)
 	}
 	if err := res.Placement.Validate(); err != nil {
 		t.Errorf("winning placement invalid: %v", err)
 	}
-	t.Logf("RandomK(32,96,3): %d -> %d entries (%d broken, %d evals)",
+	t.Logf("RandomK(12,16,2): %d -> %d entries (%d broken, %d evals)",
 		res.BaseEntries, res.Entries, len(res.Placement.Broken), res.Evals)
+
+	dense := sharegraph.RandomK(32, 96, 3, 7)
+	res, err = Search(dense, SearchOptions{Seed: 7, Restarts: 1, MaxEvals: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Placement.Broken) != 0 || res.Entries != res.BaseEntries {
+		t.Errorf("RandomK(32,96,3): search broke %v (%d -> %d entries); every route there has a bypass",
+			res.Placement.BrokenRegisters(), res.BaseEntries, res.Entries)
+	}
 }
 
 // TestSearchDeterministic: same seed, same graph, same result.
@@ -167,6 +179,15 @@ func TestPlacementValidateRejects(t *testing.T) {
 		{"skips holder", func() *Placement {
 			p := NewPlacement(g)
 			p.Broken["ring4"] = Route{0, 1}
+			return p
+		}},
+		// The smallest bypass: both ring-closing breaks routed the long
+		// way round put the hops back on a cycle, so 0 reaches 2 around
+		// relay member 1, and a later write of 0 can overtake ring4's relay.
+		{"bypass", func() *Placement {
+			p := NewPlacement(g)
+			p.Broken["ring4"] = Route{0, 1, 2, 3, 4}
+			p.Broken["ring1"] = Route{1, 0, 4, 3, 2}
 			return p
 		}},
 	}

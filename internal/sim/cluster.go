@@ -46,9 +46,8 @@ type Cluster struct {
 	nodeMu   []sync.Mutex
 	eng      *rt.Engine[core.Envelope]
 
-	opts       rt.Options
-	audit      bool
-	flatOracle bool
+	opts  rt.Options
+	audit bool
 
 	// Chaos state: nil/zero unless WithChaos / WithHeartbeats were given.
 	chaosPlan *rt.FaultPlan
@@ -177,20 +176,11 @@ func WithSeed(seed int64) ClusterOption {
 }
 
 // WithoutAudit disables the causality oracle for runs that want no
-// verdict at all. Auditing is affordable by default since the oracle
-// moved to persistent copy-on-write sets (the per-issue causal-past
-// snapshot is O(1) sharing, not a full clone); Tracker returns nil and
-// RunScript returns no violations on an unaudited cluster.
+// verdict at all. Auditing is affordable by default (one dependency
+// vector per update, O(n) per check); Tracker returns nil and RunScript
+// returns no violations on an unaudited cluster.
 func WithoutAudit() ClusterOption {
 	return func(c *Cluster) { c.audit = false }
-}
-
-// WithFlatOracle audits with the flat-bitset reference oracle (full
-// causal-past clone per issue, quadratic bytes) instead of the default
-// persistent one. Differential tests use it to pin both representations
-// to identical verdicts under real concurrency.
-func WithFlatOracle() ClusterOption {
-	return func(c *Cluster) { c.flatOracle = true }
 }
 
 // WithChaos routes every message through the engine's seeded
@@ -250,11 +240,7 @@ func NewCluster(g *sharegraph.Graph, protocol core.Protocol, opts ...ClusterOpti
 		o(c)
 	}
 	if c.audit {
-		if c.flatOracle {
-			c.tracker = causality.NewFlatTracker(g)
-		} else {
-			c.tracker = causality.NewTracker(g)
-		}
+		c.tracker = causality.NewTracker(g)
 	}
 	c.batches.New = func() any { return &envBatch{} }
 	if c.metrics {

@@ -26,21 +26,13 @@ type Config struct {
 	// MaxSteps bounds the run as a safety net; 0 derives a generous bound
 	// from the script size.
 	MaxSteps int
-	// SkipAudit disables the causality oracle for pure-throughput runs.
-	// Since the oracle moved to persistent copy-on-write sets its audited
-	// cost is near-linear (the per-issue causal-past snapshot is O(1)
-	// structural sharing, no longer a full bitset clone), so audited runs
-	// are the default even at 50k-op scale; SkipAudit remains for runs
-	// that want no verdict at all. Violations stays nil and
+	// SkipAudit disables the causality oracle for runs that want no
+	// verdict at all. The oracle keeps one dependency vector per update
+	// (n entries, O(n) per check), so audited runs are the default even at
+	// 100k-op scale. With SkipAudit, Violations stays nil and
 	// TrackFalseDeps is ignored (false dependencies are defined against
 	// the oracle's ground truth).
 	SkipAudit bool
-	// FlatOracle audits with the flat-bitset reference oracle (one full
-	// causal-past clone per issued update, quadratic bytes) instead of
-	// the persistent copy-on-write oracle. Differential tests run the
-	// same schedule under both and require identical verdicts; it is not
-	// meant for scale runs.
-	FlatOracle bool
 	// TrackFalseDeps enables per-step oracle queries on pending updates
 	// (quadratic-ish cost; off for throughput benchmarks).
 	TrackFalseDeps bool
@@ -150,11 +142,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: protocol built %d nodes for %d replicas", len(nodes), n)
 	}
 	var tracker *causality.Tracker
-	switch {
-	case cfg.SkipAudit:
-	case cfg.FlatOracle:
-		tracker = causality.NewFlatTracker(cfg.Graph)
-	default:
+	if !cfg.SkipAudit {
 		tracker = causality.NewTracker(cfg.Graph)
 	}
 	res := &Result{Protocol: cfg.Protocol.Name(), Scheduler: cfg.Sched.Name()}

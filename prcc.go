@@ -252,27 +252,22 @@
 //
 // The consistency oracle fixes each update's causal past at issue time
 // (Definition 1) — once a full bitset clone per issue, O(ops²/8) bytes
-// per audited run and the dominant cost at 50k-op scale. It now runs on
-// persistent copy-on-write sets: a radix tree of 512-bit chunks under
-// 32-way interior nodes, where snapshotting a causal past is O(1)
-// structural sharing and set/union copy only the paths they touch. Every
-// node carries an (owner, epoch) tag; a snapshot or union freezes the
-// source by bumping its epoch, after which either side copies-on-write
-// before mutating shared structure. The frontier chunk lives by value in
-// the set header (update IDs arrive in increasing order, so nearly every
-// insert is a plain word store there), and the per-apply safety check
-// intersects the new update's past against an incrementally maintained
-// issued-but-not-yet-applied set — word-parallel over chunks, scanning
-// only in-flight updates instead of the whole history. Audited ring64
-// runs at 50k ops dropped from ~286 MB to ~40 MB allocated (~7×), so
-// auditing stays on by default at scale; the flat representation remains
-// as causality.NewFlatTracker (plus sim.Config.FlatOracle and
-// sim.WithFlatOracle) for the differential tests that pin both
-// representations to identical verdicts. Flat still wins only for tiny
-// histories, where a clone is one small memcpy and the tree's pointer
-// hop per 512 bits cannot amortize. Runs that want no verdict at all can
-// still skip auditing with SimOptions.SkipAudit /
-// ClusterOptions.SkipAudit.
+// per audited run and the dominant cost at 50k-op scale. It now stores
+// each past as a per-issuer dependency vector: entry k is the highest
+// update of replica k in the past. That is exact because every causal
+// past is prefix-closed per issuer (a replica applies its own updates
+// before issuing the next, and ↪ is transitive), so the oracle is a set
+// of Fidge/Mattern clocks over issuers, built from issue and apply
+// events alone and independent of the protocol's timestamps. An issue
+// copies one n-entry vector; happened-before and the causal-past size
+// read one; the per-apply safety check, the false-dependency query and
+// the stale-access check compare one against the head of a per-(replica,
+// issuer) queue of not-yet-applied updates. Only a violation walks those
+// queues to name the missing predecessors. Auditing therefore stays on
+// by default at scale; the flat-bitset tracker survives only in
+// internal/causality's tests, as the reference the vectors are pinned
+// to event by event. Runs that want no verdict at all can still skip
+// auditing with SimOptions.SkipAudit / ClusterOptions.SkipAudit.
 //
 // # Placement optimization and reconfiguration
 //
@@ -290,15 +285,19 @@
 // whose edges are slow, and the result can be checked against the
 // Section 4 lower bound. On rings the search rediscovers the paper's
 // line topology (2n² entries down to 4n−4, within 2× of the cycle
-// closed form); on dense random graphs it strictly improves within a
-// 64-evaluation budget.
+// closed form); on sparse random graphs (two holders per register) it
+// strictly improves, and on dense ones, which have no safe route, it
+// returns the input placement.
 //
 // A broken register's writes are stored at the writer, then forwarded
 // hop by hop along the route through per-hop relay registers shared by
 // consecutive holders; each holder on the route materializes the value
-// when the relayed write arrives. Since relay registers ride the
-// ordinary protocol, causal consistency is preserved without tracking
-// the broken register's cycle.
+// when the relayed write arrives. Relay registers ride the ordinary
+// protocol, so causal consistency is preserved without tracking the
+// broken register's cycle exactly when no route has a bypass: every
+// interior route member must separate, in the effective share graph,
+// the members before it from those after it. Placement.Validate checks
+// this and the search takes no move that fails it.
 //
 // Cluster.Reconfigure makes the search's result deployable on a LIVE
 // cluster: a two-phase epoch fence blocks client writes, drains every
@@ -516,11 +515,10 @@ type ClusterOptions struct {
 	// Seed drives the per-inbox delivery shuffles (default 1).
 	Seed int64
 	// SkipAudit disables the causality oracle for runs that want no
-	// verdict at all. Auditing is cheap by default — the oracle's
-	// persistent copy-on-write sets snapshot each causal past in O(1)
-	// instead of cloning a bitset per issue — so this is now a choice,
-	// not a necessity, even at 50k-op scale. Check reports nothing on an
-	// unaudited cluster.
+	// verdict at all. Auditing is cheap by default — the oracle keeps one
+	// n-entry dependency vector per update instead of cloning a bitset
+	// per issue — so this is a choice, not a necessity, even at 100k-op
+	// scale. Check reports nothing on an unaudited cluster.
 	SkipAudit bool
 	// Chaos, when non-nil, arms the fault-injection layer with the given
 	// plan. The zero FaultPlan injects no ambient faults but enables the

@@ -102,17 +102,27 @@ func TestShardedMatchesCluster(t *testing.T) {
 		x Register
 		v Value
 	}
-	ops := []op{{0, "x", 1}, {1, "y", 2}, {2, "z", 3}, {1, "x", 4}, {2, "y", 5}, {3, "z", 6}}
-	for _, o := range ops {
-		if err := sh.Write(1, o.r, o.x, o.v); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Write(o.r, o.x, o.v); err != nil {
-			t.Fatal(err)
-		}
+	// Each register gets two writers. Causal consistency leaves the final
+	// value of concurrent writes to one register open, so both runtimes
+	// sync between the rounds: every second-round write then causally
+	// follows the first-round write to its register, and the final state
+	// is determined.
+	rounds := [][]op{
+		{{0, "x", 1}, {1, "y", 2}, {2, "z", 3}},
+		{{1, "x", 4}, {2, "y", 5}, {3, "z", 6}},
 	}
-	sh.Sync()
-	cl.Sync()
+	for _, ops := range rounds {
+		for _, o := range ops {
+			if err := sh.Write(1, o.r, o.x, o.v); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Write(o.r, o.x, o.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh.Sync()
+		cl.Sync()
+	}
 	if err := sh.Check(); err != nil {
 		t.Fatal(err)
 	}
