@@ -59,6 +59,7 @@ func run(args []string) error {
 		{"E15", "Metadata comparison across protocols", e15},
 		{"E16", "l-hop truncation: savings and safety loss", e16},
 	}
+	failed = nil
 	for _, e := range experiments {
 		if *only != "" && !strings.EqualFold(*only, e.id) {
 			continue
@@ -69,13 +70,20 @@ func run(args []string) error {
 		}
 		fmt.Println()
 	}
+	if len(failed) > 0 {
+		return fmt.Errorf("rows that printed FAIL: %s", strings.Join(failed, "; "))
+	}
 	return nil
 }
+
+// failed names the rows of the current run that printed FAIL.
+var failed []string
 
 func check(name string, ok bool) {
 	status := "PASS"
 	if !ok {
 		status = "FAIL"
+		failed = append(failed, name)
 	}
 	fmt.Printf("| %s | %s |\n", name, status)
 }
@@ -191,12 +199,15 @@ func verdictSweep(g *sharegraph.Graph, protoName string) string {
 func e8() error {
 	fmt.Println("| graph | replica | exponent (lower bound) | algorithm counters | tight |")
 	fmt.Println("|---|---|---|---|---|")
-	graphs := map[string]*sharegraph.Graph{"line5": sharegraph.Line(5), "star5": sharegraph.Star(5)}
-	for name, g := range graphs {
-		for i := 0; i < g.NumReplicas(); i++ {
-			b := lowerbound.ComputeBound(g, sharegraph.ReplicaID(i), 2)
+	rows := []struct {
+		name string
+		g    *sharegraph.Graph
+	}{{"line5", sharegraph.Line(5)}, {"star5", sharegraph.Star(5)}}
+	for _, row := range rows {
+		for i := 0; i < row.g.NumReplicas(); i++ {
+			b := lowerbound.ComputeBound(row.g, sharegraph.ReplicaID(i), 2)
 			fmt.Printf("| %s | %d | m^%d (%.0f bits at m=2) | %d | %v |\n",
-				name, i, b.Exponent, b.Bits(), b.AlgorithmEntries, b.Tight())
+				row.name, i, b.Exponent, b.Bits(), b.AlgorithmEntries, b.Tight())
 		}
 	}
 	return nil
@@ -336,6 +347,7 @@ func e15() error {
 			verdict := "ok"
 			if !res.Ok() {
 				verdict = "FAIL"
+				failed = append(failed, fmt.Sprintf("E15 %s R=%d %s", tn, g.NumReplicas(), pn))
 			}
 			fmt.Printf("| %s R=%d | %s | %d | %d | %.1f | %s |\n",
 				tn, g.NumReplicas(), pn, res.TotalMetadataEntries(), res.MessagesSent, res.AvgMetaBytes(), verdict)

@@ -120,131 +120,6 @@ func (a *AugmentedGraph) IsAugmentedIEJKLoop(lp Loop) bool {
 	return checkIEJKLoop(a.G, a, lp)
 }
 
-// hopOK evaluates "X_uv − excluded ≠ ∅ or u,v ∈ R_c for some client c".
-func (a *AugmentedGraph) hopOK(u, v ReplicaID, excluded RegisterSet) bool {
-	if a.clientPair[Edge{u, v}] {
-		return true
-	}
-	return a.G.shared[Edge{u, v}].DiffNonEmpty(excluded)
-}
-
-// FindAugmentedIEJKLoop searches for an augmented (i, e_jk)-loop
-// (Definition 27). The tracked edge e must be a real share-graph edge;
-// the loop itself may traverse client edges.
-func (a *AugmentedGraph) FindAugmentedIEJKLoop(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {
-	j, k := e.From, e.To
-	if i == j || i == k || j == k || !a.G.HasEdge(e) {
-		return Loop{}, false
-	}
-	n := a.G.NumReplicas()
-	maxLen := opts.MaxLen
-	if maxLen <= 0 || maxLen > n {
-		maxLen = n
-	}
-	used := make([]bool, n)
-	used[i] = true
-	used[j] = true
-	var (
-		lpath []ReplicaID
-		found Loop
-		ok    bool
-	)
-	record := func(rpath []ReplicaID) {
-		found = Loop{I: i, L: append([]ReplicaID(nil), lpath...), R: append([]ReplicaID(nil), rpath...)}
-		ok = true
-	}
-
-	var extendR func(rpath []ReplicaID, full RegisterSet) bool
-	extendR = func(rpath []ReplicaID, full RegisterSet) bool {
-		cur := rpath[len(rpath)-1]
-		if a.HasEdge(Edge{cur, i}) && a.hopOK(cur, i, full) {
-			record(rpath)
-			return true
-		}
-		if 1+len(lpath)+len(rpath) >= maxLen {
-			return false
-		}
-		for _, nxt := range a.adj[cur] {
-			if used[nxt] || nxt == i {
-				continue
-			}
-			if !a.hopOK(cur, nxt, full) {
-				continue
-			}
-			used[nxt] = true
-			done := extendR(append(rpath, nxt), full)
-			used[nxt] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	tryRPath := func(interior, full RegisterSet) bool {
-		if a.HasEdge(Edge{j, i}) && a.hopOK(j, i, interior) {
-			record([]ReplicaID{j})
-			return true
-		}
-		if 1+len(lpath)+1 >= maxLen {
-			return false
-		}
-		for _, r2 := range a.adj[j] {
-			if used[r2] || r2 == i {
-				continue
-			}
-			if !a.hopOK(j, r2, interior) {
-				continue
-			}
-			used[r2] = true
-			done := extendR([]ReplicaID{j, r2}, full)
-			used[r2] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	var extendL func(cur ReplicaID, interior RegisterSet) bool
-	extendL = func(cur ReplicaID, interior RegisterSet) bool {
-		if 1+len(lpath)+1 >= maxLen {
-			return false
-		}
-		for _, nxt := range a.adj[cur] {
-			if used[nxt] {
-				continue
-			}
-			if nxt == k {
-				if !a.G.shared[Edge{j, k}].DiffNonEmpty(interior) {
-					continue
-				}
-				lpath = append(lpath, k)
-				used[k] = true
-				done := tryRPath(interior, interior.Union(a.G.stores[k]))
-				used[k] = false
-				lpath = lpath[:len(lpath)-1]
-				if done {
-					return true
-				}
-				continue
-			}
-			used[nxt] = true
-			lpath = append(lpath, nxt)
-			done := extendL(nxt, interior.Union(a.G.stores[nxt]))
-			lpath = lpath[:len(lpath)-1]
-			used[nxt] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	extendL(i, make(RegisterSet))
-	return found, ok
-}
-
 // BuildAugmentedTSGraph computes Ê_i per Definition 28: incident Ê edges
 // and augmented-loop edges, intersected with the real edge set E. The
 // result is returned as a TSGraph whose tracked edges all belong to E.

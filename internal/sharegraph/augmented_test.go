@@ -147,7 +147,7 @@ func TestClientTSEdges(t *testing.T) {
 
 // bruteForceHasAugmentedLoop enumerates every simple cycle through i in Ĝ
 // and every L/R split, checking Definition 27 via IsAugmentedIEJKLoop —
-// the reference the incremental search is validated against.
+// the oracle the augmented reference DFS is validated against.
 func bruteForceHasAugmentedLoop(a *AugmentedGraph, i ReplicaID, e Edge) bool {
 	n := a.G.NumReplicas()
 	found := false
@@ -191,23 +191,14 @@ func bruteForceHasAugmentedLoop(a *AugmentedGraph, i ReplicaID, e Edge) bool {
 	return found
 }
 
-// TestAugmentedLoopMatchesBruteForce cross-validates the augmented loop
-// search against exhaustive enumeration on random graphs with random
+// TestAugmentedLoopMatchesBruteForce cross-validates the augmented
+// reference DFS against exhaustive enumeration on random graphs with random
 // client assignments.
 func TestAugmentedLoopMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := placementFromSeed(seed, 5, 7)
-		rng := newTestRand(seed ^ 0x1234)
 		// One or two random clients spanning 2 replicas each.
-		var assignment ClientAssignment
-		for c := 0; c < 1+rng.Intn(2); c++ {
-			p := rng.Intn(g.NumReplicas())
-			q := rng.Intn(g.NumReplicas())
-			if p == q {
-				q = (q + 1) % g.NumReplicas()
-			}
-			assignment = append(assignment, []ReplicaID{ReplicaID(p), ReplicaID(q)})
-		}
+		assignment := randomClients(g, newTestRand(seed^0x1234), 2)
 		a, err := NewAugmented(g, assignment)
 		if err != nil {
 			t.Fatal(err)
@@ -217,10 +208,7 @@ func TestAugmentedLoopMatchesBruteForce(t *testing.T) {
 				if e.From == ReplicaID(i) || e.To == ReplicaID(i) {
 					continue
 				}
-				fast := false
-				if _, ok := a.FindAugmentedIEJKLoop(ReplicaID(i), e, LoopOptions{}); ok {
-					fast = true
-				}
+				_, fast := refFindLoop(g, a, ReplicaID(i), e, LoopOptions{})
 				slow := bruteForceHasAugmentedLoop(a, ReplicaID(i), e)
 				if fast != slow {
 					t.Fatalf("seed %d replica %d edge %v: fast=%v brute=%v\n%s clients=%v",

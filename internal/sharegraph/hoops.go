@@ -78,10 +78,6 @@ func (g *Graph) IsMinimalXHoop(x Register, path []ReplicaID, variant MinimalHoop
 	}
 	n := len(path) - 1
 	ra, rb := path[0], path[len(path)-1]
-	hoopSet := make(map[ReplicaID]bool, len(path))
-	for _, v := range path {
-		hoopSet[v] = true
-	}
 	candidates := make([][]Register, n)
 	for h := 0; h < n; h++ {
 		for r := range g.Shared(path[h], path[h+1]) {
@@ -102,7 +98,6 @@ func (g *Graph) IsMinimalXHoop(x Register, path []ReplicaID, variant MinimalHoop
 						holders++
 					}
 				}
-				_ = hoopSet
 				if holders > 2 {
 					continue
 				}

@@ -44,8 +44,7 @@ func (lp Loop) String() string {
 type LoopOptions struct {
 	// MaxLen bounds the number of distinct vertices allowed on a loop;
 	// 0 means unbounded. Bounding the loop length implements the
-	// "sacrificing causality" truncation of Appendix D, and also keeps
-	// the exhaustive search tractable on dense graphs.
+	// "sacrificing causality" truncation of Appendix D.
 	MaxLen int
 }
 
@@ -157,143 +156,4 @@ func condHop(idx *searchIndex, aug *AugmentedGraph, u, v ReplicaID, excluded []u
 		return true
 	}
 	return maskDiffNonEmpty(idx.eb[Edge{u, v}], excluded)
-}
-
-// FindIEJKLoop searches for an (i, e_jk)-loop (Definition 4) and returns a
-// witness if one exists. The search is an exhaustive DFS over simple loops
-// through i with the register-set conditions evaluated incrementally, so
-// it decides existence exactly (subject to opts.MaxLen). Worst-case cost
-// is exponential in the number of replicas, as expected for the exact
-// definition; the package benchmarks quantify it.
-func (g *Graph) FindIEJKLoop(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {
-	j, k := e.From, e.To
-	if i == j || i == k || j == k || !g.HasEdge(e) {
-		return Loop{}, false
-	}
-	maxLen := opts.MaxLen
-	if maxLen <= 0 || maxLen > g.r {
-		maxLen = g.r
-	}
-	used := make([]bool, g.r)
-	used[i] = true
-	used[j] = true // j sits on the loop; the l-path must avoid it
-	var (
-		lpath []ReplicaID
-		found Loop
-		ok    bool
-	)
-
-	record := func(rpath []ReplicaID) {
-		found = Loop{
-			I: i,
-			L: append([]ReplicaID(nil), lpath...),
-			R: append([]ReplicaID(nil), rpath...),
-		}
-		ok = true
-	}
-
-	// Phase 2: extend the r-path beyond r_2. Every hop here (including the
-	// closing hop to i) is an "r_q → r_{q+1}, q ≥ 2" hop, so it must
-	// satisfy condition (iii) against full.
-	var extendR func(rpath []ReplicaID, full RegisterSet) bool
-	extendR = func(rpath []ReplicaID, full RegisterSet) bool {
-		cur := rpath[len(rpath)-1]
-		if g.HasEdge(Edge{cur, i}) && g.shared[Edge{cur, i}].DiffNonEmpty(full) {
-			record(rpath)
-			return true
-		}
-		if 1+len(lpath)+len(rpath) >= maxLen {
-			return false
-		}
-		for _, nxt := range g.adj[cur] {
-			if used[nxt] || nxt == i {
-				continue
-			}
-			if !g.shared[Edge{cur, nxt}].DiffNonEmpty(full) {
-				continue
-			}
-			used[nxt] = true
-			done := extendR(append(rpath, nxt), full)
-			used[nxt] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	// tryRPath starts the r-path once the l-path is complete (lpath ends
-	// in k and condition (i) holds). interior excludes X_k; full includes it.
-	tryRPath := func(interior, full RegisterSet) bool {
-		// t = 1: the loop closes j → i directly; condition (ii) applies to
-		// X_{j i} against interior, and condition (iii) is vacuous.
-		if g.HasEdge(Edge{j, i}) && g.shared[Edge{j, i}].DiffNonEmpty(interior) {
-			record([]ReplicaID{j})
-			return true
-		}
-		if 1+len(lpath)+1 >= maxLen {
-			return false
-		}
-		// t ≥ 2: first hop j → r_2 must satisfy condition (ii) (interior).
-		for _, r2 := range g.adj[j] {
-			if used[r2] || r2 == i {
-				continue
-			}
-			if !g.shared[Edge{j, r2}].DiffNonEmpty(interior) {
-				continue
-			}
-			used[r2] = true
-			done := extendR([]ReplicaID{j, r2}, full)
-			used[r2] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Phase 1: grow the l-path from i towards k, avoiding j.
-	var extendL func(cur ReplicaID, interior RegisterSet) bool
-	extendL = func(cur ReplicaID, interior RegisterSet) bool {
-		if 1+len(lpath)+1 >= maxLen { // must still fit k and at least j
-			return false
-		}
-		for _, nxt := range g.adj[cur] {
-			if used[nxt] {
-				continue
-			}
-			if nxt == k {
-				if !g.shared[Edge{j, k}].DiffNonEmpty(interior) {
-					continue // condition (i) fails for this interior set
-				}
-				lpath = append(lpath, k)
-				used[k] = true
-				done := tryRPath(interior, interior.Union(g.stores[k]))
-				used[k] = false
-				lpath = lpath[:len(lpath)-1]
-				if done {
-					return true
-				}
-				continue
-			}
-			used[nxt] = true
-			lpath = append(lpath, nxt)
-			done := extendL(nxt, interior.Union(g.stores[nxt]))
-			lpath = lpath[:len(lpath)-1]
-			used[nxt] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-
-	extendL(i, make(RegisterSet))
-	return found, ok
-}
-
-// HasIEJKLoop reports whether any (i, e_jk)-loop exists.
-func (g *Graph) HasIEJKLoop(i ReplicaID, e Edge, opts LoopOptions) bool {
-	_, ok := g.FindIEJKLoop(i, e, opts)
-	return ok
 }

@@ -43,18 +43,19 @@ func TestFig5LoopClassification(t *testing.T) {
 		t.Error("(1,4,3,2) should not be a (1,e23)-loop")
 	}
 
-	// FindIEJKLoop must agree with the classification above.
-	if !g.HasIEJKLoop(0, Edge{3, 2}, LoopOptions{}) {
-		t.Error("FindIEJKLoop missed the (1,e43)-loop")
+	// The loop search must agree with the classification above.
+	s := NewLoopSearcher(g)
+	if !s.Has(0, Edge{3, 2}, LoopOptions{}) {
+		t.Error("search missed the (1,e43)-loop")
 	}
-	if !g.HasIEJKLoop(0, Edge{2, 1}, LoopOptions{}) {
-		t.Error("FindIEJKLoop missed the (1,e32)-loop")
+	if !s.Has(0, Edge{2, 1}, LoopOptions{}) {
+		t.Error("search missed the (1,e32)-loop")
 	}
-	if g.HasIEJKLoop(0, Edge{2, 3}, LoopOptions{}) {
-		t.Error("FindIEJKLoop found a (1,e34)-loop; none should exist")
+	if s.Has(0, Edge{2, 3}, LoopOptions{}) {
+		t.Error("search found a (1,e34)-loop; none should exist")
 	}
-	if g.HasIEJKLoop(0, Edge{1, 2}, LoopOptions{}) {
-		t.Error("FindIEJKLoop found a (1,e23)-loop; none should exist")
+	if s.Has(0, Edge{1, 2}, LoopOptions{}) {
+		t.Error("search found a (1,e23)-loop; none should exist")
 	}
 }
 
@@ -72,10 +73,11 @@ func TestLoopRejectsDegenerate(t *testing.T) {
 		t.Error("loop with missing edge accepted")
 	}
 	// Search for loops on edges incident to i is meaningless by definition.
-	if g.HasIEJKLoop(0, Edge{0, 1}, LoopOptions{}) {
+	s := NewLoopSearcher(g)
+	if s.Has(0, Edge{0, 1}, LoopOptions{}) {
 		t.Error("loop found for incident edge")
 	}
-	if g.HasIEJKLoop(0, Edge{5, 9}, LoopOptions{}) {
+	if s.Has(0, Edge{5, 9}, LoopOptions{}) {
 		t.Error("loop found for nonexistent edge")
 	}
 }
@@ -102,8 +104,8 @@ func TestLoopEdgeAccessors(t *testing.T) {
 
 // bruteForceHasLoop enumerates every simple loop through i by DFS and
 // every way of splitting it into an l-path and r-path, then checks
-// Definition 4 via IsIEJKLoop. It is the reference implementation that
-// FindIEJKLoop is validated against.
+// Definition 4 via IsIEJKLoop. It is the oracle the reference DFS
+// (refFindLoop) is validated against.
 func bruteForceHasLoop(g *Graph, i ReplicaID, e Edge) bool {
 	n := g.NumReplicas()
 	found := false
@@ -149,8 +151,8 @@ func bruteForceHasLoop(g *Graph, i ReplicaID, e Edge) bool {
 	return found
 }
 
-// TestFindLoopMatchesBruteForce cross-validates the incremental DFS
-// against exhaustive enumeration on random small share graphs.
+// TestFindLoopMatchesBruteForce cross-validates the reference DFS against
+// exhaustive enumeration on random small share graphs.
 func TestFindLoopMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := placementFromSeed(seed, 6, 8)
@@ -159,7 +161,7 @@ func TestFindLoopMatchesBruteForce(t *testing.T) {
 				if e.From == ReplicaID(i) || e.To == ReplicaID(i) {
 					continue
 				}
-				fast := g.HasIEJKLoop(ReplicaID(i), e, LoopOptions{})
+				_, fast := refFindLoop(g, nil, ReplicaID(i), e, LoopOptions{})
 				slow := bruteForceHasLoop(g, ReplicaID(i), e)
 				if fast != slow {
 					t.Logf("seed %d: replica %d edge %v: fast=%v brute=%v\n%s",
@@ -175,8 +177,8 @@ func TestFindLoopMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestFoundLoopIsValidWitness: whenever FindIEJKLoop returns a loop, that
-// loop must itself satisfy Definition 4 and witness the requested edge.
+// TestFoundLoopIsValidWitness: whenever the reference DFS returns a loop,
+// that loop must itself satisfy Definition 4 and witness the requested edge.
 func TestFoundLoopIsValidWitness(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := placementFromSeed(seed, 7, 10)
@@ -185,7 +187,7 @@ func TestFoundLoopIsValidWitness(t *testing.T) {
 				if e.From == ReplicaID(i) || e.To == ReplicaID(i) {
 					continue
 				}
-				lp, ok := g.FindIEJKLoop(ReplicaID(i), e, LoopOptions{})
+				lp, ok := refFindLoop(g, nil, ReplicaID(i), e, LoopOptions{})
 				if !ok {
 					continue
 				}
@@ -206,33 +208,14 @@ func TestFoundLoopIsValidWitness(t *testing.T) {
 func TestMaxLenMonotonicity(t *testing.T) {
 	g := Ring(6)
 	e := Edge{3, 4} // far side of the ring from replica 0
-	if g.HasIEJKLoop(0, e, LoopOptions{MaxLen: 4}) {
-		t.Error("ring loop of 6 vertices found with MaxLen=4")
+	s := NewLoopSearcher(g)
+	if s.Has(0, e, LoopOptions{MaxLen: 5}) {
+		t.Error("ring loop of 6 vertices found with MaxLen=5")
 	}
-	if !g.HasIEJKLoop(0, e, LoopOptions{MaxLen: 6}) {
+	if !s.Has(0, e, LoopOptions{MaxLen: 6}) {
 		t.Error("ring loop not found with MaxLen=6")
 	}
-	if !g.HasIEJKLoop(0, e, LoopOptions{}) {
+	if !s.Has(0, e, LoopOptions{}) {
 		t.Error("ring loop not found with unbounded MaxLen")
-	}
-}
-
-func BenchmarkLoopDetectionRing8(b *testing.B) {
-	g := Ring(8)
-	e := Edge{4, 5}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if !g.HasIEJKLoop(0, e, LoopOptions{}) {
-			b.Fatal("expected loop")
-		}
-	}
-}
-
-func BenchmarkLoopDetectionPairClique8(b *testing.B) {
-	g := PairClique(8)
-	e := Edge{4, 5}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		g.HasIEJKLoop(0, e, LoopOptions{})
 	}
 }

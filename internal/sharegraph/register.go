@@ -76,15 +76,6 @@ func (s RegisterSet) Clone() RegisterSet {
 	return c
 }
 
-// Union returns a new set holding s ∪ t.
-func (s RegisterSet) Union(t RegisterSet) RegisterSet {
-	u := s.Clone()
-	for r := range t {
-		u[r] = struct{}{}
-	}
-	return u
-}
-
 // UnionInPlace adds every register of t to s and returns s.
 func (s RegisterSet) UnionInPlace(t RegisterSet) RegisterSet {
 	for r := range t {
@@ -102,17 +93,6 @@ func (s RegisterSet) Intersect(t RegisterSet) RegisterSet {
 	u := make(RegisterSet)
 	for r := range small {
 		if large.Has(r) {
-			u[r] = struct{}{}
-		}
-	}
-	return u
-}
-
-// Diff returns a new set holding s − t.
-func (s RegisterSet) Diff(t RegisterSet) RegisterSet {
-	u := make(RegisterSet)
-	for r := range s {
-		if !t.Has(r) {
 			u[r] = struct{}{}
 		}
 	}

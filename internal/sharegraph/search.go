@@ -2,10 +2,11 @@ package sharegraph
 
 import "sync"
 
-// This file implements the exact (i, e_jk)-loop decision engine. The legacy
-// DFS in loops.go enumerates simple loops through i and is exponential on
-// dense share graphs; this engine decides Definition 4 existence without
-// enumerating loops, by exploiting two structural facts:
+// This file implements the (i, e_jk)-loop decision engine, the only loop
+// search in the package. Enumerating simple loops through i is exponential
+// on dense share graphs (the enumerating DFS survives only as the test
+// reference in loops_ref_test.go); this engine decides Definition 4
+// existence without enumerating loops, by exploiting two structural facts:
 //
 //  1. Every side condition has the form "X − S ≠ ∅" for a set S that only
 //     grows as the l-path grows (interior ⊆ full, and both are unions of
@@ -42,9 +43,15 @@ import "sync"
 // r-side BFS excludes the l-path's vertex set explicitly.
 //
 // Truncated searches (0 < MaxLen < R, the Appendix D causality sacrifice)
-// delegate to the legacy bounded DFS: the length bound breaks mask
-// monotonicity, the bounded DFS is tractable by construction, and
-// delegation keeps the truncation semantics bit-identical.
+// bound the loop's vertex count 1 + |L| + |R|. Each state also records its
+// depth |L| so far, and dominance becomes the product order over (mask ⊆,
+// depth ≤): a state with a smaller interior but a longer l-path no longer
+// subsumes a shorter one. The walk argument above still holds, because
+// shortcutting a walk shrinks both the interior and the length. The FIFO
+// queue pops states in nondecreasing depth, so a new state can only evict
+// states of its own layer. The r-side BFS records each vertex's r-path
+// vertex count and stops expanding at the room the l-path leaves, so it
+// closes on the shortest feasible r-path.
 
 // searchIndex holds the per-graph canonical bitmask tables shared by the
 // exact engine and the allocation-free IsIEJKLoop validator: one bit per
@@ -167,72 +174,57 @@ func bitGet(m []uint64, i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
 // ---- the engine ----
 
-// LoopSearcher is the exact (i, e_jk)-loop engine over one share graph.
-// It decides Definition 4 existence (and produces a witness) in time
-// polynomial in the Pareto-frontier size instead of the simple-loop count,
-// which makes untruncated timestamp graphs tractable on dense topologies
-// where the legacy DFS runs for minutes. A searcher reuses its working
-// memory across queries and is NOT safe for concurrent use; create one
-// per goroutine. Results are exactly those of Graph.FindIEJKLoop (the
-// retained reference implementation), as asserted by the differential and
-// fuzz tests in loops_diff_test.go.
+// LoopSearcher is the (i, e_jk)-loop engine over one share graph, or over
+// an augmented graph Ĝ (Definition 27). It decides existence (and produces
+// a witness) in time polynomial in the Pareto-frontier size instead of the
+// simple-loop count, which makes timestamp graphs tractable on dense
+// topologies where enumerating loops runs for minutes, at every
+// LoopOptions.MaxLen. A searcher reuses its working memory across queries
+// and is NOT safe for concurrent use; create one per goroutine. The
+// differential and fuzz tests in loops_diff_test.go and loops_fuzz_test.go
+// hold it to the enumerating reference DFS at every MaxLen.
 type LoopSearcher struct {
 	es exactSearch
 }
 
-// NewLoopSearcher builds a searcher for g.
+// NewLoopSearcher builds a searcher for the (i, e_jk)-loops of g.
 func NewLoopSearcher(g *Graph) *LoopSearcher {
 	s := &LoopSearcher{}
 	s.es.init(g, nil)
 	return s
 }
 
-// Find searches for an (i, e_jk)-loop and returns a witness if one
-// exists. Truncated searches (0 < opts.MaxLen < R) delegate to the legacy
-// bounded DFS so Appendix D behavior is preserved bit-for-bit.
+// NewAugmentedLoopSearcher builds a searcher for the augmented
+// (i, e_jk)-loops of a.
+func NewAugmentedLoopSearcher(a *AugmentedGraph) *LoopSearcher {
+	s := &LoopSearcher{}
+	s.es.init(a.G, a)
+	return s
+}
+
+// Find searches for an (i, e_jk)-loop of at most opts.MaxLen vertices and
+// returns a witness if one exists.
 func (s *LoopSearcher) Find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {
 	return s.es.find(i, e, opts)
 }
 
-// Has reports whether any (i, e_jk)-loop exists.
+// Has reports whether any (i, e_jk)-loop of at most opts.MaxLen vertices
+// exists.
 func (s *LoopSearcher) Has(i ReplicaID, e Edge, opts LoopOptions) bool {
 	_, ok := s.es.find(i, e, opts)
 	return ok
 }
 
-// AugmentedLoopSearcher is the exact engine for augmented (i, e_jk)-loops
-// (Definition 27) over Ĝ. Same contract as LoopSearcher, with
-// AugmentedGraph.FindAugmentedIEJKLoop as the reference implementation.
-type AugmentedLoopSearcher struct {
-	es exactSearch
-}
-
-// NewAugmentedLoopSearcher builds a searcher for a.
-func NewAugmentedLoopSearcher(a *AugmentedGraph) *AugmentedLoopSearcher {
-	s := &AugmentedLoopSearcher{}
-	s.es.init(a.G, a)
-	return s
-}
-
-// Find searches for an augmented (i, e_jk)-loop witness.
-func (s *AugmentedLoopSearcher) Find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {
-	return s.es.find(i, e, opts)
-}
-
-// Has reports whether any augmented (i, e_jk)-loop exists.
-func (s *AugmentedLoopSearcher) Has(i ReplicaID, e Edge, opts LoopOptions) bool {
-	_, ok := s.es.find(i, e, opts)
-	return ok
-}
-
-// sstate is one Pareto state of the l-path search: the path's end vertex
-// and a parent link for witness reconstruction. Its mask lives in the
-// arena at [id*tw, (id+1)*tw). live is cleared when a later ⊆-smaller
-// mask dominates the state out of its vertex's antichain.
+// sstate is one Pareto state of the l-path search: the path's end vertex,
+// its depth (the number of l-path vertices; the seed at i has 0) and a
+// parent link for witness reconstruction. Its mask lives in the arena at
+// [id*tw, (id+1)*tw). live is cleared when a later state dominates it out
+// of its vertex's antichain.
 type sstate struct {
-	v    ReplicaID
-	prev int32
-	live bool
+	v     ReplicaID
+	prev  int32
+	depth int32
+	live  bool
 }
 
 type exactSearch struct {
@@ -243,6 +235,9 @@ type exactSearch struct {
 	rw  int // register words in a state mask
 	vw  int // vertex words in a state mask (augmented only, else 0)
 	tw  int // total state-mask words
+
+	// limit is the current query's loop vertex bound; 0 when unbounded.
+	limit int
 
 	adj     [][]ReplicaID // G adjacency, or Ĝ adjacency when augmented
 	adjLab  [][][]uint64  // edge label per (v, adj index); nil for client-only edges
@@ -261,6 +256,7 @@ type exactSearch struct {
 	rvis    []uint64 // r-side BFS visited set
 	rq      []ReplicaID
 	rparent []ReplicaID // r-side BFS parents; -1 = reached directly from j
+	rlevel  []int32     // r-side BFS r-path vertex count (first hops are 2)
 	rfull   []uint64    // full = interior ∪ X_k for the current r-side query
 	rGoal   ReplicaID   // last r-path vertex before i (valid after success)
 	rDirect bool        // r-path was the direct close j → i (t = 1)
@@ -304,6 +300,7 @@ func (es *exactSearch) init(g *Graph, aug *AugmentedGraph) {
 	es.reach = make([]uint64, es.idx.vwords)
 	es.rvis = make([]uint64, es.idx.vwords)
 	es.rparent = make([]ReplicaID, es.n)
+	es.rlevel = make([]int32, es.n)
 	es.rfull = make([]uint64, es.rw)
 }
 
@@ -321,12 +318,9 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 	if i == j || i == k || j == k || !es.g.HasEdge(e) {
 		return Loop{}, false
 	}
+	es.limit = 0
 	if opts.MaxLen > 0 && opts.MaxLen < es.n {
-		// Appendix D truncation: the legacy bounded DFS is the semantics.
-		if es.aug != nil {
-			return es.aug.FindAugmentedIEJKLoop(i, e, opts)
-		}
-		return es.g.FindIEJKLoop(i, e, opts)
+		es.limit = opts.MaxLen // Appendix D truncation
 	}
 	tl := es.idx.eb[e] // X_jk, the condition (i) label
 
@@ -336,8 +330,9 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 		return Loop{}, false
 	}
 	// Depth-0 pre-filter: if the r-side cannot close even against an
-	// empty interior — the easiest it will ever be — no l-path helps.
-	if !es.rFeasible(i, j, k, nil) {
+	// empty interior and the shortest l-path (k alone) — the easiest it
+	// will ever be — no l-path helps.
+	if !es.rFeasible(i, j, k, nil, es.rmax(1)) {
 		return Loop{}, false
 	}
 	// Union of first-hop labels out of j (r_2 = k is never allowed): once
@@ -371,12 +366,18 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 	if es.vw > 0 {
 		bitSet(es.cand[es.rw:], int(i))
 	}
-	if id, ok := es.insertState(i, es.cand, -1); ok {
+	if id, ok := es.insertState(i, es.cand, -1, 0); ok {
 		es.queue = append(es.queue, id)
 	}
 
 	for qi := 0; qi < len(es.queue); qi++ {
 		sid := es.queue[qi]
+		depth := es.states[sid].depth + 1 // every successor's depth
+		if es.rmax(depth) < 1 {
+			// No room for the successor and j. The queue is in
+			// nondecreasing depth, so no later state has room either.
+			break
+		}
 		if !es.states[sid].live {
 			continue // dominated after being queued
 		}
@@ -391,10 +392,10 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 				if !maskDiffNonEmpty(tl, es.cur[:es.rw]) {
 					continue // condition (i) fails
 				}
-				if _, ok := es.insertState(k, es.cur, sid); !ok {
-					continue // a ⊆-smaller arrival already failed the r-side
+				if _, ok := es.insertState(k, es.cur, sid, depth); !ok {
+					continue // a dominating arrival already failed the r-side
 				}
-				if es.rFeasible(i, j, k, es.cur) {
+				if es.rFeasible(i, j, k, es.cur, es.rmax(depth)) {
 					return es.buildWitness(i, j, k, sid), true
 				}
 				continue
@@ -416,7 +417,7 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 			if !fhFree && maskSubset(es.fhAll, es.cand[:es.rw]) {
 				continue // condition (ii) can never hold past w
 			}
-			if id, ok := es.insertState(w, es.cand, sid); ok {
+			if id, ok := es.insertState(w, es.cand, sid, depth); ok {
 				es.queue = append(es.queue, id)
 			}
 		}
@@ -424,26 +425,36 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 	return Loop{}, false
 }
 
-// insertState adds a state to v's antichain unless a ⊆-smaller mask is
-// already there; states the new mask dominates are evicted.
-func (es *exactSearch) insertState(v ReplicaID, m []uint64, prev int32) (int32, bool) {
+// rmax returns how many r-path vertices fit in a loop whose l-path has d
+// vertices.
+func (es *exactSearch) rmax(d int32) int32 {
+	if es.limit == 0 {
+		return int32(es.n)
+	}
+	return int32(es.limit) - 1 - d
+}
+
+// insertState adds a state to v's antichain unless a state with a
+// ⊆-smaller mask at no greater depth is already there; states the new one
+// dominates in that product order are evicted.
+func (es *exactSearch) insertState(v ReplicaID, m []uint64, prev, depth int32) (int32, bool) {
 	lst := es.anti[v]
 	for _, id := range lst {
-		if maskSubset(es.mask(id), m) {
+		if maskSubset(es.mask(id), m) && es.states[id].depth <= depth {
 			return -1, false
 		}
 	}
 	wasEmpty := len(lst) == 0
 	out := lst[:0]
 	for _, id := range lst {
-		if maskSubset(m, es.mask(id)) {
+		if maskSubset(m, es.mask(id)) && depth <= es.states[id].depth {
 			es.states[id].live = false
 			continue
 		}
 		out = append(out, id)
 	}
 	id := int32(len(es.states))
-	es.states = append(es.states, sstate{v: v, prev: prev, live: true})
+	es.states = append(es.states, sstate{v: v, prev: prev, depth: depth, live: true})
 	es.masks = append(es.masks, m...)
 	es.anti[v] = append(out, id)
 	if wasEmpty {
@@ -478,8 +489,10 @@ func (es *exactSearch) computeReach(k, j, i ReplicaID) bool {
 // r-path off the l-path interior and k (their labels are inside the
 // excluded sets); the augmented engine additionally excludes the l-path's
 // visited-vertex bits, since client-pair hops bypass the register filter.
-// On success the BFS parents (or rDirect) describe a concrete r-path.
-func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64) bool {
+// The r-path may have at most rmax vertices; the BFS stops expanding there,
+// so it finds the shortest r-path. On success the BFS parents (or rDirect)
+// describe a concrete r-path.
+func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64, rmax int32) bool {
 	var interior, excl []uint64
 	if lmask != nil {
 		interior = lmask[:es.rw]
@@ -492,11 +505,14 @@ func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64) bool {
 		maskOr(es.rfull, interior)
 	}
 	// t = 1: close j → i directly under condition (ii).
-	if es.hopOK(j, i, interior) {
+	if rmax >= 1 && condHop(es.idx, es.aug, j, i, interior) {
 		es.rDirect = true
 		return true
 	}
 	es.rDirect = false
+	if rmax < 2 {
+		return false // no room for r_2
+	}
 	maskZero(es.rvis)
 	es.rq = es.rq[:0]
 	// First hops j → r_2 under condition (ii); r_2 = k would revisit the
@@ -516,6 +532,7 @@ func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64) bool {
 		}
 		bitSet(es.rvis, int(v))
 		es.rparent[v] = -1
+		es.rlevel[v] = 2
 		es.rq = append(es.rq, v)
 	}
 	// Later hops r_q → r_{q+1} (and the close onto i) under condition (iii).
@@ -529,7 +546,7 @@ func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64) bool {
 				es.rGoal = u
 				return true
 			}
-			if w == j || w == k || bitGet(es.rvis, int(w)) {
+			if es.rlevel[u] >= rmax || w == j || w == k || bitGet(es.rvis, int(w)) {
 				continue
 			}
 			if excl != nil && bitGet(excl, int(w)) {
@@ -537,19 +554,11 @@ func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64) bool {
 			}
 			bitSet(es.rvis, int(w))
 			es.rparent[w] = u
+			es.rlevel[w] = es.rlevel[u] + 1
 			es.rq = append(es.rq, w)
 		}
 	}
 	return false
-}
-
-// hopOK evaluates one r-side hop condition: "client pair, or the edge
-// exists with label − excluded ≠ ∅". A nil excluded set is empty.
-func (es *exactSearch) hopOK(u, v ReplicaID, excluded []uint64) bool {
-	if es.aug != nil && es.aug.clientPair[Edge{u, v}] {
-		return true
-	}
-	return maskDiffNonEmpty(es.idx.eb[Edge{u, v}], excluded)
 }
 
 // buildWitness reassembles the Loop from the successful l-state chain and

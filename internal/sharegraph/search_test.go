@@ -127,18 +127,18 @@ func TestEngineFindsDegenerateShapes(t *testing.T) {
 }
 
 // TestMaxLenPreservedThroughEngine: the Appendix D truncation must behave
-// identically whether the caller reaches it through the legacy DFS or the
-// exact engine (which delegates bounded searches to the DFS): same
-// existence verdicts at every bound, and monotonically growing tracked
-// sets as the bound rises to R, where the engine takes over.
+// identically in the engine and the reference DFS: same existence verdicts
+// at every bound, and monotonically growing tracked sets as the bound
+// rises to R, where the search becomes exact.
 func TestMaxLenPreservedThroughEngine(t *testing.T) {
 	g := Ring(6)
 	e := Edge{From: 3, To: 4} // needs the full 6-vertex ring loop
 	s := NewLoopSearcher(g)
 	for maxLen := 0; maxLen <= 7; maxLen++ {
 		opts := LoopOptions{MaxLen: maxLen}
-		if got, want := s.Has(0, e, opts), g.HasIEJKLoop(0, e, opts); got != want {
-			t.Errorf("MaxLen %d: engine=%v legacy=%v", maxLen, got, want)
+		_, want := refFindLoop(g, nil, 0, e, opts)
+		if got := s.Has(0, e, opts); got != want {
+			t.Errorf("MaxLen %d: engine=%v reference=%v", maxLen, got, want)
 		}
 	}
 	if s.Has(0, e, LoopOptions{MaxLen: 4}) {
@@ -147,9 +147,9 @@ func TestMaxLenPreservedThroughEngine(t *testing.T) {
 	if !s.Has(0, e, LoopOptions{MaxLen: 6}) {
 		t.Error("ring loop not found with MaxLen=6")
 	}
-	// Whole graphs: truncated builds through BuildTSGraph (engine-routed)
-	// must equal direct legacy builds at every bound, and the tracked
-	// sets must grow monotonically in the bound.
+	// Whole graphs: truncated builds through BuildTSGraph must equal
+	// reference builds at every bound, and the tracked sets must grow
+	// monotonically in the bound.
 	for seed := int64(0); seed < 20; seed++ {
 		rg := placementFromSeed(seed, 7, 10)
 		var prevLen int
@@ -158,10 +158,10 @@ func TestMaxLenPreservedThroughEngine(t *testing.T) {
 			total := 0
 			for i := 0; i < rg.NumReplicas(); i++ {
 				engine := BuildTSGraph(rg, ReplicaID(i), opts)
-				legacy := buildTSGraphWith(rg, ReplicaID(i), opts, rg.FindIEJKLoop)
-				if !reflect.DeepEqual(engine.Edges(), legacy.Edges()) {
-					t.Fatalf("seed %d replica %d MaxLen %d: engine %v != legacy %v",
-						seed, i, maxLen, engine.Edges(), legacy.Edges())
+				ref := buildTSGraphWith(rg, ReplicaID(i), opts, refFinder(rg, nil))
+				if !reflect.DeepEqual(engine.Edges(), ref.Edges()) {
+					t.Fatalf("seed %d replica %d MaxLen %d: engine %v != reference %v",
+						seed, i, maxLen, engine.Edges(), ref.Edges())
 				}
 				total += engine.Len()
 			}
@@ -174,11 +174,12 @@ func TestMaxLenPreservedThroughEngine(t *testing.T) {
 }
 
 // TestExactDenseRandomKBuild is the acceptance check for the engine: the
-// untruncated RandomK(32, 96, 3, 7) build — unreachable for the legacy
+// untruncated RandomK(32, 96, 3, 7) build — unreachable for the reference
 // DFS (minutes+) — must complete quickly, every non-incident tracked edge
 // must carry a witness that passes IsIEJKLoop, and the exact tracked sets
 // must contain the Appendix D truncated ones (monotonicity: exact search
-// can only discover more loops than a bounded one).
+// can only discover more loops than a bounded one), whose witnesses fit
+// the bound.
 func TestExactDenseRandomKBuild(t *testing.T) {
 	g := RandomK(32, 96, 3, 7)
 	start := time.Now()
@@ -214,12 +215,16 @@ func TestExactDenseRandomKBuild(t *testing.T) {
 				t.Fatalf("replica %d: truncated tracks %v but exact does not", i, e)
 			}
 		}
+		for _, e := range tg.NonIncidentEdges() {
+			if lp, _ := tg.WitnessLoop(e); !g.IsIEJKLoop(lp) || lp.Len() > 5 {
+				t.Fatalf("replica %d edge %v: truncated witness %v invalid or longer than 5", i, e, lp)
+			}
+		}
 	}
 }
 
-// BenchmarkExactLoopSearch measures the engine head to head with the
-// legacy DFS on topologies both can handle, and alone on the dense
-// random graph only the engine can build untruncated.
+// BenchmarkExactLoopSearch measures the engine on a sparse ring, a dense
+// pair clique, and a whole timestamp graph of the dense random topology.
 func BenchmarkExactLoopSearch(b *testing.B) {
 	b.Run("ring8_e45", func(b *testing.B) {
 		g := Ring(8)
@@ -257,7 +262,7 @@ func BenchmarkExactLoopSearch(b *testing.B) {
 // call it for every returned loop).
 func BenchmarkIsIEJKLoopValidate(b *testing.B) {
 	g := Ring(8)
-	lp, ok := g.FindIEJKLoop(0, Edge{From: 4, To: 5}, LoopOptions{})
+	lp, ok := NewLoopSearcher(g).Find(0, Edge{From: 4, To: 5}, LoopOptions{})
 	if !ok {
 		b.Fatal("expected loop")
 	}

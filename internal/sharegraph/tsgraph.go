@@ -18,19 +18,18 @@ type TSGraph struct {
 }
 
 // BuildTSGraph computes G_i for replica i by (i, e_jk)-loop search over
-// every non-incident share-graph edge, using the exact dominance-pruned
-// engine (see search.go) so dense topologies build untruncated.
-// opts.MaxLen, when non-zero, truncates the search to loops of at most
-// that many vertices (the Appendix D causality-sacrificing optimization,
-// delegated to the legacy bounded DFS).
+// every non-incident share-graph edge, using the dominance-pruned engine
+// (see search.go) so dense topologies build untruncated. opts.MaxLen, when
+// non-zero, truncates the search to loops of at most that many vertices
+// (the Appendix D causality-sacrificing optimization).
 func BuildTSGraph(g *Graph, i ReplicaID, opts LoopOptions) *TSGraph {
 	return buildTSGraphWith(g, i, opts, NewLoopSearcher(g).Find)
 }
 
 // buildTSGraphWith assembles a timestamp graph from incident edges plus
 // every non-incident edge the given loop finder witnesses. The finder is
-// a parameter so the differential tests can build through the legacy DFS
-// and require byte-identical edge sets.
+// a parameter so the differential tests can build through the reference
+// DFS and require byte-identical edge sets.
 func buildTSGraphWith(g *Graph, i ReplicaID, opts LoopOptions, find func(ReplicaID, Edge, LoopOptions) (Loop, bool)) *TSGraph {
 	t := &TSGraph{
 		Owner: i,
