@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 	"log"
+	"runtime"
 	"testing"
 
 	"repro/internal/causality"
@@ -86,4 +87,47 @@ func FuzzEdgeNodeIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRejectedFramesReuseVector: a frame dropped for its sender or its
+// vector length after the metadata decoded must hand the decoded vector
+// back to the freelist, so a warmed node pays no timestamp storage per
+// hostile frame. The drop diagnostic still boxes its arguments, so the
+// bound is in bytes: well under one vector per frame.
+func TestRejectedFramesReuseVector(t *testing.T) {
+	old := log.Writer()
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(old)
+
+	p, err := NewEdgeIndexed(sharegraph.Ring(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := p.NewNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := CollectWrite(nodes[0], "ring0", 1, 0)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("write: %v %v", err, out)
+	}
+	invalid, padded := out[0], out[0]
+	invalid.From = 99
+	padded.Meta = append(append([]byte(nil), out[0].Meta...), 0)
+	padded.Meta[0]++ // one more entry than replica 0's timestamp has
+	recv := nodes[out[0].To]
+	recv.HandleMessage(out[0], DiscardSink{}) // warm: the applied vector fills the freelist
+	vecBytes := 8 * uint64(p.Space().Len(0))
+	for _, env := range []Envelope{invalid, padded} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			recv.HandleMessage(env, DiscardSink{})
+		}
+		runtime.ReadMemStats(&after)
+		if perFrame := (after.TotalAlloc - before.TotalAlloc) / 100; perFrame >= vecBytes/2 {
+			t.Errorf("frames from %d with %d meta bytes allocate %d B each; a vector is %d B",
+				env.From, len(env.Meta), perFrame, vecBytes)
+		}
+	}
 }

@@ -323,12 +323,16 @@ func (n *replica) HandleMessage(env Envelope, out Sink) []Applied {
 	}
 	// Clocks and queues are indexed by sender, and predicates read the
 	// decoded vector at fixed positions; a sender outside the replica set
-	// or a wrong-length vector must be dropped, not dereferenced.
+	// or a wrong-length vector must be dropped, not dereferenced. Either
+	// way the vector goes back to the freelist, so a flood of such frames
+	// does not cost one allocation each.
 	if int(env.From) < 0 || int(env.From) >= len(n.senders) {
+		n.vecFree = append(n.vecFree, ts)
 		n.diag.Dropf(n.id, "%s: replica %d dropping update from invalid sender %d", n.name, n.id, env.From)
 		return nil
 	}
 	if want := n.senders[env.From].Len; len(ts) != want {
+		n.vecFree = append(n.vecFree, ts)
 		n.diag.Dropf(n.id, "%s: replica %d dropping update from %d with %d-entry timestamp, want %d",
 			n.name, n.id, env.From, len(ts), want)
 		return nil

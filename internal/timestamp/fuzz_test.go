@@ -1,15 +1,19 @@
 package timestamp
 
 // FuzzDecode drives the wire-format parser with arbitrary bytes: it must
-// never panic, and whenever it accepts an input, re-encoding the parsed
-// vector must produce bytes that decode to the same vector (varints are
-// not canonical, so the bytes themselves may differ). DecodeInto with a
-// dirty reused buffer must agree with the allocating path on both the
-// verdict and the value.
+// never panic, and must give the one-Uvarint-per-element reference's
+// verdict, vector and error text. Whenever it accepts an input, re-encoding
+// the parsed vector must match the reference encoder byte for byte and
+// decode to the same vector (varints are not canonical, so the input bytes
+// themselves may differ). DecodeInto with a dirty reused buffer must agree
+// with the allocating path on both the verdict and the value.
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+
+	"repro/internal/sharegraph"
 )
 
 func FuzzDecode(f *testing.F) {
@@ -30,8 +34,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append([]byte{0x80, 0x01}, bytes.Repeat([]byte{0x01}, 128)...))     // exactly fits
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // 2^63 declared, empty payload
 	f.Add(Encode(Vec{1 << 40, 7, 9, 1<<64 - 1})[:5])                          // truncated mid-element
+	// One- and multi-byte elements interleaved, the last one multi-byte;
+	// and a non-minimal element.
+	f.Add(refEncodeTo(nil, Vec{5, 200, 0, 127, 128, 1 << 14, 3, 1 << 20, 99, 300}))
+	f.Add([]byte{0x01, 0x80, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Decode(data)
+		rv, rerr := refDecodeInto(nil, data)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("Decode err=%v but reference err=%v", err, rerr)
+		}
 		dirty := make(Vec, 3, 64)
 		dirty[0], dirty[1], dirty[2] = 99, 98, 97
 		v2, err2 := DecodeInto(dirty, data)
@@ -41,19 +53,22 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !v.Equal(v2) {
-			t.Fatalf("Decode = %v but DecodeInto = %v", v, v2)
+		if !v.Equal(v2) || !v.Equal(rv) {
+			t.Fatalf("Decode = %v, DecodeInto = %v, reference = %v", v, v2, rv)
 		}
 		re := Encode(v)
+		if want := refEncodeTo(nil, v); !bytes.Equal(re, want) {
+			t.Fatalf("Encode(%v) = %x, reference %x", v, re, want)
+		}
 		if len(re) != EncodedSize(v) {
 			t.Fatalf("EncodedSize = %d, Encode produced %d bytes", EncodedSize(v), len(re))
 		}
-		rv, err := Decode(re)
+		back, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-decode of %x failed: %v", re, err)
 		}
-		if !rv.Equal(v) {
-			t.Fatalf("round trip %v → %x → %v", v, re, rv)
+		if !back.Equal(v) {
+			t.Fatalf("round trip %v → %x → %v", v, re, back)
 		}
 		// Canonical inputs round-trip bit-for-bit.
 		if bytes.Equal(re, data) {
@@ -84,4 +99,64 @@ func TestDecodeClampsDeclaredLength(t *testing.T) {
 	if err != nil || len(v) != 128 {
 		t.Fatalf("Decode(128 ones) = %d elems, %v", len(v), err)
 	}
+}
+
+// FuzzAlignment pins the run form to the pair-form reference on graphs
+// the fuzzer carves: drop's bits remove edges from every replica's exact
+// or truncated timestamp graph (a set bit drops the edge, bits past the
+// end keep it) and then pick two more subsets of all directed share
+// edges; seed draws the vectors. Align, Keep, MergeInto, Dominates and
+// every Space operation must agree with the reference on all of them.
+func FuzzAlignment(f *testing.F) {
+	type base struct {
+		g      *sharegraph.Graph
+		graphs []*sharegraph.TSGraph
+	}
+	var bases []base
+	for _, g := range []*sharegraph.Graph{sharegraph.Fig5Example(), sharegraph.Ring(6), sharegraph.RandomK(10, 24, 3, 7)} {
+		for _, maxLen := range []int{0, 3} {
+			bases = append(bases, base{g, sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{MaxLen: maxLen})})
+		}
+	}
+	f.Add(uint8(0), []byte{}, int64(1))
+	f.Add(uint8(2), []byte{0x01, 0x80, 0xff, 0x10}, int64(2))
+	f.Add(uint8(4), bytes.Repeat([]byte{0x55}, 64), int64(3))
+	f.Add(uint8(5), bytes.Repeat([]byte{0x00, 0x00, 0x00, 0xf0}, 40), int64(4))
+	f.Fuzz(func(t *testing.T, pick uint8, drop []byte, seed int64) {
+		b := bases[int(pick)%len(bases)]
+		bit := 0
+		kept := func(edges []sharegraph.Edge) []sharegraph.Edge {
+			var out []sharegraph.Edge
+			for _, e := range edges {
+				if bit/8 >= len(drop) || drop[bit/8]>>(bit%8)&1 == 0 {
+					out = append(out, e)
+				}
+				bit++
+			}
+			return out
+		}
+		var graphs []*sharegraph.TSGraph
+		for _, tg := range b.graphs {
+			graphs = append(graphs, sharegraph.NewTSGraphFromEdges(tg.Owner, kept(tg.Edges())))
+		}
+		space, err := NewSpace(b.g, graphs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		checkSpace(t, rng, space)
+
+		var all []sharegraph.Edge
+		for i := 0; i < b.g.NumReplicas(); i++ {
+			for _, j := range b.g.Neighbors(sharegraph.ReplicaID(i)) {
+				all = append(all, sharegraph.Edge{From: sharegraph.ReplicaID(i), To: j})
+			}
+		}
+		graphs = append(graphs, sharegraph.NewTSGraphFromEdges(0, kept(all)), sharegraph.NewTSGraphFromEdges(1, kept(all)))
+		for _, gi := range graphs {
+			for _, gk := range graphs {
+				checkAlignment(t, rng, gi, gk)
+			}
+		}
+	})
 }

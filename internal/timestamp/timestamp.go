@@ -7,13 +7,17 @@
 // Timestamps of different replicas have different lengths and are indexed
 // by different edge sets; a Space precomputes, as Alignments, the pairwise
 // intersections E_i ∩ E_k that merge and J operate on, so the per-operation
-// cost is linear in the intersection size with no map lookups.
+// cost is linear in the intersection size with no map lookups. An Alignment
+// is a list of runs of edges that sit at consecutive positions in both
+// orders: on the dense graphs where every replica tracks every edge, each
+// pair is one run and merge is a plain two-slice max loop.
 package timestamp
 
 import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/sharegraph"
@@ -52,24 +56,38 @@ func (v Vec) String() string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// pairIdx aligns one edge's position in two different timestamp orders.
-type pairIdx struct {
-	a int // index in the first vector
-	b int // index in the second vector
-}
+// span is a run of n edges at positions a, a+1, … in the first order and
+// b, b+1, … in the second.
+type span struct{ a, b, n int }
 
-// Alignment lists the edges two timestamp graphs both track as aligned
-// positions, in the first graph's edge order. Vectors of different owners
-// are only ever combined through one, built when the graphs are known;
-// how it is laid out is known to its methods alone.
-type Alignment []pairIdx
+// Alignment lists the edges two timestamp graphs both track as maximal
+// runs of positions that are consecutive in both orders, in the first
+// graph's edge order. Vectors of different owners are only ever combined
+// through one, built when the graphs are known; how it is laid out is
+// known to its methods alone.
+//
+// One form covers every case: an identity pair (both replicas track the
+// same edges, as on every dense topology) is a single run, a scattered
+// intersection is runs of length 1, and anything between costs one run
+// per gap.
+type Alignment []span
+
+// add appends the pair (a, b), extending the last run when it continues
+// it.
+func (al Alignment) add(a, b int) Alignment {
+	if last := len(al) - 1; last >= 0 && al[last].a+al[last].n == a && al[last].b+al[last].n == b {
+		al[last].n++
+		return al
+	}
+	return append(al, span{a: a, b: b, n: 1})
+}
 
 // Align builds the alignment of a's and b's edge orders over E_a ∩ E_b.
 // Every TSGraph lists its edges sorted by (From, To), so this is one merge
 // pass.
 func Align(a, b *sharegraph.TSGraph) Alignment {
 	ea, eb := a.Edges(), b.Edges()
-	al := make(Alignment, 0, min(len(ea), len(eb)))
+	var al Alignment
 	for i, j := 0, 0; i < len(ea) && j < len(eb); {
 		c := cmp.Compare(ea[i].From, eb[j].From)
 		if c == 0 {
@@ -81,7 +99,7 @@ func Align(a, b *sharegraph.TSGraph) Alignment {
 		case c > 0:
 			j++
 		default:
-			al = append(al, pairIdx{a: i, b: j})
+			al = al.add(i, j)
 			i, j = i+1, j+1
 		}
 	}
@@ -92,9 +110,11 @@ func Align(a, b *sharegraph.TSGraph) Alignment {
 // built from — keep accepts.
 func (al Alignment) Keep(a *sharegraph.TSGraph, keep func(sharegraph.Edge) bool) Alignment {
 	var out Alignment
-	for _, p := range al {
-		if keep(a.Edges()[p.a]) {
-			out = append(out, p)
+	for _, r := range al {
+		for p := 0; p < r.n; p++ {
+			if keep(a.Edges()[r.a+p]) {
+				out = out.add(r.a+p, r.b+p)
+			}
 		}
 	}
 	return out
@@ -103,18 +123,29 @@ func (al Alignment) Keep(a *sharegraph.TSGraph, keep func(sharegraph.Edge) bool)
 // MergeInto raises dst, indexed by the first graph, to the element-wise
 // maximum with src, indexed by the second, over the aligned edges.
 func (al Alignment) MergeInto(dst, src Vec) {
-	for _, p := range al {
-		if src[p.b] > dst[p.a] {
-			dst[p.a] = src[p.b]
+	for _, r := range al {
+		d := dst[r.a : r.a+r.n]
+		s := src[r.b : r.b+len(d)]
+		for i := range d {
+			d[i] = max(d[i], s[i]) // branch-free: no mispredictions on scattered changes
 		}
 	}
 }
 
-// Dominates reports whether dst ≥ src on every aligned edge.
+// Dominates reports whether dst ≥ src on every aligned edge. It is kept
+// small enough that Space.Deliverable, which inlines it, is inlined in
+// turn.
 func (al Alignment) Dominates(dst, src Vec) bool {
-	for _, p := range al {
-		if dst[p.a] < src[p.b] {
+	for _, r := range al {
+		// Every run has a first edge; J's incoming edges are mostly
+		// scattered, so most runs have nothing else.
+		if dst[r.a] < src[r.b] {
 			return false
+		}
+		for p := range r.n - 1 {
+			if dst[r.a+1+p] < src[r.b+1+p] {
+				return false
+			}
 		}
 	}
 	return true
@@ -140,8 +171,8 @@ type Space struct {
 	// advanceIdx[i][x] lists the positions in τ_i that a write to x at i
 	// increments: edges e_{ij} with x ∈ X_ij.
 	advanceIdx []map[sharegraph.Register][]int
-	// inter[i][k] aligns E_i ∩ E_k as (pos in τ_i, pos in τ_k), for the
-	// pairs with a valid plan.
+	// inter[i][k] aligns E_i ∩ E_k as runs of (pos in τ_i, pos in τ_k),
+	// for the pairs with a valid plan.
 	inter [][]Alignment
 	// plans[i][k] is the predicate-J plan for i receiving from k.
 	plans [][]deliveryPlan
@@ -215,8 +246,8 @@ func NewSpace(g *sharegraph.Graph, graphs []*sharegraph.TSGraph) (*Space, error)
 
 // buildRecheck derives, for each sender k, the senders whose delivery
 // predicate at this receiver inspects the counter of e_{ki}: k itself plus
-// every m whose plan lists e_{ki}'s receiver position among its incoming
-// pairs.
+// every m whose plan covers e_{ki}'s receiver position with one of its
+// incoming runs.
 func buildRecheck(plans []deliveryPlan) [][]sharegraph.ReplicaID {
 	out := make([][]sharegraph.ReplicaID, len(plans))
 	for k := range plans {
@@ -229,8 +260,8 @@ func buildRecheck(plans []deliveryPlan) [][]sharegraph.ReplicaID {
 			if m == k || !plans[m].valid {
 				continue
 			}
-			for _, p := range plans[m].incoming {
-				if p.a == pos {
+			for _, r := range plans[m].incoming {
+				if r.a <= pos && pos < r.a+r.n {
 					lst = append(lst, sharegraph.ReplicaID(m))
 					break
 				}
@@ -341,21 +372,20 @@ func (s *Space) MergeInPlace(i sharegraph.ReplicaID, τ Vec, k sharegraph.Replic
 // register with recipients).
 func (s *Space) Deliverable(i sharegraph.ReplicaID, τ Vec, k sharegraph.ReplicaID, T Vec) bool {
 	plan := &s.plans[i][k]
-	if !plan.valid {
-		return false
-	}
-	return τ[plan.ekiRecv] == T[plan.ekiSend]-1 && plan.incoming.Dominates(τ, T)
+	return plan.valid && τ[plan.ekiRecv] == T[plan.ekiSend]-1 && plan.incoming.Dominates(τ, T)
 }
 
 // EncodedSize returns the number of bytes Encode will produce for v.
 func EncodedSize(v Vec) int {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(v)))
+	n := uvarintLen(uint64(len(v)))
 	for _, x := range v {
-		n += binary.PutUvarint(buf[:], x)
+		n += uvarintLen(x)
 	}
 	return n
 }
+
+// uvarintLen is the length of x's varint: one byte per started 7 bits.
+func uvarintLen(x uint64) int { return 1 + (bits.Len64(x|1)-1)/7 }
 
 // Encode serializes v with varint encoding (length-prefixed). The wire
 // format is what the metadata-size experiments measure.
@@ -365,14 +395,16 @@ func Encode(v Vec) []byte {
 
 // EncodeTo appends the encoding of v to dst and returns the extended
 // slice, allocating only if dst lacks capacity. Hot paths size dst with
-// EncodedSize and reuse it across calls.
+// EncodedSize and reuse it across calls. Most counters are below 128 and
+// take the one-byte path.
 func EncodeTo(dst []byte, v Vec) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(v)))
-	dst = append(dst, buf[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, x := range v {
-		n = binary.PutUvarint(buf[:], x)
-		dst = append(dst, buf[:n]...)
+		if x < 0x80 {
+			dst = append(dst, byte(x))
+		} else {
+			dst = binary.AppendUvarint(dst, x)
+		}
 	}
 	return dst
 }
@@ -420,23 +452,28 @@ func DecodeInto(dst Vec, data []byte) (Vec, error) {
 	if ln > uint64(len(data)-n) {
 		return nil, fmt.Errorf("timestamp: implausible length %d for %d payload bytes", ln, len(data)-n)
 	}
-	data = data[n:]
 	var out Vec
 	if uint64(cap(dst)) >= ln {
 		out = dst[:ln]
 	} else {
 		out = make(Vec, ln)
 	}
+	p := n
 	for i := range out {
-		x, n := binary.Uvarint(data)
-		if n <= 0 {
+		if uint(p) < uint(len(data)) && data[p] < 0x80 {
+			out[i] = uint64(data[p])
+			p++
+			continue
+		}
+		x, m := binary.Uvarint(data[p:])
+		if m <= 0 {
 			return nil, fmt.Errorf("timestamp: corrupt element %d", i)
 		}
 		out[i] = x
-		data = data[n:]
+		p += m
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("timestamp: %d trailing bytes", len(data))
+	if p != len(data) {
+		return nil, fmt.Errorf("timestamp: %d trailing bytes", len(data)-p)
 	}
 	return out, nil
 }

@@ -2,7 +2,7 @@ package timestamp
 
 import (
 	"math/rand"
-	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -332,109 +332,114 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 }
 
+// benchCase is replica 0 of a space with a sender k and a pair of
+// timestamps that predicate J admits: T is k's next update and τ already
+// dominates everything else T carries.
+type benchCase struct {
+	name string
+	s    *Space
+	k    sharegraph.ReplicaID
+	τ, T Vec
+}
+
+// wideSpace is cluster_randomk64's space: 1022 entries per replica, every
+// pair that exchanges updates one run.
+var wideSpace = sync.OnceValues(func() (*Space, error) {
+	g := sharegraph.RandomK(64, 192, 3, 7)
+	return NewSpace(g, sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{}))
+})
+
+// benchCases returns Ring(8) (16 entries) and RandomK(64,192,3,7) (1022
+// entries), with counters drawn so that about 15 % exceed 127 and take a
+// multi-byte varint.
+func benchCases(b *testing.B) []benchCase {
+	b.Helper()
+	wide, err := wideSpace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	counters := func(rng *rand.Rand, n int) Vec {
+		v := make(Vec, n)
+		for p := range v {
+			v[p] = uint64(rng.Intn(128))
+			if rng.Intn(100) < 15 {
+				v[p] += 128 + uint64(rng.Intn(1<<14))
+			}
+		}
+		return v
+	}
+	var out []benchCase
+	for _, c := range []struct {
+		name string
+		s    *Space
+	}{{"ring8", newSpace(b, sharegraph.Ring(8))}, {"randomk64", wide}} {
+		rng := rand.New(rand.NewSource(1))
+		k := sharegraph.ReplicaID(1)
+		for ; k < sharegraph.ReplicaID(c.s.NumReplicas()); k++ {
+			if _, ok := c.s.GatePos(0, k); ok {
+				break
+			}
+		}
+		τ, T := counters(rng, c.s.Len(0)), counters(rng, c.s.Len(k))
+		c.s.MergeInPlace(0, τ, k, T)
+		seq, _ := c.s.SeqPos(0, k)
+		gate, _ := c.s.GatePos(0, k)
+		T[seq] = τ[gate] + 1
+		if !c.s.Deliverable(0, τ, k, T) {
+			b.Fatalf("%s: the benchmark update is not deliverable", c.name)
+		}
+		out = append(out, benchCase{name: c.name, s: c.s, k: k, τ: τ, T: T})
+	}
+	return out
+}
+
 func BenchmarkMerge(b *testing.B) {
-	g := sharegraph.Ring(8)
-	s := newSpace(b, g)
-	τ := s.Zero(0)
-	T := s.Advance(1, s.Zero(1), "ring0")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		s.MergeInPlace(0, τ, 1, T)
+	for _, c := range benchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			τ := c.τ.Clone()
+			b.ReportAllocs()
+			for b.Loop() {
+				c.s.MergeInPlace(0, τ, c.k, c.T)
+			}
+		})
 	}
 }
 
 func BenchmarkDeliverable(b *testing.B) {
-	g := sharegraph.Ring(8)
-	s := newSpace(b, g)
-	τ := s.Zero(0)
-	T := s.Advance(1, s.Zero(1), "ring0")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		s.Deliverable(0, τ, 1, T)
+	for _, c := range benchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.s.Deliverable(0, c.τ, c.k, c.T)
+			}
+		})
 	}
 }
 
 func BenchmarkEncode(b *testing.B) {
-	g := sharegraph.Ring(10)
-	s := newSpace(b, g)
-	τ := s.Advance(0, s.Zero(0), "ring0")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		Encode(τ)
+	for _, c := range benchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, EncodedSize(c.τ))
+			b.ReportAllocs()
+			b.SetBytes(int64(cap(buf)))
+			for b.Loop() {
+				buf = EncodeTo(buf[:0], c.τ)
+			}
+		})
 	}
 }
 
-// TestAlignmentEqualsIntersection pins Alignment — the one place that
-// knows how two edge orders line up — to TSGraph.Intersection pair for
-// pair, on truncated (MaxLen) graphs where the replicas track different
-// edge sets and the alignment is not the identity; and its filtered,
-// merge and dominance forms to the definition read off the pairs.
-func TestAlignmentEqualsIntersection(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	nonIdentity := 0
-	for _, g := range []*sharegraph.Graph{sharegraph.Ring(8), sharegraph.RandomK(10, 24, 3, 7), sharegraph.Fig5Example()} {
-		graphs := sharegraph.BuildAllTSGraphs(g, sharegraph.LoopOptions{MaxLen: 4})
-		space, err := NewSpace(g, graphs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A client universe, as clientserver builds them: a union of edge
-		// sets handed over in no particular order.
-		union := append(append([]sharegraph.Edge(nil), graphs[2].Edges()...), graphs[0].Edges()...)
-		graphs = append(graphs, sharegraph.NewTSGraphFromEdges(0, union))
-		for _, gi := range graphs {
-			for _, gk := range graphs {
-				want := gi.Intersection(gk)
-				al := Align(gi, gk)
-				if len(al) != len(want) {
-					t.Fatalf("Align(%d, %d) has %d pairs, Intersection %d", gi.Owner, gk.Owner, len(al), len(want))
-				}
-				dst, src := make(Vec, gi.Len()), make(Vec, gk.Len())
-				for p := range dst {
-					dst[p] = uint64(rng.Intn(4))
-				}
-				for p := range src {
-					src[p] = uint64(rng.Intn(4))
-				}
-				merged, dominates := dst.Clone(), true
-				var into Alignment // the pairs of edges into i, as J1/J2 and J filter them
-				for p, pr := range want {
-					if al[p].a != pr[0] || al[p].b != pr[1] {
-						t.Fatalf("Align(%d, %d)[%d] = %+v, Intersection %v", gi.Owner, gk.Owner, p, al[p], pr)
-					}
-					if pr[0] != pr[1] {
-						nonIdentity++
-					}
-					merged[pr[0]] = max(merged[pr[0]], src[pr[1]])
-					dominates = dominates && dst[pr[0]] >= src[pr[1]]
-					if gi.Edges()[pr[0]].To == gi.Owner {
-						into = append(into, al[p])
-					}
-				}
-				if got := al.Keep(gi, func(e sharegraph.Edge) bool { return e.To == gi.Owner }); !slices.Equal(got, into) {
-					t.Fatalf("Align(%d, %d) kept to edges into %d = %v, want %v", gi.Owner, gk.Owner, gi.Owner, got, into)
-				}
-				if got := al.Dominates(dst, src); got != dominates {
-					t.Fatalf("Align(%d, %d).Dominates = %v, want %v", gi.Owner, gk.Owner, got, dominates)
-				}
-				// A Space precomputes the alignment only for pairs that exchange
-				// updates; Merge must be the same function of any pair.
-				if i, k := int(gi.Owner), int(gk.Owner); i != k && gi == graphs[i] && gk == graphs[k] {
-					if got := space.Merge(gi.Owner, dst, gk.Owner, src); !got.Equal(merged) {
-						t.Fatalf("Space.Merge(%d ← %d) = %v, want %v", i, k, got, merged)
-					}
-				}
-				al.MergeInto(dst, src)
-				if !dst.Equal(merged) {
-					t.Fatalf("Align(%d, %d).MergeInto = %v, want %v", gi.Owner, gk.Owner, dst, merged)
+func BenchmarkDecode(b *testing.B) {
+	for _, c := range benchCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			data, dst := Encode(c.τ), make(Vec, len(c.τ))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				if _, err := DecodeInto(dst, data); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-	}
-	if nonIdentity == 0 {
-		t.Error("every alignment was the identity: the truncated graphs did not differ")
+		})
 	}
 }
