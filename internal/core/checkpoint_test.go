@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/sharegraph"
+	"repro/internal/timestamp"
 )
 
 // TestNodeCheckpointRoundtrip pins state transfer at the node level:
@@ -111,6 +112,84 @@ func TestNodeCheckpointRoundtrip(t *testing.T) {
 	// Shape mismatches are rejected, not corrupted.
 	if _, err := clone.Install(&NodeCheckpoint{Replica: 0}); err == nil {
 		t.Error("installing another replica's checkpoint should fail")
+	}
+}
+
+// TestCheckpointBufferedForms round-trips a replica holding every form a
+// buffered update takes: a head decoded into its sender's slot (no bytes
+// kept), an out-of-order update (bytes kept), dead-parked duplicates of
+// both and a stale replay. The checkpoint's pending metadata must decode
+// to the vectors that were sent, and the restored node must then apply
+// exactly what the uninterrupted one applies, after which both still
+// export what was sent for the dead-parked updates. The reference drain,
+// which keeps bytes only, runs the same script.
+func TestCheckpointBufferedForms(t *testing.T) {
+	p := newProto(t, sharegraph.FullReplication(3, 1))
+	// pool[k] is value k+1 to replica 1, and depends on every update
+	// before it. Replica 0 sends pool[0], [1], [3], [4] as its sequence
+	// numbers 1–4, replica 2 sends pool[2], [5] as 1 and 2.
+	pool := chainPool(t, p, 6)
+	sent := make(map[causality.UpdateID]timestamp.Vec)
+	for _, env := range pool {
+		ts, err := timestamp.Decode(env.Meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent[env.OracleID] = ts
+	}
+	snapshot := func(what string, n *replica, pending int) *NodeCheckpoint {
+		t.Helper()
+		ck := n.Snapshot()
+		if len(ck.Pending) != pending {
+			t.Fatalf("%s: %d buffered updates, want %d", what, len(ck.Pending), pending)
+		}
+		for _, env := range ck.Pending {
+			ts, err := timestamp.Decode(env.Meta)
+			if err != nil || !ts.Equal(sent[env.OracleID]) {
+				t.Fatalf("%s: checkpointed update %d decodes to %v, %v; sent %v", what, env.OracleID, ts, err, sent[env.OracleID])
+			}
+		}
+		return ck
+	}
+	for _, proto := range []*Prototype{&p.Prototype, p.Rescan()} {
+		orig := proto.NewNode(1, nil).(*replica)
+		for _, env := range []Envelope{
+			pool[0], // applied
+			pool[0], // stale replay: parks dead
+			pool[2], // sender 2's next, waiting on pool[1]: the decoded head
+			pool[2], // duplicate of the head: parks dead
+			pool[4], // out of order: buffered as bytes
+			pool[4], // duplicate of an out-of-order update: parks dead
+		} {
+			orig.HandleMessage(env, DiscardSink{})
+		}
+		if !orig.naive {
+			if u, ok := orig.q.Peek(2, 1); !ok || u.meta != nil || orig.head[2].seq != 1 {
+				t.Fatalf("sender 2's update is not held decoded in its head slot: %+v, slot seq %d", u, orig.head[2].seq)
+			}
+		}
+		ck := snapshot(proto.Name(), orig, 5)
+		clone := proto.NewNode(1, nil).(*replica)
+		if applied, err := clone.Install(ck); err != nil || len(applied) != 0 {
+			t.Fatalf("%s: install applied %v, %v", proto.Name(), applied, err)
+		}
+		if clone.PendingCount() != 5 || clone.LivePending() != orig.LivePending() {
+			t.Fatalf("%s: installed pending %d, live %d; want 5 and %d", proto.Name(),
+				clone.PendingCount(), clone.LivePending(), orig.LivePending())
+		}
+		for _, env := range []Envelope{pool[1], pool[3], pool[5]} {
+			want, _ := CollectMessage(orig, env)
+			got, _ := CollectMessage(clone, env)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: delivering update %d applies %v after restore, %v without", proto.Name(), env.OracleID, got, want)
+			}
+		}
+		if orig.LivePending() != 0 || clone.LivePending() != 0 || !clone.τ.Equal(orig.τ) {
+			t.Fatalf("%s: end states differ: live %d vs %d, τ %v vs %v", proto.Name(),
+				clone.LivePending(), orig.LivePending(), clone.τ, orig.τ)
+		}
+		snapshot(proto.Name()+" at the end", orig, 3)
+		snapshot(proto.Name()+" restored, at the end", clone, 3)
 	}
 }
 

@@ -219,6 +219,38 @@ func BenchmarkHandleMessage(b *testing.B) {
 	}
 }
 
+// BenchmarkHandleMessageReordered delivers a window of updates from one
+// sender of a wide graph (RandomK(32,96,3,7), |E_0| = 434) in reverse
+// order to a fresh node, as a node of a new instance meets a backlog:
+// every update but the last to arrive waits. B/op is the window's cost,
+// node construction included.
+func BenchmarkHandleMessageReordered(b *testing.B) {
+	g := sharegraph.RandomK(32, 96, 3, 7)
+	p := newProto(b, g)
+	nodes := newNodes(b, p)
+	x := g.Stores(0).Sorted()[0]
+	const window = 32
+	envs := make([]Envelope, window)
+	for i := range envs {
+		out, err := CollectWrite(nodes[0], x, Value(i), causality.UpdateID(i))
+		if err != nil || len(out) == 0 {
+			b.Fatalf("write to %s: %v %v", x, err, out)
+		}
+		envs[window-1-i] = out[0]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		recv := p.NewNode(envs[0].To, nil)
+		for _, env := range envs {
+			recv.HandleMessage(env, DiscardSink{})
+		}
+		if recv.PendingCount() != 0 {
+			b.Fatal("window did not drain")
+		}
+	}
+}
+
 // TestRedeliveredUpdateParksForever exercises the engine's dead buffer:
 // a replayed update whose sequence number is already behind the gate can
 // never satisfy predicate J's strict equality, so it must stay buffered

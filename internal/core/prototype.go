@@ -227,17 +227,37 @@ type Layered interface {
 	RaiseTau(al timestamp.Alignment, T timestamp.Vec)
 }
 
-// pendingUpdate is one buffered update(k, T, x, v) message.
+// pendingUpdate is one buffered update(k, T, x, v) message. T stays in
+// wire form: meta is a node-owned copy of the envelope's Meta, or nil
+// while T sits decoded in the head slot of from (only the indexed drain
+// does that, and only for from's next sequence number).
 type pendingUpdate struct {
 	from     sharegraph.ReplicaID
-	ts       timestamp.Vec
+	seq      uint64 // T's sequence number for this replica; 0 if untracked
+	meta     []byte
 	reg      sharegraph.Register
 	val      Value
 	metaOnly bool
 	oracleID causality.UpdateID
 }
 
-// replica is one node of the prototype.
+// headSlot holds the decoded timestamp of one sender's buffered update
+// with sequence number seq. The slot is current only while seq is the
+// sender's next number; the gate never moves back, so once the update is
+// applied the slot goes stale by itself. A fresh slot has seq 0, which no
+// sender uses.
+type headSlot struct {
+	seq uint64
+	ts  timestamp.Vec
+}
+
+// replica is one node of the prototype. J admits only a sender's next
+// sequence number, so the indexed drain needs at most one decoded
+// buffered timestamp per sender: head[k] holds the vector of k's update
+// at τ[GatePos]+1, decoded into the slot at most once, and every other
+// buffered update costs its wire bytes instead of a vector. Each arrival
+// is first decoded into scratch, which validates it and yields its
+// sequence number.
 type replica struct {
 	id      sharegraph.ReplicaID
 	name    string
@@ -249,17 +269,19 @@ type replica struct {
 	store   map[sharegraph.Register]Value
 
 	// The pending_i set: a flat buffer under the reference drain, else
-	// per-sender queues keyed by sequence number.
+	// per-sender queues keyed by sequence number plus the head slots.
 	naive   bool
 	pending []pendingUpdate
 	q       ingest.SenderQueues[pendingUpdate]
+	head    []headSlot
 
 	// Reusable scratch, valid until the next call on this node.
-	applied []Applied
-	vecFree []timestamp.Vec
-	work    []sharegraph.ReplicaID
-	inWork  []bool
-	metaBuf []byte
+	applied  []Applied
+	scratch  timestamp.Vec // every arrival is decoded here first
+	metaFree [][]byte      // buffered metadata copies, recycled on apply
+	work     []sharegraph.ReplicaID
+	inWork   []bool
+	metaBuf  []byte
 }
 
 var (
@@ -314,56 +336,107 @@ func (n *replica) send(h *Hop, v Value, id causality.UpdateID, out Sink) {
 // The returned Applied slice is owned by the node and valid until the
 // next call on it.
 func (n *replica) HandleMessage(env Envelope, out Sink) []Applied {
-	ts, err := timestamp.DecodeReuse(&n.vecFree, env.Meta)
+	ts, err := timestamp.DecodeInto(n.scratch, env.Meta)
 	if err != nil {
 		// A corrupt message indicates a harness bug, not a protocol state;
 		// surface (rate-limited) but do not crash the run.
 		n.diag.Dropf(n.id, "%s: replica %d dropping corrupt metadata from %d: %v", n.name, n.id, env.From, err)
 		return nil
 	}
+	n.scratch = ts
 	// Clocks and queues are indexed by sender, and predicates read the
 	// decoded vector at fixed positions; a sender outside the replica set
-	// or a wrong-length vector must be dropped, not dereferenced. Either
-	// way the vector goes back to the freelist, so a flood of such frames
-	// does not cost one allocation each.
+	// or a wrong-length vector must be dropped, not dereferenced. The
+	// vector is node scratch, so a flood of such frames allocates none.
 	if int(env.From) < 0 || int(env.From) >= len(n.senders) {
-		n.vecFree = append(n.vecFree, ts)
 		n.diag.Dropf(n.id, "%s: replica %d dropping update from invalid sender %d", n.name, n.id, env.From)
 		return nil
 	}
-	if want := n.senders[env.From].Len; len(ts) != want {
-		n.vecFree = append(n.vecFree, ts)
+	k := &n.senders[env.From]
+	if len(ts) != k.Len {
 		n.diag.Dropf(n.id, "%s: replica %d dropping update from %d with %d-entry timestamp, want %d",
-			n.name, n.id, env.From, len(ts), want)
+			n.name, n.id, env.From, len(ts), k.Len)
 		return nil
 	}
 	u := pendingUpdate{
-		from: env.From, ts: ts, reg: env.Reg, val: env.Val,
+		from: env.From, reg: env.Reg, val: env.Val,
 		metaOnly: env.MetaOnly, oracleID: env.OracleID,
+	}
+	if k.Tracked {
+		u.seq = ts[k.SeqPos]
 	}
 	n.applied = n.applied[:0]
 	if n.naive {
+		u.meta = n.keep(env.Meta)
 		n.pending = append(n.pending, u)
 		n.drainRescan(out)
-	} else if n.file(&u) {
+	} else if n.file(&u, env.Meta) {
 		n.drainFrom(u.from, out)
 	}
 	return n.applied
 }
 
-// file buffers u under its sequence number and reports whether that
-// number is exactly one past the gate, i.e. whether anything can have
-// become deliverable. Most out-of-order arrivals take the O(1) false
-// exit. Updates J can never admit park dead (see ingest.SenderQueues), so
-// pending accounting matches the reference drain, which keeps rescanning
-// them in vain.
-func (n *replica) file(u *pendingUpdate) bool {
+// file buffers u, whose timestamp is decoded in n.scratch and encoded in
+// meta, under its sequence number, and reports whether that number is
+// exactly one past the gate, i.e. whether anything can have become
+// deliverable. Such an update takes its sender's head slot: scratch is
+// swapped in, not copied. Any other update keeps a copy of meta, and most
+// take the O(1) false exit. Updates J can never admit park dead (see
+// ingest.SenderQueues), so pending accounting matches the reference
+// drain, which keeps rescanning them in vain.
+//
+// The slots are made on first use, because the sharded runtime builds
+// thousands of nodes up front. Only the swap returns true, so they exist
+// whenever a drain runs.
+func (n *replica) file(u *pendingUpdate, meta []byte) bool {
 	k := &n.senders[u.from]
 	if !k.Tracked {
+		u.meta = n.keep(meta)
 		n.q.Park(*u)
 		return false
 	}
-	return n.q.Offer(int(u.from), u.ts[k.SeqPos], n.τ[k.GatePos], *u)
+	gate := n.τ[k.GatePos]
+	if u.seq == gate+1 {
+		if _, dup := n.q.Peek(int(u.from), u.seq); !dup {
+			if n.head == nil {
+				n.head = make([]headSlot, len(n.senders))
+			}
+			h := &n.head[u.from]
+			h.seq, h.ts, n.scratch = u.seq, n.scratch, h.ts
+			return n.q.Offer(int(u.from), u.seq, gate, *u)
+		}
+	}
+	u.meta = n.keep(meta)
+	return n.q.Offer(int(u.from), u.seq, gate, *u)
+}
+
+// keep returns a node-owned copy of meta in storage apply recycles.
+func (n *replica) keep(meta []byte) []byte {
+	var b []byte
+	if last := len(n.metaFree) - 1; last >= 0 {
+		b, n.metaFree = n.metaFree[last], n.metaFree[:last]
+	}
+	return append(b[:0], meta...)
+}
+
+// decodeKept parses metadata that was validated when it arrived.
+func decodeKept(dst timestamp.Vec, meta []byte) timestamp.Vec {
+	v, err := timestamp.DecodeInto(dst, meta)
+	if err != nil {
+		panic("core: buffered metadata no longer decodes: " + err.Error())
+	}
+	return v
+}
+
+// headOf returns the timestamp of u, its sender's update at τ[GatePos]+1,
+// decoding u's metadata into the sender's head slot unless the slot holds
+// it already.
+func (n *replica) headOf(u *pendingUpdate) timestamp.Vec {
+	h := &n.head[u.from]
+	if h.seq != u.seq {
+		h.seq, h.ts = u.seq, decodeKept(h.ts, u.meta)
+	}
+	return h.ts
 }
 
 // drainFrom is the indexed drain. Like the reference drain it applies,
@@ -388,9 +461,9 @@ func (n *replica) drainFrom(k sharegraph.ReplicaID, out Sink) {
 		}
 		j := work[at]
 		seq := n.τ[n.senders[j].GatePos] + 1
-		if u, ok := n.q.Peek(int(j), seq); ok && n.clock.Deliverable(n.τ, j, u.ts) {
+		if u, ok := n.q.Peek(int(j), seq); ok && n.clock.Deliverable(n.τ, j, n.headOf(&u)) {
 			n.q.Remove(int(j), seq)
-			n.apply(&u, out)
+			n.apply(&u, n.head[j].ts, out) // the gate passes seq: the slot is stale
 			for _, m := range n.clock.Recheck(j) {
 				if !n.inWork[m] && n.q.QueueLen(int(m)) > 0 {
 					work = append(work, m)
@@ -410,13 +483,18 @@ func (n *replica) drainFrom(k sharegraph.ReplicaID, out Sink) {
 }
 
 // drainRescan is the reference drain: rescan the whole buffer for the
-// lowest-numbered sender's deliverable update, apply it, and repeat.
+// lowest-numbered sender's deliverable update, apply it, and repeat. It
+// keeps no head slots and decodes into scratch at every check.
 func (n *replica) drainRescan(out Sink) {
 	for {
 		next := -1
 		for idx := range n.pending {
 			u := &n.pending[idx]
-			if (next < 0 || u.from < n.pending[next].from) && n.clock.Deliverable(n.τ, u.from, u.ts) {
+			if next >= 0 && u.from >= n.pending[next].from {
+				continue
+			}
+			n.scratch = decodeKept(n.scratch, u.meta)
+			if n.clock.Deliverable(n.τ, u.from, n.scratch) {
 				next = idx
 			}
 		}
@@ -425,16 +503,19 @@ func (n *replica) drainRescan(out Sink) {
 		}
 		u := n.pending[next]
 		n.pending = append(n.pending[:next], n.pending[next+1:]...)
-		n.apply(&u, out)
+		n.scratch = decodeKept(n.scratch, u.meta)
+		n.apply(&u, n.scratch, out)
 	}
 }
 
-// apply is step 4 for one deliverable update, already unbuffered: merge
-// its timestamp and, unless it is metadata-only, materialise it and send
-// what the router forwards.
-func (n *replica) apply(u *pendingUpdate, out Sink) {
-	n.clock.Merge(n.τ, u.from, u.ts)
-	n.vecFree = append(n.vecFree, u.ts)
+// apply is step 4 for one deliverable update, already unbuffered, whose
+// decoded timestamp is ts: merge it and, unless the update is
+// metadata-only, materialise it and send what the router forwards.
+func (n *replica) apply(u *pendingUpdate, ts timestamp.Vec, out Sink) {
+	n.clock.Merge(n.τ, u.from, ts)
+	if u.meta != nil {
+		n.metaFree = append(n.metaFree, u.meta)
+	}
 	if u.metaOnly {
 		return
 	}
@@ -498,7 +579,7 @@ func (n *replica) LivePending() int {
 	}
 	live := 0
 	for _, u := range n.pending {
-		if k := &n.senders[u.from]; k.Tracked && u.ts[k.SeqPos] > n.τ[k.GatePos] {
+		if k := &n.senders[u.from]; k.Tracked && u.seq > n.τ[k.GatePos] {
 			live++
 		}
 	}
@@ -519,6 +600,7 @@ func (n *replica) resetPending() {
 	if !n.naive {
 		n.q = ingest.NewSenderQueues[pendingUpdate](len(n.senders))
 		n.inWork = make([]bool, len(n.senders))
+		n.head = nil
 	}
 }
 
@@ -533,9 +615,13 @@ func (n *replica) Snapshot() *NodeCheckpoint {
 		ck.Store[x] = v
 	}
 	n.eachPending(func(u pendingUpdate) {
+		meta := append([]byte(nil), u.meta...)
+		if u.meta == nil { // held decoded in its sender's head slot
+			meta = timestamp.Encode(n.head[u.from].ts)
+		}
 		ck.Pending = append(ck.Pending, Envelope{
 			From: u.from, To: n.id, Reg: u.reg, Val: u.val,
-			Meta: timestamp.Encode(u.ts), OracleID: u.oracleID, MetaOnly: u.metaOnly,
+			Meta: meta, OracleID: u.oracleID, MetaOnly: u.metaOnly,
 		})
 	})
 	return ck
@@ -569,10 +655,11 @@ func (n *replica) Install(ck *NodeCheckpoint) ([]Applied, error) {
 	n.resetPending()
 	var out []Applied
 	for _, env := range ck.Pending {
-		// HandleMessage decodes Meta into a fresh vector, so the
-		// checkpoint's buffers stay untouched and reusable. The pendings
-		// were undeliverable at snapshot time and the restored τ is
-		// identical, so nothing is re-emitted into the discard sink.
+		// HandleMessage decodes Meta into node scratch and copies what it
+		// buffers, so the checkpoint's buffers stay untouched and
+		// reusable. The pendings were undeliverable at snapshot time and
+		// the restored τ is identical, so nothing is re-emitted into the
+		// discard sink.
 		out = append(out, n.HandleMessage(env, DiscardSink{})...)
 	}
 	return out, nil

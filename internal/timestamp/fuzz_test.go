@@ -38,6 +38,14 @@ func FuzzDecode(f *testing.F) {
 	// and a non-minimal element.
 	f.Add(refEncodeTo(nil, Vec{5, 200, 0, 127, 128, 1 << 14, 3, 1 << 20, 99, 300}))
 	f.Add([]byte{0x01, 0x80, 0x00})
+	// The two-byte path's edges: a two-byte last element, a continuation
+	// byte as the final byte, non-minimal 0x80 0x00 mid-vector, the largest
+	// two-byte value, and a three-byte element between two-byte ones.
+	f.Add(refEncodeTo(nil, Vec{1, 200}))
+	f.Add([]byte{0x02, 0x01, 0x80})
+	f.Add([]byte{0x03, 0x05, 0x80, 0x00, 0x07})
+	f.Add([]byte{0x01, 0xff, 0x7f})
+	f.Add(refEncodeTo(nil, Vec{300, 1 << 14, 16383}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Decode(data)
 		rv, rerr := refDecodeInto(nil, data)

@@ -414,32 +414,13 @@ func Decode(data []byte) (Vec, error) {
 	return DecodeInto(nil, data)
 }
 
-// DecodeReuse parses a vector produced by Encode into storage recycled
-// from free when available; on error the popped buffer is returned to the
-// freelist. Delivery engines feed vectors freed by applies back through
-// this so steady-state ingestion does not allocate.
-func DecodeReuse(free *[]Vec, data []byte) (Vec, error) {
-	var buf Vec
-	if ln := len(*free); ln > 0 {
-		buf = (*free)[ln-1]
-		*free = (*free)[:ln-1]
-	}
-	v, err := DecodeInto(buf, data)
-	if err != nil {
-		if buf != nil {
-			*free = append(*free, buf)
-		}
-		return nil, err
-	}
-	return v, nil
-}
-
 // DecodeInto parses a vector produced by Encode into dst's storage,
 // growing it only when the capacity is insufficient, and returns the
 // parsed vector. On error dst's contents are unspecified but its storage
-// is still usable for a later call. The delivery engines recycle decoded
-// vectors through DecodeInto so steady-state message ingestion does not
-// allocate.
+// is still usable for a later call. The delivery engines decode into
+// node-owned vectors through DecodeInto so steady-state message ingestion
+// does not allocate. Most counters take one byte and nearly all the rest
+// two, so both have a path of their own.
 func DecodeInto(dst Vec, data []byte) (Vec, error) {
 	ln, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -463,6 +444,11 @@ func DecodeInto(dst Vec, data []byte) (Vec, error) {
 		if uint(p) < uint(len(data)) && data[p] < 0x80 {
 			out[i] = uint64(data[p])
 			p++
+			continue
+		}
+		if uint(p+1) < uint(len(data)) && data[p+1] < 0x80 {
+			out[i] = uint64(data[p]&0x7f) | uint64(data[p+1])<<7
+			p += 2
 			continue
 		}
 		x, m := binary.Uvarint(data[p:])

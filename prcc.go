@@ -243,11 +243,12 @@
 // BenchmarkWriteFanout).
 //
 // Underneath, the remaining per-operation layers are allocation-free the
-// same way: timestamps advance and merge in place, decoded metadata
-// vectors are recycled through a freelist, the in-flight message pool
-// removes by head index with amortized compaction (O(1) for the oldest
-// or newest pick) while preserving message order bit-for-bit, and the
-// simulator indexes its bookkeeping by the dense causality.UpdateID
+// same way: timestamps advance and merge in place, arriving metadata is
+// decoded into node scratch, buffered updates keep recycled copies of
+// their wire bytes (one decoded vector per sender), the in-flight message
+// pool removes by head index with amortized compaction (O(1) for the
+// oldest or newest pick) while preserving message order bit-for-bit, and
+// the simulator indexes its bookkeeping by the dense causality.UpdateID
 // instead of maps.
 //
 // The consistency oracle fixes each update's causal past at issue time
