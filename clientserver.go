@@ -73,7 +73,7 @@ func (c *ClientServerSystem) LiveWith(opts ClusterOptions) *LiveClientServer {
 		MaxDelay:      opts.MaxDelay,
 		Seed:          opts.Seed,
 	}
-	if opts.Metrics || opts.LoadAware {
+	if opts.Metrics {
 		n := len(c.sys.ReplicaGraphs)
 		ro.Obs = obs.New(n, n)
 	}

@@ -9,11 +9,11 @@
 //
 // With -chaos the workload instead runs on the live worker-pool cluster
 // under the fault-injection layer — seeded message loss and duplication,
-// an optional partition with scheduled heal, an optional mid-run
-// crash/restart with state transfer, and an optional heartbeat failure
-// detector — and the oracle audits the healed, quiesced result:
+// an optional partition with scheduled heal, and an optional mid-run
+// crash/restart with state transfer — and the oracle audits the healed,
+// quiesced result:
 //
-//	prcc-sim -chaos -topology ring -n 8 -loss 0.02 -dup 0.01 -partition 0:4 -heal 2ms -crash 5 -heartbeat 500us
+//	prcc-sim -chaos -topology ring -n 8 -loss 0.02 -dup 0.01 -partition 0:4 -heal 2ms -crash 5
 //
 // Adding -reconfigure searches for an optimized placement up front and
 // live-switches the cluster onto it at the 2/3 mark of the workload
@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/optimize"
 	rt "repro/internal/runtime"
@@ -75,7 +74,6 @@ func run(args []string) error {
 	partition := fs.String("partition", "", "chaos: cut a replica pair mid-run, e.g. 0:4")
 	healAfter := fs.Duration("heal", 0, "chaos: heal the partition after this delay (0 = heal at end of run)")
 	crash := fs.Int("crash", -1, "chaos: crash this replica mid-run and restart it by state transfer (-1 = none)")
-	heartbeat := fs.Duration("heartbeat", 0, "chaos: run the failure detector with this probe interval (0 = off)")
 	reconf := fs.Bool("reconfigure", false, "chaos: search an optimized placement and live-switch the cluster onto it mid-run")
 	statusAddr := fs.String("status", "", "serve /statusz and /metricsz on this address during a live run (requires -chaos or -spaces)")
 	spaces := fs.Int("spaces", 0, "run the sharded multi-space runtime with this many independent spaces (0 = off)")
@@ -109,7 +107,7 @@ func run(args []string) error {
 		// flags count.
 		chaosOnly := map[string]bool{
 			"loss": true, "dup": true, "partition": true,
-			"heal": true, "crash": true, "heartbeat": true,
+			"heal": true, "crash": true,
 			"reconfigure": true,
 		}
 		var set []string
@@ -210,9 +208,6 @@ func run(args []string) error {
 			}
 			cfg.Crash = true
 			cfg.CrashReplica = sharegraph.ReplicaID(*crash)
-		}
-		if *heartbeat > 0 {
-			cfg.Heartbeat = &membership.Options{Interval: *heartbeat}
 		}
 		if *reconf {
 			// The search only depends on the share graph, so it can run
@@ -326,8 +321,7 @@ func runSharded(g *sharegraph.Graph, p core.Protocol, topology string, spaces, s
 }
 
 // runChaos executes the three-phase chaos orchestration and reports the
-// fault layer's counters, the detector's transitions, and the oracle's
-// post-heal verdict.
+// fault layer's counters and the oracle's post-heal verdict.
 func runChaos(g *sharegraph.Graph, topology string, cfg sim.ChaosConfig, statusAddr string) error {
 	var srv *obs.StatusServer
 	if statusAddr != "" {
@@ -378,9 +372,6 @@ func runChaos(g *sharegraph.Graph, topology string, cfg sim.ChaosConfig, statusA
 		// Injected duplicates park dead in the ingest queues and stay
 		// counted; the oracle's liveness audit below is the judge.
 		fmt.Printf("buffered at quiescence: %d (dead-parked duplicates are expected here)\n", res.PendingTotal)
-	}
-	for _, e := range res.Events {
-		fmt.Println("  detector:", e)
 	}
 
 	if len(res.Violations) == 0 {

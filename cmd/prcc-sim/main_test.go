@@ -53,7 +53,6 @@ func TestRunErrors(t *testing.T) {
 		{"loss without chaos", []string{"-loss", "0.5"}},
 		{"dup without chaos", []string{"-dup", "0.5"}},
 		{"crash without chaos", []string{"-crash", "1"}},
-		{"heartbeat without chaos", []string{"-heartbeat", "1ms"}},
 		{"heal without chaos", []string{"-heal", "1ms"}},
 		{"reconfigure without chaos", []string{"-reconfigure"}},
 		{"heal without partition", []string{"-chaos", "-heal", "1ms"}},

@@ -64,6 +64,7 @@ func Flatten(s Snapshot) map[string]int64 {
 		out[p+"applied"] = r.Applied
 		out[p+"stalls"] = r.Stalls
 		out[p+"rechecks"] = r.Rechecks
+		out[p+"ingest_drops"] = r.IngestDrops
 		out[p+"parked"] = r.Parked
 		out[p+"inbox_depth"] = r.InboxDepth
 		out[p+"inbox_peak"] = r.InboxPeak
@@ -92,10 +93,6 @@ func Flatten(s Snapshot) map[string]int64 {
 		}
 		if e.Retransmitted != 0 {
 			out[p+"retransmitted"] = e.Retransmitted
-		}
-		if e.Probes != 0 {
-			out[p+"probes"] = e.Probes
-			out[p+"latency_ns"] = e.LatencyNs
 		}
 	}
 	return out

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestStatuszGolden pins the /statusz wire format byte-for-byte on a
@@ -20,7 +19,6 @@ func TestStatuszGolden(t *testing.T) {
 	r.Sent(0, 1, 48)
 	r.Sent(0, 1, 48)
 	r.QueueDepth(1, 3)
-	r.ObserveLatency(0, 1, 250*time.Microsecond, 0.2)
 
 	snap := func() Snapshot {
 		s := r.Snapshot()
@@ -67,9 +65,7 @@ func TestStatuszGolden(t *testing.T) {
     "0->1": {
       "sent": 2,
       "bytes": 96,
-      "delivered": 2,
-      "probes": 1,
-      "latency_ns": 250000
+      "delivered": 2
     }
   }
 }
@@ -80,13 +76,14 @@ func TestStatuszGolden(t *testing.T) {
 }
 
 // TestMetricszFlatten pins the flat scraper representation: stable legacy
-// totals, dotted breakdown keys, and conditional fault/probe keys.
+// totals, dotted breakdown keys, and conditional fault keys.
 func TestMetricszFlatten(t *testing.T) {
 	r := New(2, 4)
 	r.Deliver(0, 1, 1)
 	r.Sent(0, 1, 16)
 	r.Dropped(0, 1)
 	r.QueueDepth(2, 5)
+	r.IngestDrop(1)
 	s := r.Snapshot()
 	s.Messages = 1
 	s.MetaBytes = 16
@@ -98,23 +95,24 @@ func TestMetricszFlatten(t *testing.T) {
 		t.Fatalf("/metricsz not flat JSON: %v", err)
 	}
 	want := map[string]int64{
-		"messages":            1,
-		"meta_bytes":          16,
-		"updates":             0, // zero legacy totals keep their keys
-		"replica.1.delivered": 1,
-		"replica.1.applied":   1,
-		"queue.2.depth":       5,
-		"queue.2.peak":        5,
-		"edge.0->1.sent":      1,
-		"edge.0->1.bytes":     16,
-		"edge.0->1.dropped":   1,
+		"messages":               1,
+		"meta_bytes":             16,
+		"updates":                0, // zero legacy totals keep their keys
+		"replica.1.delivered":    1,
+		"replica.1.applied":      1,
+		"replica.1.ingest_drops": 1,
+		"queue.2.depth":          5,
+		"queue.2.peak":           5,
+		"edge.0->1.sent":         1,
+		"edge.0->1.bytes":        16,
+		"edge.0->1.dropped":      1,
 	}
 	for k, v := range want {
 		if flat[k] != v {
 			t.Errorf("flat[%q] = %d, want %d", k, flat[k], v)
 		}
 	}
-	for _, absent := range []string{"edge.0->1.duped", "edge.0->1.probes", "edge.0->1.latency_ns", "edge.1->0.sent"} {
+	for _, absent := range []string{"edge.0->1.duped", "edge.1->0.sent"} {
 		if _, ok := flat[absent]; ok {
 			t.Errorf("flat key %q present, want absent", absent)
 		}
@@ -148,7 +146,6 @@ func TestConcurrentScrape(t *testing.T) {
 				r.Sent(w, (w+1)%4, 32)
 				r.QueueDepth(w, i%10)
 				r.Batch(i % 5)
-				r.ObserveLatency(w, (w+1)%4, time.Duration(i%100)*time.Microsecond, 0.2)
 			}
 		}(w)
 	}

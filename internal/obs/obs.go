@@ -1,8 +1,10 @@
 // Package obs is the repository's observability layer: a dependency-free
 // registry of atomic counters and gauges shared by every runtime (the
 // in-process cluster, the client-server live system, the sharded
-// multi-space runtime, and the TCP wire node), a burst health prober that
-// measures per-edge relay latency, and an HTTP/JSON status endpoint.
+// multi-space runtime, and the TCP wire node) and an HTTP/JSON status
+// endpoint. It counts deliveries, applies, stalls, rechecks and ingest
+// drops per replica; messages, metadata bytes and injected faults per
+// edge; engine queue depth and peak; and shard batches.
 //
 // The registry follows the fault-injection layer's arming discipline: a
 // nil *Registry is the disarmed state, every recording method is a
@@ -24,7 +26,6 @@ package obs
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Registry collects counters for one runtime: per-replica protocol
@@ -58,8 +59,6 @@ type edgeCounters struct {
 	dropped       atomic.Int64 // fault injection: diverted to the retransmit queue or lost
 	duped         atomic.Int64 // fault injection: duplicate deliveries
 	retransmitted atomic.Int64 // fault injection: retransmit re-sends
-	probes        atomic.Int64
-	ewmaNs        atomic.Int64 // probed latency EWMA in nanoseconds; 0 = never probed
 }
 
 type queueGauge struct {
@@ -117,15 +116,6 @@ func (r *Registry) QueueDepth(q, depth int) {
 			return
 		}
 	}
-}
-
-// Depth returns the last recorded depth of engine queue q — the load
-// signal the cluster's load-aware dispatch sorts by.
-func (r *Registry) Depth(q int) int64 {
-	if r == nil || q < 0 || q >= r.queues {
-		return 0
-	}
-	return r.queue[q].depth.Load()
 }
 
 // MetaOnly is the applied-count sentinel for Deliver: the delivery
@@ -231,51 +221,6 @@ func (r *Registry) Batch(envelopes int) {
 	}
 }
 
-// ObserveLatency folds one probed round-trip on edge from→to into the
-// edge's EWMA with the given smoothing factor (0 < alpha <= 1; the first
-// observation seeds the average directly). alpha > 1 would extrapolate
-// past the new sample — the EWMA oscillates and can go negative, which
-// poisons any ordering built on it — so it is clamped to 1 (track the
-// latest sample exactly).
-func (r *Registry) ObserveLatency(from, to int, rtt time.Duration, alpha float64) {
-	if r == nil || alpha <= 0 {
-		return
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	e := r.edgeAt(from, to)
-	if e == nil {
-		return
-	}
-	e.probes.Add(1)
-	for {
-		old := e.ewmaNs.Load()
-		next := int64(rtt)
-		if old != 0 {
-			next = old + int64(alpha*float64(int64(rtt)-old))
-		}
-		if next == 0 {
-			next = 1 // 0 is the never-probed sentinel
-		}
-		if e.ewmaNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// EdgeLatencyNs returns the probed latency EWMA for edge from→to in
-// nanoseconds, or 0 if the edge was never successfully probed.
-func (r *Registry) EdgeLatencyNs(from, to int) int64 {
-	if r == nil {
-		return 0
-	}
-	if e := r.edgeAt(from, to); e != nil {
-		return e.ewmaNs.Load()
-	}
-	return 0
-}
-
 // ReplicaMetrics is one replica's protocol-level counters in a Snapshot.
 type ReplicaMetrics struct {
 	Delivered   int64 `json:"delivered"`
@@ -306,8 +251,6 @@ type EdgeMetrics struct {
 	Dropped       int64 `json:"dropped,omitempty"`
 	Duped         int64 `json:"duped,omitempty"`
 	Retransmitted int64 `json:"retransmitted,omitempty"`
-	Probes        int64 `json:"probes,omitempty"`
-	LatencyNs     int64 `json:"latency_ns,omitempty"`
 }
 
 func (e EdgeMetrics) zero() bool {
@@ -390,8 +333,6 @@ func (r *Registry) Snapshot() Snapshot {
 				Dropped:       c.dropped.Load(),
 				Duped:         c.duped.Load(),
 				Retransmitted: c.retransmitted.Load(),
-				Probes:        c.probes.Load(),
-				LatencyNs:     c.ewmaNs.Load(),
 			}
 			if e.zero() {
 				continue

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestNilRegistryNoOps pins the disarmed contract: every recording and
 // reading method is safe on a nil *Registry and the whole disarmed call
@@ -13,15 +10,13 @@ func TestNilRegistryNoOps(t *testing.T) {
 	var r *Registry
 	disarmed := func() {
 		r.QueueDepth(0, 5)
-		_ = r.Depth(0)
+		_ = r.Snapshot()
 		r.Deliver(0, 1, 2)
 		r.Sent(0, 1, 64)
 		r.Dropped(0, 1)
 		r.Duped(0, 1)
 		r.Retransmitted(0, 1)
 		r.Batch(3)
-		r.ObserveLatency(0, 1, time.Millisecond, 0.2)
-		_ = r.EdgeLatencyNs(0, 1)
 		_ = r.Replicas()
 	}
 	disarmed() // must not panic
@@ -103,9 +98,6 @@ func TestQueueGaugesAndBatch(t *testing.T) {
 	r.QueueDepth(0, 4)
 	r.QueueDepth(0, 9)
 	r.QueueDepth(0, 2) // depth drops, peak must not
-	if got := r.Depth(0); got != 2 {
-		t.Errorf("Depth(0) = %d, want 2", got)
-	}
 	r.Batch(3)
 	r.Batch(7)
 	r.Batch(5)
@@ -138,58 +130,6 @@ func TestQueueSpaceSeparate(t *testing.T) {
 	}
 	if s.Replicas[0].InboxDepth != 0 || s.Replicas[1].InboxPeak != 0 {
 		t.Errorf("replica rows absorbed queue gauges despite differing index spaces: %+v", s.Replicas)
-	}
-}
-
-// TestObserveLatencyEWMA pins the smoothing semantics: the first sample
-// seeds the average directly, later samples move it by alpha, and 0
-// stays the never-probed sentinel.
-func TestObserveLatencyEWMA(t *testing.T) {
-	r := New(2, 0)
-	if got := r.EdgeLatencyNs(0, 1); got != 0 {
-		t.Errorf("unprobed edge latency = %d, want 0", got)
-	}
-	r.ObserveLatency(0, 1, 1000*time.Nanosecond, 0.5)
-	if got := r.EdgeLatencyNs(0, 1); got != 1000 {
-		t.Errorf("seeded EWMA = %d, want 1000", got)
-	}
-	r.ObserveLatency(0, 1, 2000*time.Nanosecond, 0.5)
-	if got := r.EdgeLatencyNs(0, 1); got != 1500 {
-		t.Errorf("smoothed EWMA = %d, want 1500", got)
-	}
-	// A computed zero is bumped to 1ns so it cannot masquerade as
-	// never-probed.
-	r2 := New(2, 0)
-	r2.ObserveLatency(0, 1, 0, 1.0)
-	if got := r2.EdgeLatencyNs(0, 1); got != 1 {
-		t.Errorf("zero-rtt EWMA = %d, want sentinel-avoiding 1", got)
-	}
-	// Invalid alpha is ignored.
-	r2.ObserveLatency(0, 1, time.Second, 0)
-	if got := r2.EdgeLatencyNs(0, 1); got != 1 {
-		t.Errorf("alpha<=0 mutated EWMA to %d", got)
-	}
-	if e := r.Snapshot().Edges[EdgeKey(0, 1)]; e.Probes != 2 || e.LatencyNs != 1500 {
-		t.Errorf("snapshot edge probe fields = %d/%d, want 2/1500", e.Probes, e.LatencyNs)
-	}
-}
-
-// TestObserveLatencyAlphaClamp: alpha > 1 must clamp to 1 (track the
-// newest sample exactly) instead of extrapolating past it, which made
-// the EWMA oscillate and, for alpha > 2, diverge — and a large enough
-// sample swing could even drive it negative.
-func TestObserveLatencyAlphaClamp(t *testing.T) {
-	r := New(2, 0)
-	r.ObserveLatency(0, 1, 1000*time.Nanosecond, 0.5)
-	r.ObserveLatency(0, 1, 2000*time.Nanosecond, 5.0)
-	if got := r.EdgeLatencyNs(0, 1); got != 2000 {
-		t.Errorf("alpha>1 EWMA = %d, want clamped-to-newest 2000", got)
-	}
-	// The unclamped formula old + 3(new-old) with new << old went
-	// negative; clamped it lands exactly on the new sample.
-	r.ObserveLatency(0, 1, 10*time.Nanosecond, 3.0)
-	if got := r.EdgeLatencyNs(0, 1); got != 10 {
-		t.Errorf("alpha>1 downswing EWMA = %d, want 10", got)
 	}
 }
 

@@ -78,12 +78,11 @@ func (p FaultPlan) edgeFault(from, to int) EdgeFault {
 	return p.Default
 }
 
-// Lottery streams: distinct counters per purpose so data drops, data
-// duplication and heartbeat-probe losses draw independent sequences.
+// Lottery streams: distinct counters per purpose so data drops and data
+// duplication draw independent sequences.
 const (
 	streamDrop = iota
 	streamDup
-	streamProbe
 )
 
 // mix64 is the splitmix64 finalizer — the engine's standard bit mixer.
@@ -118,9 +117,8 @@ type retransEntry[M Message] struct {
 
 // FaultInjector applies a FaultPlan at the engine's send/forward
 // boundary and exposes the runtime fault controls: partitions (with
-// optional scheduled heal), crash/restart parking of a destination, and
-// the Probe primitive heartbeat failure detectors are built on. All
-// methods are safe for concurrent use.
+// optional scheduled heal) and crash/restart parking of a destination.
+// All methods are safe for concurrent use.
 //
 // Parked messages — whether behind a cut edge or a down destination —
 // do not count as in flight and bypass inbox backpressure: a writer
@@ -330,30 +328,6 @@ func (f *FaultInjector[M]) Down(r int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.down[r]
-}
-
-// Probe is the heartbeat primitive: it reports whether a probe from →
-// to would currently be answered. It fails when either endpoint is
-// down, when either direction of the link is cut, or — with the
-// link's Drop probability, drawn from an independent lottery stream —
-// spuriously, so detectors see realistic false-suspicion texture.
-func (f *FaultInjector[M]) Probe(from, to int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stopped || f.down[to] || f.down[from] {
-		return false
-	}
-	if _, cut := f.cuts[[2]int{from, to}]; cut {
-		return false
-	}
-	if _, cut := f.cuts[[2]int{to, from}]; cut {
-		return false
-	}
-	ef := f.plan.edgeFault(from, to)
-	if ef.Drop > 0 && f.roll(from, to, streamProbe) < ef.Drop {
-		return false
-	}
-	return true
 }
 
 // Dropped returns the number of transmissions diverted to the

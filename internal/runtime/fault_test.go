@@ -49,8 +49,8 @@ func TestFaultLotteryDeterministic(t *testing.T) {
 		}
 	}
 	// Distinct streams on the same edge draw independent sequences.
-	if a.roll(1, 2, streamDrop) == a.roll(1, 2, streamProbe) {
-		t.Error("drop and probe streams should not coincide (vanishingly unlikely)")
+	if a.roll(1, 2, streamDrop) == a.roll(1, 2, streamDup) {
+		t.Error("drop and dup streams should not coincide (vanishingly unlikely)")
 	}
 	c := newFaultInjector[edgeMsg](nil, FaultPlan{Seed: 43, Default: EdgeFault{Drop: 0.5}}.withDefaults(), nil)
 	if a.roll(3, 4, streamDrop) == c.roll(3, 4, streamDrop) {
@@ -158,22 +158,13 @@ func TestFaultScheduledHeal(t *testing.T) {
 }
 
 // TestFaultCrashRestart: messages to a down destination park and flush
-// on restart; Probe reflects the down state.
+// on restart.
 func TestFaultCrashRestart(t *testing.T) {
 	eng, _, total := collectEngine(t, 3, FaultPlan{Seed: 9})
 	f := eng.Faults()
 	f.SetDown(1, true)
 	if !f.Down(1) || f.Down(2) {
 		t.Fatal("down flags wrong")
-	}
-	if f.Probe(0, 1) {
-		t.Error("probe to a down destination should fail")
-	}
-	if f.Probe(1, 0) {
-		t.Error("probe from a down replica should fail")
-	}
-	if !f.Probe(0, 2) {
-		t.Error("probe between live replicas should succeed")
 	}
 	for i := 0; i < 7; i++ {
 		eng.Send(edgeMsg{from: 0, to: 1, val: i})

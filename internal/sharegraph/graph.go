@@ -188,61 +188,6 @@ func (g *Graph) UpdateRecipients(writer ReplicaID, x Register) []ReplicaID {
 	return out
 }
 
-// RecipientCache memoizes UpdateRecipients for one writer. Protocol nodes
-// keep one per replica so the per-write fanout does not recompute (and
-// reallocate) the destination list; the graph is immutable, so cached
-// slices stay valid for the node's lifetime. Not safe for concurrent use.
-type RecipientCache struct {
-	g      *Graph
-	writer ReplicaID
-	m      map[Register][]ReplicaID
-}
-
-// NewRecipientCache builds a cache for updates written at writer.
-func NewRecipientCache(g *Graph, writer ReplicaID) RecipientCache {
-	return RecipientCache{g: g, writer: writer, m: make(map[Register][]ReplicaID)}
-}
-
-// Recipients returns the cached UpdateRecipients(writer, x). The returned
-// slice is shared; callers must not mutate it.
-func (c *RecipientCache) Recipients(x Register) []ReplicaID {
-	if r, ok := c.m[x]; ok {
-		return r
-	}
-	r := c.g.UpdateRecipients(c.writer, x)
-	c.m[x] = r
-	return r
-}
-
-// RankedRecipients appends the recipients of (writer, x) to buf ordered
-// by ascending score — the load-aware route choice: the same recipient
-// set the protocol's fanout must cover, emitted least-loaded first.
-// Score ties break by replica ID, i.e. the default Recipients order, so
-// an uninformed scorer degrades to the deterministic baseline. The
-// cached slice is never mutated; callers own the returned buf.
-//
-// Correctness note: the edge-indexed protocol never depends on fanout
-// emission order — the runtime's seeded delivery shuffle reorders
-// arbitrarily anyway — so a runtime may re-rank freely without touching
-// causal consistency (pinned by the LoadAware differential test).
-func (c *RecipientCache) RankedRecipients(x Register, buf []ReplicaID, score func(ReplicaID) int64) []ReplicaID {
-	rs := c.Recipients(x)
-	start := len(buf)
-	buf = append(buf, rs...)
-	// Insertion sort: fanouts are small (≤ R-1) and the hot path must not
-	// allocate a sort.Slice closure.
-	for i := start + 1; i < len(buf); i++ {
-		for j := i; j > start; j-- {
-			a, b := buf[j-1], buf[j]
-			if score(a) < score(b) || (score(a) == score(b) && a < b) {
-				break
-			}
-			buf[j-1], buf[j] = b, a
-		}
-	}
-	return buf
-}
-
 // String renders the placement and adjacency for debugging.
 func (g *Graph) String() string {
 	var b strings.Builder

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/core"
-	"repro/internal/membership"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
 	"repro/internal/workload"
@@ -22,9 +21,6 @@ type ChaosConfig struct {
 	Script   workload.Script
 	// Plan seeds the per-edge loss/duplication lottery for the whole run.
 	Plan rt.FaultPlan
-	// Heartbeat, when non-nil, runs the membership failure detector
-	// alongside the workload; its events are returned in the result.
-	Heartbeat *membership.Options
 	// Partition, when true, cuts PartitionA↔PartitionB in both directions
 	// after the first third of the workload. PartitionHeal > 0 schedules
 	// the heal; otherwise the cut lasts until the end-of-run HealAll.
@@ -61,9 +57,6 @@ type ChaosResult struct {
 	// safety violations plus liveness failures. A correct protocol under
 	// transient faults must return none.
 	Violations []causality.Violation
-	// Events is the membership detector's transition history (empty
-	// without Heartbeat).
-	Events []membership.Event
 	// FinalState is the per-replica register contents after quiescence.
 	FinalState   []map[sharegraph.Register]core.Value
 	MessagesSent int64
@@ -81,9 +74,6 @@ type ChaosResult struct {
 // violations — including liveness — is the pass criterion.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	opts := append([]ClusterOption{WithChaos(cfg.Plan)}, cfg.Opts...)
-	if cfg.Heartbeat != nil {
-		opts = append(opts, WithHeartbeats(*cfg.Heartbeat))
-	}
 	c, err := NewCluster(cfg.Graph, cfg.Protocol, opts...)
 	if err != nil {
 		return nil, err
@@ -190,10 +180,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if f := c.Faults(); f != nil {
 		res.Dropped = f.Dropped()
 		res.Duped = f.Duped()
-	}
-	if d := c.Membership(); d != nil {
-		d.Stop()
-		res.Events = d.Events()
 	}
 	if tr := c.Tracker(); tr != nil {
 		tr.CheckLiveness()

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
@@ -49,26 +48,14 @@ type Cluster struct {
 	opts  rt.Options
 	audit bool
 
-	// Chaos state: nil/zero unless WithChaos / WithHeartbeats were given.
+	// Chaos state: nil unless WithChaos was given.
 	chaosPlan *rt.FaultPlan
-	hbOpts    *membership.Options
-	det       *membership.Detector
 
-	// Observability: reg is nil (disarmed) unless WithMetrics or
-	// WithLoadAware were given; every recording call below is nil-safe so
-	// the fault-free, metrics-free hot path pays a nil check, nothing
-	// more. prober burst-pings the share graph's directed edges; it is
-	// constructed armed but only started automatically in LoadAware mode
-	// (deterministic drivers call Tick themselves).
-	metrics   bool
-	reg       *obs.Registry
-	prober    *obs.Prober
-	loadAware bool
-	// rankCache/scorers implement the load-aware route choice: writer r's
-	// fanout destinations re-ranked least-loaded-first. rankCache[r] is
-	// guarded by nodeMu[r], like the node's own recipient cache.
-	rankCache []sharegraph.RecipientCache
-	scorers   []func(sharegraph.ReplicaID) int64
+	// Observability: reg is nil (disarmed) unless WithMetrics was given;
+	// every recording call below is nil-safe so the fault-free,
+	// metrics-free hot path pays a nil check, nothing more.
+	metrics bool
+	reg     *obs.Registry
 	// rec[r] is replica r's recovery state, guarded by nodeMu[r]; the
 	// slice itself is nil when chaos is disabled, so the fault-free
 	// delivery path pays one nil check.
@@ -97,7 +84,6 @@ type Cluster struct {
 type envBatch struct {
 	c    *Cluster
 	envs []core.Envelope
-	rank []sharegraph.ReplicaID // load-aware scratch: ranked fanout order
 }
 
 // Emit implements core.Sink.
@@ -131,7 +117,6 @@ func (c *Cluster) getBatch() *envBatch {
 
 func (c *Cluster) putBatch(b *envBatch) {
 	b.envs = b.envs[:0]
-	b.rank = b.rank[:0]
 	c.batches.Put(b)
 }
 
@@ -194,15 +179,6 @@ func WithChaos(plan rt.FaultPlan) ClusterOption {
 	return func(c *Cluster) { c.chaosPlan = &plan }
 }
 
-// WithHeartbeats runs a membership failure detector over the cluster:
-// every replica pair is probed per the options' interval, with probes
-// answered by the fault layer (cuts, crashes and the loss lottery all
-// shape what the detector sees; without WithChaos every probe
-// succeeds). Access the view through Membership.
-func WithHeartbeats(opts membership.Options) ClusterOption {
-	return func(c *Cluster) { c.hbOpts = &opts }
-}
-
 // WithMetrics arms the observability registry: per-replica delivery /
 // stall / recheck counters, per-edge traffic counters, and engine
 // inbox-depth gauges, snapshotted by Metrics. Disarmed (the default)
@@ -211,21 +187,6 @@ func WithHeartbeats(opts membership.Options) ClusterOption {
 // a gated benchmark row.
 func WithMetrics() ClusterOption {
 	return func(c *Cluster) { c.metrics = true }
-}
-
-// WithLoadAware arms metrics and enables load-aware relay choice: each
-// write's fanout (the recipient set the share graph dictates) is
-// emitted least-loaded-first, ordered by destination inbox depth with
-// probed edge-latency EWMAs breaking ties. The recipient SET never
-// changes — only the emission order, which the engine's delivery
-// shuffle already permutes arbitrarily — so causal consistency and
-// final state are untouched (pinned by a differential test). The
-// health prober starts automatically and stops with the cluster.
-func WithLoadAware() ClusterOption {
-	return func(c *Cluster) {
-		c.metrics = true
-		c.loadAware = true
-	}
 }
 
 // NewCluster builds and starts a live cluster for the protocol. The
@@ -263,27 +224,6 @@ func NewCluster(g *sharegraph.Graph, protocol core.Protocol, opts ...ClusterOpti
 	} else {
 		c.eng = rt.New(len(nodes), c.opts, c.deliver)
 	}
-	if c.metrics {
-		edges := g.Edges()
-		pairs := make([][2]int, len(edges))
-		for i, e := range edges {
-			pairs[i] = [2]int{int(e.From), int(e.To)}
-		}
-		c.prober = obs.NewProber(c.reg, pairs, c.probeRTT, obs.ProberOptions{})
-	}
-	if c.loadAware {
-		c.rankCache = make([]sharegraph.RecipientCache, len(nodes))
-		c.scorers = make([]func(sharegraph.ReplicaID) int64, len(nodes))
-		for r := range nodes {
-			c.rankCache[r] = sharegraph.NewRecipientCache(g, sharegraph.ReplicaID(r))
-			c.scorers[r] = c.loadScorer(sharegraph.ReplicaID(r))
-		}
-		c.prober.Start()
-	}
-	if c.hbOpts != nil {
-		c.det = membership.New(len(nodes), c.probe, *c.hbOpts)
-		c.det.Start()
-	}
 	return c, nil
 }
 
@@ -300,40 +240,6 @@ func (c *Cluster) armDiag(protocol core.Protocol) {
 	ds.SetDiag(core.NewDiag(nil, func(r int) { reg.IngestDrop(r) }))
 }
 
-// loadScorer builds writer from's destination scorer: inbox depth
-// dominates (in 1ms units), with the probed from→to latency EWMA
-// (clamped below 1ms — in-process round-trips are microseconds)
-// breaking ties between equally deep inboxes. Unprobed edges score
-// latency 0, so before the prober has measured anything the ranking
-// degrades to plain depth order, and with idle inboxes to the default
-// recipient order.
-func (c *Cluster) loadScorer(from sharegraph.ReplicaID) func(sharegraph.ReplicaID) int64 {
-	const tie = int64(time.Millisecond)
-	return func(to sharegraph.ReplicaID) int64 {
-		lat := c.reg.EdgeLatencyNs(int(from), int(to))
-		if lat >= tie {
-			lat = tie - 1
-		}
-		return c.reg.Depth(int(to))*tie + lat
-	}
-}
-
-// probeRTT measures one relay-path round trip for the health prober: the
-// time to acquire the destination node's lock — the cluster-internal
-// analogue of pinging the peer, dominated by how contended the
-// destination currently is. Under chaos the fault layer gates the probe
-// exactly as it gates heartbeats (cut edges and down replicas fail).
-func (c *Cluster) probeRTT(from, to int) (time.Duration, bool) {
-	if f := c.eng.Faults(); f != nil && !f.Probe(from, to) {
-		return 0, false
-	}
-	start := time.Now()
-	c.nodeMu[to].Lock()
-	rtt := time.Since(start)
-	c.nodeMu[to].Unlock()
-	return rtt, true
-}
-
 // cloneEnv deep-copies an envelope for the fault layer's duplication
 // path: the original's Meta is a pooled buffer recycled after its own
 // delivery, so the duplicate needs an independent copy.
@@ -341,20 +247,6 @@ func (c *Cluster) cloneEnv(env core.Envelope) core.Envelope {
 	env.Meta = c.meta.Copy(env.Meta)
 	return env
 }
-
-// probe answers one heartbeat: it succeeds unless the fault layer says
-// the link is unusable (endpoint down, edge cut, or the probe-stream
-// loss lottery fires).
-func (c *Cluster) probe(from, to int) bool {
-	if f := c.eng.Faults(); f != nil {
-		return f.Probe(from, to)
-	}
-	return true
-}
-
-// Membership exposes the heartbeat failure detector; nil unless the
-// cluster was built with WithHeartbeats.
-func (c *Cluster) Membership() *membership.Detector { return c.det }
 
 // Faults exposes the engine's fault injector; nil unless the cluster was
 // built with WithChaos.
@@ -400,43 +292,15 @@ func (c *Cluster) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Va
 	if err == nil && c.rec != nil && c.rec[r].logging {
 		c.rec[r].log = append(c.rec[r].log, logEntry{write: true, reg: x, val: v, id: id})
 	}
-	if err == nil && c.loadAware {
-		// Rank while still holding the writer's lock: rankCache[r] is
-		// single-writer state like the node's own recipient cache. The
-		// envelope permutation itself happens outside the lock.
-		b.rank = c.rankCache[r].RankedRecipients(x, b.rank[:0], c.scorers[r])
-	}
 	c.nodeMu[r].Unlock()
 	if err != nil {
 		c.putBatch(b)
 		return fmt.Errorf("cluster: write at %d: %w", r, err)
 	}
-	if c.loadAware {
-		reorderFanout(b.envs, b.rank)
-	}
 	accepted := c.eng.Send(b.envs...)
 	c.recordSent(b.envs[:accepted])
 	c.putBatch(b)
 	return nil
-}
-
-// reorderFanout permutes one write's staged envelopes to match the
-// ranked destination order. Envelopes whose destination is not in the
-// ranking (there are none today — the fanout and the recipient cache
-// derive from the same share graph) keep their relative order after the
-// ranked prefix. Quadratic in the fanout size, which is at most R-1 and
-// typically the share-graph degree.
-func reorderFanout(envs []core.Envelope, rank []sharegraph.ReplicaID) {
-	i := 0
-	for _, dest := range rank {
-		for j := i; j < len(envs); j++ {
-			if envs[j].To == dest {
-				envs[i], envs[j] = envs[j], envs[i]
-				i++
-				break
-			}
-		}
-	}
 }
 
 // Read returns replica r's local copy of x. A crashed replica serves no
@@ -507,12 +371,6 @@ func (c *Cluster) Quiesce() { c.eng.Quiesce() }
 // has exited — no goroutines outlive the cluster.
 func (c *Cluster) Close() {
 	c.closed.Store(true)
-	if c.det != nil {
-		c.det.Stop()
-	}
-	if c.prober != nil {
-		c.prober.Stop()
-	}
 	c.eng.Close()
 }
 
@@ -550,15 +408,9 @@ func (c *Cluster) MessagesSent() int64 { return c.msgs.Load() }
 // MetaBytes returns total metadata bytes dispatched so far.
 func (c *Cluster) MetaBytes() int64 { return c.metaBytes.Load() }
 
-// Prober exposes the health prober; nil unless metrics are armed
-// (WithMetrics / WithLoadAware). In LoadAware mode it is already
-// running; otherwise drive it with Tick or Start as needed.
-func (c *Cluster) Prober() *obs.Prober { return c.prober }
-
 // Metrics snapshots the cluster in the unified observability schema.
 // The legacy totals (messages, metadata bytes) are always present; the
-// per-replica and per-edge breakdowns require WithMetrics or
-// WithLoadAware. Safe to call concurrently with a running workload.
+// per-replica and per-edge breakdowns require WithMetrics. Safe to call concurrently with a running workload.
 func (c *Cluster) Metrics() obs.Snapshot {
 	s := c.reg.Snapshot()
 	s.Runtime = "cluster"

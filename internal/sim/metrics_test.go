@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
@@ -62,30 +59,11 @@ func TestClusterMetricsArmed(t *testing.T) {
 		t.Errorf("quiesced cluster reports outstanding=%d parked=%d", m.Outstanding, m.Parked)
 	}
 
-	// The prober is constructed but not started in plain metrics mode;
-	// deterministic drivers tick it explicitly.
-	p := c.Prober()
-	if p == nil {
-		t.Fatal("armed cluster has no prober")
-	}
-	p.Tick(time.Now())
-	if p.Probes() == 0 {
-		t.Error("prober tick issued no probes")
-	}
-	probed := false
-	for _, e := range c.Metrics().Edges {
-		if e.Probes > 0 && e.LatencyNs > 0 {
-			probed = true
-		}
-	}
-	if !probed {
-		t.Error("no edge carries a probed latency EWMA after a tick")
-	}
 }
 
 // TestClusterMetricsDisarmed pins the disarmed contract at the public
 // surface: Metrics still reports the legacy totals, but no breakdowns
-// exist and no prober runs.
+// exist.
 func TestClusterMetricsDisarmed(t *testing.T) {
 	g := sharegraph.Ring(4)
 	c, err := NewCluster(g, edgeIndexed(t, g))
@@ -102,9 +80,6 @@ func TestClusterMetricsDisarmed(t *testing.T) {
 	}
 	if m.Replicas != nil || m.Edges != nil || m.Queues != nil {
 		t.Errorf("disarmed Metrics carries breakdowns: %+v", m)
-	}
-	if c.Prober() != nil {
-		t.Error("disarmed cluster built a prober")
 	}
 }
 
@@ -141,68 +116,19 @@ func TestClusterMetricsDisarmedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLoadAwareDifferential is the acceptance test for the load-aware
-// relay choice: on the same single-writer workload, a load-aware cluster
-// must produce zero causal violations and the exact final state of a
-// plain cluster — the fanout SET is untouched, only its emission order
-// changes, and the engine's delivery shuffle already absorbs arbitrary
-// orders.
-func TestLoadAwareDifferential(t *testing.T) {
-	g := sharegraph.Ring(6)
-	script := workload.OwnerWrites(g, 400, 21)
-
-	plain, err := NewCluster(g, edgeIndexed(t, g), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations := plain.RunScript(script); len(violations) != 0 {
-		t.Fatalf("plain run violations: %v", violations)
-	}
-	want := plain.StateSnapshot()
-	wantMsgs := plain.MessagesSent()
-	plain.Close()
-
-	la, err := NewCluster(g, edgeIndexed(t, g), WithSeed(5), WithLoadAware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations := la.RunScript(script); len(violations) != 0 {
-		t.Fatalf("load-aware run violations: %v", violations)
-	}
-	if p := la.PendingTotal(); p != 0 {
-		t.Errorf("%d updates stuck pending under load-aware dispatch", p)
-	}
-	got := la.StateSnapshot()
-	m := la.Metrics()
-	la.Close()
-
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("load-aware final state diverges:\nplain:      %v\nload-aware: %v", want, got)
-	}
-	// Same protocol, same workload: the message count is identical — the
-	// route choice reorders, it never reroutes.
-	if m.Messages != wantMsgs {
-		t.Errorf("load-aware sent %d messages, plain sent %d", m.Messages, wantMsgs)
-	}
-	// WithLoadAware implies an armed registry and a running prober.
-	if len(m.Replicas) != g.NumReplicas() {
-		t.Errorf("load-aware cluster has no replica breakdown")
-	}
-}
-
-// TestLoadAwareUnderChaos combines the load-aware route choice with the
-// fault layer: loss, duplication and a transient partition must not
-// break safety or liveness when the fanout is re-ranked by load.
-func TestLoadAwareUnderChaos(t *testing.T) {
+// TestClusterUniformUnderChaos runs multi-writer traffic over the fault
+// layer: 5 % loss and 5 % duplication on every edge must break neither
+// safety nor liveness when every replica writes concurrently.
+func TestClusterUniformUnderChaos(t *testing.T) {
 	g := sharegraph.Ring(5)
-	c, err := NewCluster(g, edgeIndexed(t, g), WithSeed(7), WithLoadAware(),
+	c, err := NewCluster(g, edgeIndexed(t, g), WithSeed(7),
 		WithChaos(rt.FaultPlan{Seed: 31, Default: rt.EdgeFault{Drop: 0.05, Dup: 0.05}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if violations := c.RunScript(workload.Uniform(g, 300, 23)); len(violations) != 0 {
-		t.Errorf("load-aware chaos violations: %v", violations)
+		t.Errorf("uniform chaos violations: %v", violations)
 	}
 	// PendingTotal is not asserted zero: duplicated envelopes dead-park in
 	// the per-sender ingest queues by design (see TestChaosSoak). The
@@ -210,43 +136,6 @@ func TestLoadAwareUnderChaos(t *testing.T) {
 	m := c.Metrics()
 	if m.Dropped == 0 && m.Duped == 0 {
 		t.Log("chaos plan injected no faults this run (acceptable, seeded lottery)")
-	}
-}
-
-// TestReorderFanout pins the permutation helper: ranked destinations
-// move to the front in rank order, unranked envelopes keep their
-// relative order behind them.
-func TestReorderFanout(t *testing.T) {
-	mkEnvs := func(tos ...sharegraph.ReplicaID) []core.Envelope {
-		envs := make([]core.Envelope, len(tos))
-		for i, to := range tos {
-			envs[i].To = to
-		}
-		return envs
-	}
-	envTos := func(envs []core.Envelope) []sharegraph.ReplicaID {
-		tos := make([]sharegraph.ReplicaID, len(envs))
-		for i := range envs {
-			tos[i] = envs[i].To
-		}
-		return tos
-	}
-	envs := mkEnvs(1, 2, 3, 4)
-	reorderFanout(envs, []sharegraph.ReplicaID{3, 1})
-	if got := envTos(envs); !reflect.DeepEqual(got, []sharegraph.ReplicaID{3, 1, 2, 4}) {
-		t.Errorf("reorderFanout = %v, want [3 1 2 4]", got)
-	}
-	// Rank mentioning absent destinations is harmless.
-	envs = mkEnvs(2, 0)
-	reorderFanout(envs, []sharegraph.ReplicaID{9, 0, 2})
-	if got := envTos(envs); !reflect.DeepEqual(got, []sharegraph.ReplicaID{0, 2}) {
-		t.Errorf("reorderFanout with absent rank = %v, want [0 2]", got)
-	}
-	// Empty rank leaves the batch untouched.
-	envs = mkEnvs(1, 0)
-	reorderFanout(envs, nil)
-	if got := envTos(envs); !reflect.DeepEqual(got, []sharegraph.ReplicaID{1, 0}) {
-		t.Errorf("reorderFanout with nil rank = %v", got)
 	}
 }
 

@@ -56,8 +56,7 @@ func (c *Cluster) Partition(a, b sharegraph.ReplicaID, healAfter time.Duration) 
 	return nil
 }
 
-// PartitionOneWay cuts only the from→to direction, the asymmetric-link
-// case where the failure detector may suspect but must not declare down.
+// PartitionOneWay cuts only the from→to direction: an asymmetric link.
 func (c *Cluster) PartitionOneWay(from, to sharegraph.ReplicaID, healAfter time.Duration) error {
 	if err := c.requireChaos(); err != nil {
 		return err

@@ -90,19 +90,4 @@ func TestUnifiedMetricsSchema(t *testing.T) {
 	if len(sm.Queues) != 2 {
 		t.Errorf("sharded queue gauges = %d rows, want one per shard (2)", len(sm.Queues))
 	}
-
-	// The LoadAware opt-in arms metrics implicitly.
-	la, err := sys.ClusterWith(ClusterOptions{LoadAware: true, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := la.Write(1, "y", 7); err != nil {
-		t.Fatal(err)
-	}
-	la.Sync()
-	am := la.Metrics()
-	la.Close()
-	if len(am.Replicas) == 0 {
-		t.Error("LoadAware cluster did not arm the metrics registry")
-	}
 }

@@ -62,17 +62,10 @@
 // force-delivered after FaultPlan.MaxRetransmits consecutive losses —
 // loss degrades latency, never liveness. Messages crossing a cut edge
 // or addressed to a crashed replica park at the transport and flush at
-// heal or restart.
-//
-// A heartbeat failure detector (ClusterOptions.Heartbeat) probes every
-// link each HeartbeatOptions.Interval and holds a link against its
-// destination after Threshold consecutive misses: every inbound link
-// over threshold is Down, only some is Suspected — the asymmetric-
-// partition signature. Detection latency is therefore
-// Interval × Threshold, while an ambient loss rate p falsely suspects a
-// healthy link with probability ~p^Threshold per interval; raising
-// Threshold trades detection speed for skepticism. A replica that
-// rejoins after Down bumps its incarnation number.
+// heal or restart. The caller drives every fault; the runtime never
+// decides on its own that a replica has failed. No such verdict could
+// change what a replica applies: the share graph fixes each write's
+// recipients, and predicate J decides delivery from the timestamp alone.
 //
 // Crashed replicas recover by state transfer. Cluster.Checkpoint
 // snapshots the node — register store, timestamp vector, buffered
@@ -160,14 +153,13 @@
 // schema: Metrics (Cluster.Metrics, LiveClientServer.Metrics,
 // ShardedSystem.Metrics, and wire.Client.Metrics across process
 // boundaries) is a point-in-time snapshot of legacy totals plus — when
-// the registry is armed — per-replica delivery/stall/recheck counters,
-// per-directed-edge traffic attribution ("0->1": sent, bytes,
-// delivered, dropped, duped, retransmitted, probed latency), and
-// inbox-depth gauges with high-water marks. The stall and recheck
-// counters are the observable texture of the paper's false-dependency
-// analysis: a delivery that applies nothing buffered waiting for its
-// causal past, and a delivery that releases previously parked updates
-// on recheck.
+// the registry is armed — per-replica delivery/stall/recheck/ingest-drop
+// counters, per-directed-edge traffic attribution ("0->1": sent, bytes,
+// delivered, dropped, duped, retransmitted), and inbox-depth gauges with
+// high-water marks. The stall and recheck counters are the observable
+// texture of the paper's false-dependency analysis: a delivery that
+// applies nothing buffered waiting for its causal past, and a delivery
+// that releases previously parked updates on recheck.
 //
 // Arming is explicit (ClusterOptions.Metrics, ShardOptions.Metrics, a
 // wire node's StatusAddr) because the default must cost nothing: with
@@ -181,15 +173,8 @@
 // snapshot, indented JSON) and /metricsz (flat "replica.0.delivered"
 // -> number pairs for scrapers); prcc-sim -status serves the live
 // cluster mid-run and prcc-client status polls a deployed cluster into
-// the same schema.
-//
-// Metrics also close the loop back into routing: ClusterOptions.
-// LoadAware ranks each write's fanout emission by destination inbox
-// depth and probed edge latency (a background prober EWMAs per-edge
-// RTTs), deferring the most loaded relays. Only emission order changes
-// — never the recipient set — and the engine's seeded shuffle already
-// permutes delivery order, so causal consistency and final state are
-// unaffected; a differential test pins both.
+// the same schema. Metrics only report: no routing or delivery decision
+// reads them.
 //
 // Beyond the protocol itself the package exposes the paper's analyses:
 // metadata sizing and compression (Section 5), conflict-graph lower bounds
@@ -281,9 +266,9 @@
 // where a move breaks one more register (building a relay route over
 // the edges that survive) or un-breaks one, each candidate re-scored by
 // rebuilding the effective share graph's timestamp graphs and summing
-// tracked entries. Entries can be priced by observed per-edge latency
-// EWMAs (Cluster.LatencyWeights) so the search prefers breaking cycles
-// whose edges are slow, and the result can be checked against the
+// tracked entries. Entries can be priced per edge
+// (OptimizeOptions.EdgeWeight) so the search prefers breaking cycles
+// whose edges are expensive, and the result can be checked against the
 // Section 4 lower bound. On rings the search rediscovers the paper's
 // line topology (2n² entries down to 4n−4, within 2× of the cycle
 // closed form); on sparse random graphs (two holders per register) it
@@ -371,7 +356,6 @@ import (
 	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/lowerbound"
-	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/optimize"
 	rt "repro/internal/runtime"
@@ -423,29 +407,6 @@ type FaultPlan = rt.FaultPlan
 // EdgeFault is the per-edge loss/duplication probability pair of a
 // FaultPlan.
 type EdgeFault = rt.EdgeFault
-
-// HeartbeatOptions tunes the membership failure detector: probe
-// interval, suspicion threshold, and reconnect backoff. Detection
-// latency is Interval × Threshold; see the Robustness section.
-type HeartbeatOptions = membership.Options
-
-// MemberStatus is a replica's health as seen by the failure detector.
-type MemberStatus = membership.Status
-
-// Membership statuses.
-const (
-	// MemberAlive: every inbound link answers probes.
-	MemberAlive = membership.Alive
-	// MemberSuspected: some inbound links crossed the miss threshold,
-	// others still answer — an asymmetric partition or lossy link.
-	MemberSuspected = membership.Suspected
-	// MemberDown: every inbound link crossed the threshold.
-	MemberDown = membership.Down
-)
-
-// MembershipEvent records one status transition observed by the
-// failure detector.
-type MembershipEvent = membership.Event
 
 // System is a partially replicated shared-memory configuration: the
 // placement, its derived share and timestamp graphs, and the edge-indexed
@@ -531,25 +492,12 @@ type ClusterOptions struct {
 	// Partition/Crash/Checkpoint/Restart controls; without Chaos those
 	// methods return an error. See the Robustness package section.
 	Chaos *FaultPlan
-	// Heartbeat, when non-nil, runs the membership failure detector
-	// alongside the cluster. Its probes ride the fault layer's links, so
-	// without Chaos every probe succeeds and nothing is ever suspected.
-	Heartbeat *HeartbeatOptions
 	// Metrics arms the observability registry: per-replica delivery and
 	// stall counters, per-edge traffic attribution, and inbox-depth
 	// gauges, all readable via Cluster.Metrics. Disarmed (the default)
 	// the instrumentation is a nil check on the delivery path — zero
 	// allocations, held there by a gated benchmark.
 	Metrics bool
-	// LoadAware enables load-aware relay choice: each write's fanout is
-	// emitted in an order ranked by destination inbox depth and probed
-	// edge latency (deepest-queued, slowest links last) instead of the
-	// cached recipient order. The recipient set itself never changes —
-	// only emission order, which the engine's seeded shuffle already
-	// permutes — so causal consistency and final state are unaffected
-	// (pinned by a differential test). Implies Metrics and starts the
-	// background edge prober.
-	LoadAware bool
 }
 
 func (o ClusterOptions) simOptions() []sim.ClusterOption {
@@ -572,12 +520,7 @@ func (o ClusterOptions) simOptions() []sim.ClusterOption {
 	if o.Chaos != nil {
 		opts = append(opts, sim.WithChaos(*o.Chaos))
 	}
-	if o.Heartbeat != nil {
-		opts = append(opts, sim.WithHeartbeats(*o.Heartbeat))
-	}
-	if o.LoadAware {
-		opts = append(opts, sim.WithLoadAware())
-	} else if o.Metrics {
+	if o.Metrics {
 		opts = append(opts, sim.WithMetrics())
 	}
 	return opts
@@ -651,7 +594,7 @@ func (c *Cluster) Check() error {
 
 // Metrics returns the cluster's unified metrics snapshot: legacy totals
 // always, per-replica and per-edge breakdowns when
-// ClusterOptions.Metrics (or LoadAware) armed the registry.
+// ClusterOptions.Metrics armed the registry.
 func (c *Cluster) Metrics() Metrics { return c.inner.Metrics() }
 
 // Workers returns the delivery worker-pool size.
@@ -679,8 +622,7 @@ func (c *Cluster) Partition(a, b ReplicaID, healAfter time.Duration) error {
 	return c.inner.Partition(a, b, healAfter)
 }
 
-// PartitionOneWay cuts only the from→to direction — the asymmetric-link
-// case the failure detector reports as Suspected rather than Down.
+// PartitionOneWay cuts only the from→to direction: an asymmetric link.
 func (c *Cluster) PartitionOneWay(from, to ReplicaID, healAfter time.Duration) error {
 	if err := c.checkReplica(from); err != nil {
 		return err
@@ -746,25 +688,6 @@ func (c *Cluster) FaultStats() (dropped, duped uint64) {
 	return 0, 0
 }
 
-// MemberStatus returns the failure detector's current view of replica
-// r. Without ClusterOptions.Heartbeat there is no detector and every
-// replica reads MemberAlive.
-func (c *Cluster) MemberStatus(r ReplicaID) MemberStatus {
-	if d := c.inner.Membership(); d != nil && int(r) >= 0 && int(r) < c.n {
-		return d.Status(int(r))
-	}
-	return MemberAlive
-}
-
-// MembershipEvents returns the failure detector's transition history
-// (nil without ClusterOptions.Heartbeat).
-func (c *Cluster) MembershipEvents() []MembershipEvent {
-	if d := c.inner.Membership(); d != nil {
-		return d.Events()
-	}
-	return nil
-}
-
 // Reconfigure switches the running cluster onto a different placement
 // of the same registers — typically one found by System.Optimize — via
 // a two-phase epoch fence: client writes are blocked, every in-flight
@@ -790,24 +713,6 @@ func (c *Cluster) Reconfigure(p *Placement) error {
 		return fmt.Errorf("prcc: reconfigure: %w", err)
 	}
 	return c.inner.Reconfigure(proto)
-}
-
-// LatencyWeights returns an edge-weight function for
-// OptimizeOptions.EdgeWeight fed by the cluster's probed per-edge
-// latency EWMAs, so the placement search prefers breaking register
-// cycles whose tracked edges are slow. The weights are a snapshot taken
-// now, not a live view. Probes only run under ClusterOptions.LoadAware;
-// without it (or before the first probe round) every edge weighs zero
-// and the search falls back to unweighted entry counts.
-func (c *Cluster) LatencyWeights() func(i, j ReplicaID) float64 {
-	m := c.Metrics()
-	return func(i, j ReplicaID) float64 {
-		ns := m.Edges[obs.EdgeKey(int(i), int(j))].LatencyNs
-		if back := m.Edges[obs.EdgeKey(int(j), int(i))].LatencyNs; back > ns {
-			ns = back
-		}
-		return float64(ns)
-	}
 }
 
 // ProtocolKind selects a protocol for Simulate.
@@ -1054,9 +959,6 @@ type ChaosOptions struct {
 	// Plan is the ambient loss/duplication lottery applied for the whole
 	// run. A zero Plan.Seed inherits Seed.
 	Plan FaultPlan
-	// Heartbeat, when non-nil, runs the failure detector alongside the
-	// workload; its transition history is returned in the report.
-	Heartbeat *HeartbeatOptions
 	// Partition, when true, cuts PartitionA↔PartitionB in both
 	// directions after the first third of the workload. PartitionHeal >
 	// 0 schedules the heal; otherwise the cut lasts until the end-of-run
@@ -1070,8 +972,8 @@ type ChaosOptions struct {
 	// final third, preserving its per-replica program order.
 	Crash        bool
 	CrashReplica ReplicaID
-	// Cluster configures the underlying runtime. Its Chaos and Heartbeat
-	// fields are ignored — Plan and Heartbeat above win.
+	// Cluster configures the underlying runtime. Its Chaos field is
+	// ignored — Plan above wins.
 	Cluster ClusterOptions
 }
 
@@ -1082,9 +984,6 @@ type ChaosOptions struct {
 // PendingBuffered and Ok reduces to the oracle's verdict.
 type ChaosReport struct {
 	ReportCore
-	// Events is the failure detector's transition history (empty without
-	// ChaosOptions.Heartbeat).
-	Events   []MembershipEvent
 	Messages int64
 	// Dropped counts transmissions diverted to the retransmitter; Duped
 	// counts injected duplicate deliveries.
@@ -1139,14 +1038,13 @@ func (s *System) RunChaos(opts ChaosOptions) (ChaosReport, error) {
 		plan.Seed = seed
 	}
 	cl := opts.Cluster
-	cl.Chaos, cl.Heartbeat = nil, nil
+	cl.Chaos = nil
 	if cl.Seed == 0 {
 		cl.Seed = seed
 	}
 	res, err := sim.RunChaos(sim.ChaosConfig{
 		Graph: s.graph, Protocol: p, Script: script,
 		Plan:      plan,
-		Heartbeat: opts.Heartbeat,
 		Partition: opts.Partition, PartitionA: opts.PartitionA,
 		PartitionB: opts.PartitionB, PartitionHeal: opts.PartitionHeal,
 		Crash: opts.Crash, CrashReplica: opts.CrashReplica,
@@ -1160,7 +1058,6 @@ func (s *System) RunChaos(opts ChaosOptions) (ChaosReport, error) {
 			Violations: res.Violations,
 			MetaBytes:  res.MetaBytes,
 		},
-		Events:          res.Events,
 		Messages:        res.MessagesSent,
 		Dropped:         res.Dropped,
 		Duped:           res.Duped,
@@ -1230,9 +1127,8 @@ type PlacementResult = optimize.SearchResult
 // a candidate, so the result is never worse than the current system.
 // Same seed, same graph, same result.
 //
-// Optionally weight entries by observed per-edge latency
-// (OptimizeOptions.EdgeWeight, see Cluster.LatencyWeights) and verify
-// the result against the Section 4 lower bound
+// Optionally weight entries per edge (OptimizeOptions.EdgeWeight) and
+// verify the result against the Section 4 lower bound
 // (OptimizeOptions.CheckBound). Feed the result's Placement to
 // Cluster.Reconfigure to switch a live cluster onto it.
 func (s *System) Optimize(opts OptimizeOptions) (*PlacementResult, error) {

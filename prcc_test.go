@@ -385,11 +385,6 @@ func TestOptimizeAndReconfigure(t *testing.T) {
 		t.Errorf("Check after reconfigure: %v", err)
 	}
 
-	// LatencyWeights without LoadAware: all-zero weights, still usable.
-	w := cluster.LatencyWeights()
-	if got := w(0, 1); got != 0 {
-		t.Errorf("unprobed latency weight = %v, want 0", got)
-	}
 	if err := cluster.Reconfigure(nil); err == nil {
 		t.Error("Reconfigure(nil) accepted")
 	}
