@@ -123,23 +123,16 @@ func (a *AugmentedGraph) IsAugmentedIEJKLoop(lp Loop) bool {
 // BuildAugmentedTSGraph computes Ê_i per Definition 28: incident Ê edges
 // and augmented-loop edges, intersected with the real edge set E. The
 // result is returned as a TSGraph whose tracked edges all belong to E.
-// Loop existence is decided by the exact engine (see search.go); the
-// incident edges of Ĝ intersected with E are exactly the share-graph
-// incident edges (client-only edges carry no registers), so the shared
-// builder applies unchanged.
+// Loop existence is decided by the exact engine (see search.go), through
+// the same edge-outer builder as BuildTSGraph.
 func (a *AugmentedGraph) BuildAugmentedTSGraph(i ReplicaID, opts LoopOptions) *TSGraph {
-	return buildTSGraphWith(a.G, i, opts, NewAugmentedLoopSearcher(a).Find)
+	return buildTSGraphs(NewAugmentedLoopSearcher(a), i, i+1, opts)[0]
 }
 
 // BuildAllAugmentedTSGraphs computes Ê_i for every replica, sharing one
 // exact searcher across replicas.
 func (a *AugmentedGraph) BuildAllAugmentedTSGraphs(opts LoopOptions) []*TSGraph {
-	s := NewAugmentedLoopSearcher(a)
-	out := make([]*TSGraph, a.G.NumReplicas())
-	for i := range out {
-		out[i] = buildTSGraphWith(a.G, ReplicaID(i), opts, s.Find)
-	}
-	return out
+	return buildTSGraphs(NewAugmentedLoopSearcher(a), 0, ReplicaID(a.G.r), opts)
 }
 
 // ClientTSEdges returns the edge universe of client c's timestamp µ_c:

@@ -1,9 +1,10 @@
 package sharegraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -76,13 +77,13 @@ func NewFromSets(stores []RegisterSet) (*Graph, error) {
 		}
 	}
 	for _, ns := range g.adj {
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+		slices.Sort(ns)
 	}
 	for r := range g.holders {
 		g.regs = append(g.regs, r)
-		sort.Slice(g.holders[r], func(a, b int) bool { return g.holders[r][a] < g.holders[r][b] })
+		slices.Sort(g.holders[r])
 	}
-	sort.Slice(g.regs, func(a, b int) bool { return g.regs[a] < g.regs[b] })
+	slices.Sort(g.regs)
 	return g, nil
 }
 
@@ -230,10 +231,10 @@ func (g *Graph) Validate() error {
 }
 
 func sortEdges(es []Edge) {
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].From != es[b].From {
-			return es[a].From < es[b].From
+	slices.SortFunc(es, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return es[a].To < es[b].To
+		return cmp.Compare(a.To, b.To)
 	})
 }

@@ -282,3 +282,65 @@ func TestExactEngineAgainstBruteForce(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// sameTSGraph reports the first way got differs from the reference
+// build want: its edge list, or the Index of any of its edges.
+func sameTSGraph(got, want *TSGraph) string {
+	if got.Owner != want.Owner {
+		return fmt.Sprintf("owner %d != %d", got.Owner, want.Owner)
+	}
+	if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+		return fmt.Sprintf("edges %v != reference edges %v", got.Edges(), want.Edges())
+	}
+	for _, e := range want.Edges() {
+		gi, gok := got.Index(e)
+		wi, wok := want.Index(e)
+		if gi != wi || gok != wok {
+			return fmt.Sprintf("Index(%v) = (%d,%v), reference (%d,%v)", e, gi, gok, wi, wok)
+		}
+	}
+	return ""
+}
+
+// TestBuildAllByteIdenticalToLegacy holds the whole-system builders that
+// prcc.New and the client-server runtime use to the per-owner reference
+// build through the enumerating DFS, at every MaxLen: BuildAllTSGraphs
+// on every generator family and 40 random placements,
+// BuildAllAugmentedTSGraphs on 60 augmented seeds.
+func TestBuildAllByteIdenticalToLegacy(t *testing.T) {
+	check := func(name string, g *Graph, a *AugmentedGraph) {
+		t.Helper()
+		for _, opts := range maxLens(g.NumReplicas()) {
+			var all []*TSGraph
+			if a != nil {
+				all = a.BuildAllAugmentedTSGraphs(opts)
+			} else {
+				all = BuildAllTSGraphs(g, opts)
+			}
+			if len(all) != g.NumReplicas() {
+				t.Fatalf("%s opts %+v: %d graphs for %d replicas", name, opts, len(all), g.NumReplicas())
+			}
+			for i, got := range all {
+				ref := buildTSGraphWith(g, ReplicaID(i), opts, refFinder(g, a))
+				if diff := sameTSGraph(got, ref); diff != "" {
+					t.Fatalf("%s replica %d opts %+v: %s", name, i, opts, diff)
+				}
+			}
+		}
+	}
+	for name, g := range diffGraphs() {
+		check(name, g, nil)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		check(fmt.Sprintf("random seed %d", seed), placementFromSeed(seed, 7, 10), nil)
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		g := placementFromSeed(seed, 6, 9)
+		assignment := randomClients(g, newTestRand(seed^0x5eed), 3)
+		a, err := NewAugmented(g, assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("augmented seed %d clients %v", seed, assignment), g, a)
+	}
+}

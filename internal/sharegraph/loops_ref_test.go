@@ -140,6 +140,27 @@ func refFindLoop(g *Graph, aug *AugmentedGraph, i ReplicaID, e Edge, opts LoopOp
 	return found, ok
 }
 
+// buildTSGraphWith is the per-owner reference builder: owner i's incident
+// edges plus every non-incident edge the given finder witnesses. The
+// byte-identity tests build through it with refFinder and require the
+// engine's edge-outer builders to produce the same edge lists.
+func buildTSGraphWith(g *Graph, i ReplicaID, opts LoopOptions, find func(ReplicaID, Edge, LoopOptions) (Loop, bool)) *TSGraph {
+	var edges []Edge
+	for _, j := range g.Neighbors(i) {
+		edges = append(edges, Edge{i, j}, Edge{j, i})
+	}
+	for _, e := range g.Edges() {
+		if e.From == i || e.To == i {
+			continue
+		}
+		if _, ok := find(i, e, opts); ok {
+			edges = append(edges, e)
+		}
+	}
+	sortEdges(edges)
+	return newTSGraph(i, edges)
+}
+
 // refFinder adapts refFindLoop to buildTSGraphWith's finder signature.
 func refFinder(g *Graph, aug *AugmentedGraph) func(ReplicaID, Edge, LoopOptions) (Loop, bool) {
 	return func(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {

@@ -52,6 +52,14 @@ import "sync"
 // states of its own layer. The r-side BFS records each vertex's r-path
 // vertex count and stops expanding at the room the l-path leaves, so it
 // closes on the shortest feasible r-path.
+//
+// Builds ask every owner i about one edge e_jk in a row, and two
+// pre-filters never read i. Reach: an l-path vertex must reach k avoiding
+// j, so it lies in k's component of G − j (Ĝ − j when augmented), labelled
+// once per j. The depth-0 r-side check (empty interior, l-path k alone)
+// reads only j, k and the bound, so one BFS from j with no target marks
+// every vertex an r-path closes onto, once per edge. Expanding through i
+// cannot change i's own mark: a shortest path to i never passes through i.
 
 // searchIndex holds the per-graph canonical bitmask tables shared by the
 // exact engine and the allocation-free IsIEJKLoop validator: one bit per
@@ -211,7 +219,7 @@ func (s *LoopSearcher) Find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 // Has reports whether any (i, e_jk)-loop of at most opts.MaxLen vertices
 // exists.
 func (s *LoopSearcher) Has(i ReplicaID, e Edge, opts LoopOptions) bool {
-	_, ok := s.es.find(i, e, opts)
+	_, ok := s.es.query(i, e, opts)
 	return ok
 }
 
@@ -236,8 +244,19 @@ type exactSearch struct {
 	vw  int // vertex words in a state mask (augmented only, else 0)
 	tw  int // total state-mask words
 
-	// limit is the current query's loop vertex bound; 0 when unbounded.
-	limit int
+	// The current edge e_jk, its label X_jk and the loop vertex bound (0
+	// when unbounded), set by setEdge, and the pre-filters every owner
+	// shares (see the file header): comp labels the components of the
+	// adjacency minus compJ; rclose, fhAll and fhFree hold while swept.
+	j, k   ReplicaID
+	tl     []uint64
+	limit  int
+	comp   []int32
+	compJ  ReplicaID
+	swept  bool
+	rclose []uint64 // vertices the depth-0 r-side sweep closes onto
+	fhAll  []uint64 // union of all usable first-hop labels out of j
+	fhFree bool     // some first hop out of j is a client pair
 
 	adj     [][]ReplicaID // G adjacency, or Ĝ adjacency when augmented
 	adjLab  [][][]uint64  // edge label per (v, adj index); nil for client-only edges
@@ -251,15 +270,12 @@ type exactSearch struct {
 	queue   []int32
 	cur     []uint64 // popped state's mask (arena may grow mid-expansion)
 	cand    []uint64 // candidate successor mask
-	fhAll   []uint64 // union of all usable first-hop labels out of j
-	reach   []uint64 // vertices that can reach k avoiding j
 	rvis    []uint64 // r-side BFS visited set
 	rq      []ReplicaID
-	rparent []ReplicaID // r-side BFS parents; -1 = reached directly from j
-	rlevel  []int32     // r-side BFS r-path vertex count (first hops are 2)
+	rparent []ReplicaID // r-side BFS parents
+	rlevel  []int32     // r-side BFS r-path vertex count (j is 1)
 	rfull   []uint64    // full = interior ∪ X_k for the current r-side query
 	rGoal   ReplicaID   // last r-path vertex before i (valid after success)
-	rDirect bool        // r-path was the direct close j → i (t = 1)
 }
 
 func (es *exactSearch) init(g *Graph, aug *AugmentedGraph) {
@@ -297,7 +313,9 @@ func (es *exactSearch) init(g *Graph, aug *AugmentedGraph) {
 	es.cur = make([]uint64, es.tw)
 	es.cand = make([]uint64, es.tw)
 	es.fhAll = make([]uint64, es.rw)
-	es.reach = make([]uint64, es.idx.vwords)
+	es.comp = make([]int32, es.n)
+	es.compJ = -1
+	es.rclose = make([]uint64, es.idx.vwords)
 	es.rvis = make([]uint64, es.idx.vwords)
 	es.rparent = make([]ReplicaID, es.n)
 	es.rlevel = make([]int32, es.n)
@@ -314,42 +332,53 @@ func (es *exactSearch) pair(v ReplicaID, x int) bool {
 }
 
 func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) {
-	j, k := e.From, e.To
-	if i == j || i == k || j == k || !es.g.HasEdge(e) {
+	sid, ok := es.query(i, e, opts)
+	if !ok {
 		return Loop{}, false
 	}
-	es.limit = 0
-	if opts.MaxLen > 0 && opts.MaxLen < es.n {
-		es.limit = opts.MaxLen // Appendix D truncation
-	}
-	tl := es.idx.eb[e] // X_jk, the condition (i) label
+	return es.buildWitness(i, e.From, e.To, sid), true
+}
 
-	// Depth-1 pre-filter: only vertices that can reach k at all (avoiding
-	// j, which the l-path may not touch) can sit on an l-path.
-	if !es.computeReach(k, j, i) {
-		return Loop{}, false
+// query decides (i, e) at opts.MaxLen; only a share edge not incident at i
+// can have loops.
+func (es *exactSearch) query(i ReplicaID, e Edge, opts LoopOptions) (int32, bool) {
+	if i == e.From || i == e.To || !es.g.HasEdge(e) {
+		return -1, false
 	}
-	// Depth-0 pre-filter: if the r-side cannot close even against an
-	// empty interior and the shortest l-path (k alone) — the easiest it
-	// will ever be — no l-path helps.
-	if !es.rFeasible(i, j, k, nil, es.rmax(1)) {
-		return Loop{}, false
+	es.setEdge(e, opts)
+	return es.search(i)
+}
+
+// setEdge makes the share edge e = e_jk and opts.MaxLen current.
+func (es *exactSearch) setEdge(e Edge, opts LoopOptions) {
+	limit := 0
+	if opts.MaxLen > 0 && opts.MaxLen < es.n {
+		limit = opts.MaxLen // Appendix D truncation
 	}
-	// Union of first-hop labels out of j (r_2 = k is never allowed): once
-	// an interior covers all of them and no client pair can stand in,
-	// condition (ii) is dead for every extension — masks only grow.
-	fhFree := false
-	maskZero(es.fhAll)
-	for x, v := range es.adj[j] {
-		if v == k {
-			continue
-		}
-		if es.pair(j, x) {
-			fhFree = true
-		}
-		if lab := es.adjLab[j][x]; lab != nil {
-			maskOr(es.fhAll, lab)
-		}
+	if e.From != es.j || e.To != es.k || limit != es.limit {
+		es.swept = false
+	}
+	es.j, es.k, es.tl, es.limit = e.From, e.To, es.idx.eb[e], limit
+}
+
+// search decides the current edge for owner i. On success it returns the
+// l-state whose arrival at k closed, with the deciding r-side BFS left in
+// scratch for buildWitness.
+func (es *exactSearch) search(i ReplicaID) (int32, bool) {
+	j, k, tl := es.j, es.k, es.tl
+	if es.compJ != j {
+		es.label(j)
+	}
+	if !es.swept {
+		es.rFeasible(-1, j, k, nil, es.rmax(1))
+		es.swept = true
+	}
+	// Depth-1 pre-filter: only k's component of G − j can hold an l-path.
+	// Depth-0: if the r-side cannot close onto i even against an empty
+	// interior and the shortest l-path (k alone) — the easiest it will
+	// ever be — no l-path helps.
+	if es.comp[i] != es.comp[k] || !bitGet(es.rclose, int(i)) {
+		return -1, false
 	}
 
 	// Reset per-query scratch.
@@ -396,11 +425,11 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 					continue // a dominating arrival already failed the r-side
 				}
 				if es.rFeasible(i, j, k, es.cur, es.rmax(depth)) {
-					return es.buildWitness(i, j, k, sid), true
+					return sid, true
 				}
 				continue
 			}
-			if !bitGet(es.reach, int(w)) {
+			if es.comp[w] != es.comp[k] {
 				continue
 			}
 			if es.vw > 0 && bitGet(es.cur[es.rw:], int(w)) {
@@ -414,7 +443,7 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 			if maskSubset(tl, es.cand[:es.rw]) {
 				continue // condition (i) can never hold past w
 			}
-			if !fhFree && maskSubset(es.fhAll, es.cand[:es.rw]) {
+			if !es.fhFree && maskSubset(es.fhAll, es.cand[:es.rw]) {
 				continue // condition (ii) can never hold past w
 			}
 			if id, ok := es.insertState(w, es.cand, sid, depth); ok {
@@ -422,7 +451,7 @@ func (es *exactSearch) find(i ReplicaID, e Edge, opts LoopOptions) (Loop, bool) 
 			}
 		}
 	}
-	return Loop{}, false
+	return -1, false
 }
 
 // rmax returns how many r-path vertices fit in a loop whose l-path has d
@@ -463,24 +492,28 @@ func (es *exactSearch) insertState(v ReplicaID, m []uint64, prev, depth int32) (
 	return id, true
 }
 
-// computeReach BFS-fills es.reach with the vertices that can reach k in
-// the (symmetric) search adjacency without touching j, and reports whether
-// i is among them.
-func (es *exactSearch) computeReach(k, j, i ReplicaID) bool {
-	maskZero(es.reach)
-	bitSet(es.reach, int(k))
-	es.rq = es.rq[:0]
-	es.rq = append(es.rq, k)
-	for qi := 0; qi < len(es.rq); qi++ {
-		for _, w := range es.adj[es.rq[qi]] {
-			if w == j || bitGet(es.reach, int(w)) {
-				continue
+// label sets comp to the component labels of the search adjacency minus
+// j (each component is named by its least vertex), and comp[j] to -1.
+func (es *exactSearch) label(j ReplicaID) {
+	for v := range es.comp {
+		es.comp[v] = -1
+	}
+	for v0 := range es.n {
+		if ReplicaID(v0) == j || es.comp[v0] >= 0 {
+			continue
+		}
+		es.comp[v0] = int32(v0)
+		es.rq = append(es.rq[:0], ReplicaID(v0))
+		for qi := 0; qi < len(es.rq); qi++ {
+			for _, w := range es.adj[es.rq[qi]] {
+				if w != j && es.comp[w] < 0 {
+					es.comp[w] = int32(v0)
+					es.rq = append(es.rq, w)
+				}
 			}
-			bitSet(es.reach, int(w))
-			es.rq = append(es.rq, w)
 		}
 	}
-	return bitGet(es.reach, int(i))
+	es.compJ = j
 }
 
 // rFeasible decides whether an r-path exists for the l-path summarized by
@@ -490,8 +523,12 @@ func (es *exactSearch) computeReach(k, j, i ReplicaID) bool {
 // excluded sets); the augmented engine additionally excludes the l-path's
 // visited-vertex bits, since client-pair hops bypass the register filter.
 // The r-path may have at most rmax vertices; the BFS stops expanding there,
-// so it finds the shortest r-path. On success the BFS parents (or rDirect)
-// describe a concrete r-path.
+// so it finds the shortest r-path. On success the BFS parents from rGoal
+// back to j describe a concrete r-path. With i < 0 there is no target: the BFS runs
+// to the end, marks in es.rclose every vertex it can close onto, and
+// collects fhAll and fhFree from the first hops (r_2 = k is never
+// allowed): once an interior covers fhAll and no client pair can stand
+// in, condition (ii) is dead for every extension — masks only grow.
 func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64, rmax int32) bool {
 	var interior, excl []uint64
 	if lmask != nil {
@@ -504,52 +541,47 @@ func (es *exactSearch) rFeasible(i, j, k ReplicaID, lmask []uint64, rmax int32) 
 	if interior != nil {
 		maskOr(es.rfull, interior)
 	}
-	// t = 1: close j → i directly under condition (ii).
-	if rmax >= 1 && condHop(es.idx, es.aug, j, i, interior) {
-		es.rDirect = true
-		return true
+	sweep := i < 0
+	if sweep {
+		maskZero(es.rclose)
+		maskZero(es.fhAll)
+		es.fhFree = false
 	}
-	es.rDirect = false
-	if rmax < 2 {
-		return false // no room for r_2
+	if rmax < 1 {
+		return false // no room for j
 	}
+	// BFS from j = r_1. Hops out of j (the first hop r_2, or the direct
+	// close onto i when t = 1) are under condition (ii) against interior,
+	// later hops under condition (iii) against full. k starts visited:
+	// r_2 = k would revisit the l-path's endpoint and is the one vertex the
+	// filter cannot exclude.
 	maskZero(es.rvis)
-	es.rq = es.rq[:0]
-	// First hops j → r_2 under condition (ii); r_2 = k would revisit the
-	// l-path's endpoint and is the one vertex the filter cannot exclude.
-	for x, v := range es.adj[j] {
-		if v == i || v == k {
-			continue
-		}
-		if excl != nil && bitGet(excl, int(v)) {
-			continue
-		}
-		if !es.pair(j, x) && !maskDiffNonEmpty(es.adjLab[j][x], interior) {
-			continue
-		}
-		if bitGet(es.rvis, int(v)) {
-			continue
-		}
-		bitSet(es.rvis, int(v))
-		es.rparent[v] = -1
-		es.rlevel[v] = 2
-		es.rq = append(es.rq, v)
-	}
-	// Later hops r_q → r_{q+1} (and the close onto i) under condition (iii).
+	bitSet(es.rvis, int(j))
+	bitSet(es.rvis, int(k))
+	es.rlevel[j] = 1
+	es.rq = append(es.rq[:0], j)
 	for qi := 0; qi < len(es.rq); qi++ {
 		u := es.rq[qi]
+		excluded := es.rfull
+		if u == j {
+			excluded = interior
+		}
 		for x, w := range es.adj[u] {
-			if !es.pair(u, x) && !maskDiffNonEmpty(es.adjLab[u][x], es.rfull) {
+			if !es.pair(u, x) && !maskDiffNonEmpty(es.adjLab[u][x], excluded) {
 				continue
 			}
 			if w == i {
 				es.rGoal = u
 				return true
 			}
-			if es.rlevel[u] >= rmax || w == j || w == k || bitGet(es.rvis, int(w)) {
-				continue
+			if sweep {
+				bitSet(es.rclose, int(w))
+				if u == j && w != k {
+					maskOr(es.fhAll, es.adjLab[u][x])
+					es.fhFree = es.fhFree || es.pair(u, x)
+				}
 			}
-			if excl != nil && bitGet(excl, int(w)) {
+			if es.rlevel[u] >= rmax || bitGet(es.rvis, int(w)) || excl != nil && bitGet(excl, int(w)) {
 				continue
 			}
 			bitSet(es.rvis, int(w))
@@ -577,16 +609,9 @@ func (es *exactSearch) buildWitness(i, j, k ReplicaID, sid int32) Loop {
 		lp.L = append(lp.L, rev[p])
 	}
 	lp.L = append(lp.L, k)
-	if es.rDirect {
-		lp.R = []ReplicaID{j}
-		return lp
-	}
 	var rrev []ReplicaID
-	for v := es.rGoal; ; v = es.rparent[v] {
+	for v := es.rGoal; v != j; v = es.rparent[v] {
 		rrev = append(rrev, v)
-		if es.rparent[v] < 0 {
-			break
-		}
 	}
 	lp.R = make([]ReplicaID, 0, len(rrev)+1)
 	lp.R = append(lp.R, j)

@@ -1,7 +1,11 @@
 package sharegraph
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -225,6 +229,9 @@ func TestExactDenseRandomKBuild(t *testing.T) {
 
 // BenchmarkExactLoopSearch measures the engine on a sparse ring, a dense
 // pair clique, and a whole timestamp graph of the dense random topology.
+// ring8_e45 and pairclique8_e45 repeat one (j, k), so after the first
+// iteration they measure the searcher with its per-j and per-edge
+// pre-filters warm: the l-path search alone.
 func BenchmarkExactLoopSearch(b *testing.B) {
 	b.Run("ring8_e45", func(b *testing.B) {
 		g := Ring(8)
@@ -271,5 +278,80 @@ func BenchmarkIsIEJKLoopValidate(b *testing.B) {
 		if !g.IsIEJKLoop(lp) {
 			b.Fatal("witness must validate")
 		}
+	}
+}
+
+// loopQuery is one (i, e_jk, MaxLen) question to a searcher.
+type loopQuery struct {
+	i    ReplicaID
+	e    Edge
+	opts LoopOptions
+}
+
+// TestSearcherAnswersAnyQueryOrder holds one searcher's per-j and per-edge
+// caches to the differentials: the same searcher answers every query of a
+// graph in three orders — grouped by j with k changing between queries,
+// grouped by (j, k) with MaxLen changing between queries, and shuffled —
+// and each answer must equal a fresh searcher's (witness included) and
+// the reference DFS's verdict. Plain and augmented.
+func TestSearcherAnswersAnyQueryOrder(t *testing.T) {
+	run := func(name string, g *Graph, a *AugmentedGraph, rng *rand.Rand) {
+		t.Helper()
+		fresh := func() *LoopSearcher {
+			if a != nil {
+				return NewAugmentedLoopSearcher(a)
+			}
+			return NewLoopSearcher(g)
+		}
+		n := g.NumReplicas()
+		edges, lens := g.Edges(), maxLens(n)
+		// Same j, k changing: for each j, each owner and bound sweep
+		// every k out of j before moving on.
+		var byJ, byJK []loopQuery
+		for _, opts := range lens {
+			for i := range n {
+				for _, e := range edges {
+					byJ = append(byJ, loopQuery{ReplicaID(i), e, opts})
+				}
+			}
+		}
+		slices.SortStableFunc(byJ, func(p, q loopQuery) int { return cmp.Compare(p.e.From, q.e.From) })
+		// Same (j, k), MaxLen changing between consecutive queries.
+		for _, e := range edges {
+			for i := range n {
+				for _, opts := range lens {
+					byJK = append(byJK, loopQuery{ReplicaID(i), e, opts})
+				}
+			}
+		}
+		shuffled := slices.Clone(byJK)
+		rng.Shuffle(len(shuffled), func(x, y int) { shuffled[x], shuffled[y] = shuffled[y], shuffled[x] })
+		for order, qs := range map[string][]loopQuery{"by j": byJ, "by (j,k)": byJK, "shuffled": shuffled} {
+			s := fresh()
+			for _, q := range qs {
+				lp, ok := s.Find(q.i, q.e, q.opts)
+				wantLp, wantOk := fresh().Find(q.i, q.e, q.opts)
+				if ok != wantOk || !reflect.DeepEqual(lp, wantLp) {
+					t.Fatalf("%s %s: query %+v: shared searcher (%v, %v), fresh (%v, %v)",
+						name, order, q, lp, ok, wantLp, wantOk)
+				}
+				if _, refOk := refFindLoop(g, a, q.i, q.e, q.opts); ok != refOk {
+					t.Fatalf("%s %s: query %+v: engine %v, reference %v", name, order, q, ok, refOk)
+				}
+			}
+		}
+	}
+	rng := newTestRand(39)
+	for _, name := range []string{"fig5", "ring6", "pairclq6", "grid9", "randomk3"} {
+		run(name, diffGraphs()[name], nil, rng)
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		run(fmt.Sprintf("sparse seed %d", seed), sparsePlacement(seed), nil, rng)
+		g := placementFromSeed(seed, 6, 9)
+		a, err := NewAugmented(g, randomClients(g, newTestRand(seed^0x5eed), 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(fmt.Sprintf("augmented seed %d", seed), g, a, rng)
 	}
 }

@@ -10,11 +10,16 @@ import (
 // in its timestamp. It contains every directed edge incident at i (both
 // directions) plus every edge e_jk (j ≠ i ≠ k) for which an (i, e_jk)-loop
 // exists. Timestamp-graph edges are not necessarily bidirectional.
+// Witness loops are not stored; WitnessLoop recomputes them from the graph
+// and options the TSGraph was built with.
 type TSGraph struct {
 	Owner ReplicaID
-	edges []Edge        // deterministic order: sorted (From, To)
-	index map[Edge]int  // edge → position in edges
-	loops map[Edge]Loop // witness loop per non-incident edge (diagnostics)
+	edges []Edge       // deterministic order: sorted (From, To)
+	index map[Edge]int // edge → position in edges
+
+	g    *Graph          // nil for NewTSGraphFromEdges
+	aug  *AugmentedGraph // non-nil for augmented builds
+	opts LoopOptions
 }
 
 // BuildTSGraph computes G_i for replica i by (i, e_jk)-loop search over
@@ -23,34 +28,40 @@ type TSGraph struct {
 // non-zero, truncates the search to loops of at most that many vertices
 // (the Appendix D causality-sacrificing optimization).
 func BuildTSGraph(g *Graph, i ReplicaID, opts LoopOptions) *TSGraph {
-	return buildTSGraphWith(g, i, opts, NewLoopSearcher(g).Find)
+	return buildTSGraphs(NewLoopSearcher(g), i, i+1, opts)[0]
 }
 
-// buildTSGraphWith assembles a timestamp graph from incident edges plus
-// every non-incident edge the given loop finder witnesses. The finder is
-// a parameter so the differential tests can build through the reference
-// DFS and require byte-identical edge sets.
-func buildTSGraphWith(g *Graph, i ReplicaID, opts LoopOptions, find func(ReplicaID, Edge, LoopOptions) (Loop, bool)) *TSGraph {
-	t := &TSGraph{
-		Owner: i,
-		index: make(map[Edge]int),
-		loops: make(map[Edge]Loop),
-	}
-	var edges []Edge
-	for _, j := range g.Neighbors(i) {
-		edges = append(edges, Edge{i, j}, Edge{j, i})
-	}
-	for _, e := range g.Edges() {
-		if e.From == i || e.To == i {
-			continue
-		}
-		if lp, ok := find(i, e, opts); ok {
-			edges = append(edges, e)
-			t.loops[e] = lp
+// buildTSGraphs builds the timestamp graphs of owners lo … hi-1 in one
+// pass over the share-graph edges: each edge is set up once, then asked
+// of every owner, so the searcher's per-j and per-edge pre-filters (see
+// search.go) serve all owners. Each owner's list is collected in edge
+// order, which is the sorted order. Incident edges of Ĝ intersected with
+// E are exactly the share-graph incident edges (client-only edges carry no
+// registers), so augmented searchers build through the same loop.
+func buildTSGraphs(s *LoopSearcher, lo, hi ReplicaID, opts LoopOptions) []*TSGraph {
+	es := &s.es
+	lists := make([][]Edge, hi-lo)
+	for _, e := range es.g.Edges() {
+		es.setEdge(e, opts)
+		for i := lo; i < hi; i++ {
+			if i == e.From || i == e.To {
+				lists[i-lo] = append(lists[i-lo], e)
+			} else if _, ok := es.search(i); ok {
+				lists[i-lo] = append(lists[i-lo], e)
+			}
 		}
 	}
-	sortEdges(edges)
-	t.edges = edges
+	out := make([]*TSGraph, len(lists))
+	for x, edges := range lists {
+		out[x] = newTSGraph(lo+ReplicaID(x), edges)
+		out[x].g, out[x].aug, out[x].opts = es.g, es.aug, opts
+	}
+	return out
+}
+
+// newTSGraph indexes edges, which must be distinct and sorted.
+func newTSGraph(owner ReplicaID, edges []Edge) *TSGraph {
+	t := &TSGraph{Owner: owner, edges: edges, index: make(map[Edge]int, len(edges))}
 	for idx, e := range edges {
 		t.index[e] = idx
 	}
@@ -63,11 +74,6 @@ func buildTSGraphWith(g *Graph, i ReplicaID, opts LoopOptions, find func(Replica
 // timestamp graph) and by the Appendix D optimizations that shrink or
 // extend the tracked edge set. Edges are deduplicated and sorted.
 func NewTSGraphFromEdges(owner ReplicaID, edges []Edge) *TSGraph {
-	t := &TSGraph{
-		Owner: owner,
-		index: make(map[Edge]int, len(edges)),
-		loops: make(map[Edge]Loop),
-	}
 	uniq := make([]Edge, 0, len(edges))
 	seen := make(map[Edge]bool, len(edges))
 	for _, e := range edges {
@@ -77,23 +83,14 @@ func NewTSGraphFromEdges(owner ReplicaID, edges []Edge) *TSGraph {
 		}
 	}
 	sortEdges(uniq)
-	t.edges = uniq
-	for idx, e := range uniq {
-		t.index[e] = idx
-	}
-	return t
+	return newTSGraph(owner, uniq)
 }
 
 // BuildAllTSGraphs computes the timestamp graph of every replica. One
-// exact searcher is shared across replicas so its working memory is
-// reused for every query.
+// exact searcher answers every query, edge by edge, so its working memory
+// and per-edge pre-filters are shared across replicas.
 func BuildAllTSGraphs(g *Graph, opts LoopOptions) []*TSGraph {
-	s := NewLoopSearcher(g)
-	out := make([]*TSGraph, g.NumReplicas())
-	for i := range out {
-		out[i] = buildTSGraphWith(g, ReplicaID(i), opts, s.Find)
-	}
-	return out
+	return buildTSGraphs(NewLoopSearcher(g), 0, ReplicaID(g.r), opts)
 }
 
 // Len returns |E_i|, the number of tracked edges (= timestamp entries
@@ -118,10 +115,17 @@ func (t *TSGraph) Index(e Edge) (int, bool) {
 }
 
 // WitnessLoop returns the (i, e_jk)-loop that justified tracking a
-// non-incident edge, if e is tracked and non-incident.
+// non-incident edge, if e is tracked and non-incident. Witnesses are
+// recomputed, not stored: each call runs the search again on a fresh
+// searcher with the build's LoopOptions, so it is safe for concurrent use
+// and the loop respects MaxLen. Graphs from NewTSGraphFromEdges have none.
 func (t *TSGraph) WitnessLoop(e Edge) (Loop, bool) {
-	lp, ok := t.loops[e]
-	return lp, ok
+	if t.g == nil || !t.Has(e) {
+		return Loop{}, false
+	}
+	s := &LoopSearcher{}
+	s.es.init(t.g, t.aug)
+	return s.Find(t.Owner, e, t.opts)
 }
 
 // NonIncidentEdges returns the tracked edges not incident at the owner —

@@ -1,6 +1,8 @@
 package sharegraph
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +160,75 @@ func TestFullReplicationTSGraph(t *testing.T) {
 	}
 }
 
+// TestWitnessLoopOnDemand: witnesses are recomputed when asked for.
+// Augmented builds give loops that pass IsAugmentedIEJKLoop, truncated
+// ones loops within MaxLen (TestExactDenseRandomKBuild covers plain), incident and untracked edges and
+// graphs from NewTSGraphFromEdges give none, and concurrent callers on
+// one TSGraph get the same answers (run it under -race).
+func TestWitnessLoopOnDemand(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		g := placementFromSeed(seed, 7, 10)
+		a, err := NewAugmented(g, randomClients(g, newTestRand(seed^0x5eed), 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []LoopOptions{{}, {MaxLen: 4}} {
+			for _, tg := range a.BuildAllAugmentedTSGraphs(opts) {
+				for _, e := range tg.NonIncidentEdges() {
+					lp, ok := tg.WitnessLoop(e)
+					if !ok || !a.IsAugmentedIEJKLoop(lp) || lp.I != tg.Owner || lp.Edge() != e {
+						t.Fatalf("seed %d opts %+v replica %d edge %v: witness (%v, %v) invalid",
+							seed, opts, tg.Owner, e, lp, ok)
+					}
+					if opts.MaxLen > 0 && lp.Len() > opts.MaxLen {
+						t.Fatalf("seed %d replica %d edge %v: witness %v longer than %d",
+							seed, tg.Owner, e, lp, opts.MaxLen)
+					}
+				}
+			}
+		}
+	}
+
+	ring := Ring(6)
+	ts := BuildTSGraph(ring, 0, LoopOptions{MaxLen: 5})
+	for _, e := range []Edge{{0, 1}, {1, 0}, {5, 0}} {
+		if lp, ok := ts.WitnessLoop(e); ok || lp.L != nil || lp.R != nil {
+			t.Errorf("incident edge %v: witness (%v, %v), want none", e, lp, ok)
+		}
+	}
+	if _, ok := ts.WitnessLoop(Edge{3, 4}); ok || ts.Has(Edge{3, 4}) {
+		t.Error("MaxLen 5 tracks or witnesses e(3->4), which needs the 6-vertex ring loop")
+	}
+	if _, ok := ts.WitnessLoop(Edge{2, 4}); ok {
+		t.Error("witness for a non-edge")
+	}
+	explicit := NewTSGraphFromEdges(0, BuildTSGraph(ring, 0, LoopOptions{}).Edges())
+	for _, e := range explicit.NonIncidentEdges() {
+		if lp, ok := explicit.WitnessLoop(e); ok || lp.L != nil || lp.R != nil {
+			t.Errorf("NewTSGraphFromEdges edge %v: witness (%v, %v), want none", e, lp, ok)
+		}
+	}
+
+	exact := BuildTSGraph(Fig5Example(), 0, LoopOptions{})
+	want := make(map[Edge]Loop)
+	for _, e := range exact.NonIncidentEdges() {
+		want[e], _ = exact.WitnessLoop(e)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range exact.NonIncidentEdges() {
+				if lp, ok := exact.WitnessLoop(e); !ok || !reflect.DeepEqual(lp, want[e]) {
+					t.Errorf("concurrent WitnessLoop(%v) = (%v, %v), want %v", e, lp, ok, want[e])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func BenchmarkTSGraphBuildFig5(b *testing.B) {
 	g := Fig5Example()
 	b.ReportAllocs()
@@ -178,5 +249,35 @@ func BenchmarkShareGraphBuildRandom(b *testing.B) {
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
 		RandomK(12, 30, 3, int64(n))
+	}
+}
+
+// BenchmarkBuildAllTSGraphs measures whole-system builds, the set-up cost
+// every instance pays: the exact dense RandomK(64, 192, 3, 7) build
+// (65 408 entries), Ring(64), and RandomK(32, 96, 3, 7) truncated at
+// MaxLen 4. Each reports the total entry count, so a speed-up that
+// changes the answer shows.
+func BenchmarkBuildAllTSGraphs(b *testing.B) {
+	cases := []struct {
+		name string
+		g    *Graph
+		opts LoopOptions
+	}{
+		{"randomk64_exact", RandomK(64, 192, 3, 7), LoopOptions{}},
+		{"ring64", Ring(64), LoopOptions{}},
+		{"randomk32_trunc4", RandomK(32, 96, 3, 7), LoopOptions{MaxLen: 4}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			entries := 0
+			for n := 0; n < b.N; n++ {
+				entries = 0
+				for _, tg := range BuildAllTSGraphs(c.g, c.opts) {
+					entries += tg.Len()
+				}
+			}
+			b.ReportMetric(float64(entries), "entries")
+		})
 	}
 }

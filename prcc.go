@@ -312,27 +312,33 @@
 // states: every Definition 4 side condition has the form "X − S ≠ ∅" for
 // an S that only grows along the path, so feasibility is antitone in the
 // interior mask and each vertex needs only an antichain of ⊆-minimal
-// masks — dominated states are pruned instead of explored. States that
-// cannot reach k, or whose mask already covers X_jk or every usable first
-// r-hop label, die at depth 1. The r-side needs no search at all: a hop
-// into an l-path interior vertex v carries a label inside X_v ⊆ interior,
-// so conditions (ii)/(iii) already exclude the l-path and deciding the
-// r-path is one BFS over filter-passing edges per undominated arrival at
-// k. The augmented engine (Definition 27) appends visited-vertex bits to
-// the state mask, since client-pair hops bypass the register filter. The
-// untruncated RandomK(32, 96, 3, 7) build dropped from not finishing to
-// ~40ms, so dense-topology benchmarks, prcc-graph and the simulator all
-// run the exact protocol rather than the Appendix D sacrificed-causality
-// variant. LoopOptions.MaxLen truncation (Appendix D) runs on the same
-// engine: each state also records its l-path depth, and dominance becomes
+// masks — dominated states are pruned instead of explored. States whose
+// mask already covers X_jk or every usable first r-hop label die at depth
+// 1. The r-side needs no search at all: a hop into an l-path interior
+// vertex v carries a label inside X_v ⊆ interior, so conditions (ii)/(iii)
+// already exclude the l-path and deciding the r-path is one BFS over
+// filter-passing edges per undominated arrival at k. Two pre-filters do
+// not depend on the owner i, so a build asks every owner about one edge
+// in a row and computes them once: the l-path may only use k's component
+// of G − j (labelled once per j), and one r-side BFS from j against the
+// empty l-path, run with no target, marks every owner an r-path could
+// ever close onto (once per edge). The augmented engine (Definition 27)
+// appends visited-vertex bits to the state mask, since client-pair hops
+// bypass the register filter. The untruncated RandomK(32, 96, 3, 7) build
+// dropped from not finishing to about 26 ms, so dense-topology benchmarks,
+// prcc-graph and the simulator all run the exact protocol rather than the
+// Appendix D sacrificed-causality variant. LoopOptions.MaxLen truncation
+// (Appendix D) runs on the same engine: each state also records its
+// l-path depth, and dominance becomes
 // the product order over (mask ⊆, depth ≤), so a state with a smaller
 // interior but a longer l-path no longer subsumes a shorter one. Walk
 // shortcutting shrinks both the interior and the length, so the pruning
 // stays exact; the breadth-first queue pops states in nondecreasing depth,
 // so eviction happens only within a layer; and the r-side BFS stops at the
 // room the l-path leaves, closing on the shortest r-path. Truncated
-// RandomK(32, 96, 3, 7) builds went from seconds to ~55ms. The enumerating
-// DFS lives on only in the package's tests, as the reference the
+// RandomK(32, 96, 3, 7) builds went from seconds to about 38 ms. Both
+// figures are BuildAllTSGraphs medians on a 2-vCPU Intel Xeon. The
+// enumerating DFS lives on only in the package's tests, as the reference the
 // differential and fuzz tests hold the engine byte-identical to at every
 // MaxLen, plain and augmented.
 //
