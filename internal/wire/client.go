@@ -14,23 +14,59 @@ import (
 	"repro/internal/workload"
 )
 
-// Client drives a deployed cluster: one connection per replica, writes
-// streamed fire-and-forget (TCP ordering preserves each replica's
-// program order), and a counter-based quiesce protocol that detects when
-// every update the workload produced has been delivered and applied.
+// Client drives a deployed cluster: one connection per replica and a
+// counter-based quiesce protocol that detects when every update the
+// workload produced has been delivered and applied.
+//
+// Writes are buffered: Write appends the frame to its connection's
+// buffer and returns, and a flusher goroutine per connection writes the
+// whole backlog with one socket write per wake-up (TCP ordering still
+// preserves each replica's program order). A write error is sticky: the
+// connection's next Write, Status, Snapshot or Shutdown returns it. Every
+// request — Status, Snapshot, Shutdown — first waits until the buffered
+// writes are on the socket, so TCP order puts them before the request;
+// Quiesce rests on that.
 type Client struct {
 	cfg   ClusterConfig
 	conns []*clientConn
 }
 
-// clientConn is one replica link. Request/response exchanges hold mu for
-// the round trip; plain writes hold it per frame. One goroutine drives
-// each replica during a scripted run, so contention is nil in practice.
+// clientBufMax is the buffered-write backlog at which Write blocks until
+// the flusher has drained the connection's buffer.
+const clientBufMax = 64 << 10
+
+// closeDrainTimeout bounds how long Close waits for buffered writes to
+// reach a peer that has stopped reading.
+const closeDrainTimeout = 5 * time.Second
+
+// clientConn is one replica link. mu guards the write buffer, which the
+// flusher goroutine swaps out and writes; req serialises request/response
+// exchanges and owns the read side.
 type clientConn struct {
-	mu   sync.Mutex
 	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte
+
+	mu      sync.Mutex
+	kick    *sync.Cond // pend became non-empty, or closing
+	drained *sync.Cond // a batch reached the socket, or err was set
+	pend    []byte     // write frames awaiting the flusher
+	spare   []byte     // the previous batch's buffer, reused by the next swap
+	queued  uint64     // bytes ever appended to pend
+	flushed uint64     // bytes ever written to the socket
+	closing bool
+	err     error // sticky: the first write error, or net.ErrClosed after Close
+	done    chan struct{}
+
+	req sync.Mutex
+	br  *bufio.Reader
+	buf []byte
+}
+
+func newClientConn(conn net.Conn) *clientConn {
+	cc := &clientConn{conn: conn, br: bufio.NewReader(conn), done: make(chan struct{})}
+	cc.kick = sync.NewCond(&cc.mu)
+	cc.drained = sync.NewCond(&cc.mu)
+	go cc.flusher()
+	return cc
 }
 
 // Dial connects to every replica in the config, retrying each with the
@@ -53,7 +89,7 @@ func Dial(cfg ClusterConfig, timeout time.Duration) (*Client, error) {
 			c.Close()
 			return nil, fmt.Errorf("wire: hello to replica %d: %w", i, err)
 		}
-		c.conns[i] = &clientConn{conn: conn, br: bufio.NewReader(conn)}
+		c.conns[i] = newClientConn(conn)
 	}
 	return c, nil
 }
@@ -74,11 +110,13 @@ func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-// Close closes every connection.
+// Close writes out every connection's buffered writes (bounded by
+// closeDrainTimeout against a peer that stopped reading), closes the
+// connections and joins their flushers. Later calls return an error.
 func (c *Client) Close() {
 	for _, cc := range c.conns {
 		if cc != nil {
-			cc.conn.Close()
+			cc.close()
 		}
 	}
 }
@@ -86,24 +124,105 @@ func (c *Client) Close() {
 // Graph returns the share graph derived from the client's config.
 func (c *Client) Graph() (*sharegraph.Graph, error) { return c.cfg.Graph() }
 
-// Write issues a client write at replica r.
+// Write issues a client write at replica r: it buffers the frame for the
+// connection's flusher, blocking while clientBufMax bytes are already
+// buffered. It returns the connection's sticky error, if any.
 func (c *Client) Write(r sharegraph.ReplicaID, reg sharegraph.Register, val core.Value) error {
 	cc := c.conns[r]
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.buf = AppendWrite(cc.buf[:0], reg, val)
-	if _, err := cc.conn.Write(cc.buf); err != nil {
+	for len(cc.pend) >= clientBufMax && cc.err == nil {
+		cc.drained.Wait()
+	}
+	err := cc.err
+	if err == nil {
+		n := len(cc.pend)
+		cc.pend = AppendWrite(cc.pend, reg, val)
+		cc.queued += uint64(len(cc.pend) - n)
+		cc.kick.Signal()
+	}
+	cc.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("wire: write to replica %d: %w", r, err)
 	}
 	return nil
 }
 
+// flusher writes the connection's buffered frames, the whole backlog per
+// wake-up, until Close has drained the buffer or a write fails.
+func (cc *clientConn) flusher() {
+	defer close(cc.done)
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for {
+		for len(cc.pend) == 0 && !cc.closing {
+			cc.kick.Wait()
+		}
+		if len(cc.pend) == 0 {
+			cc.fail(net.ErrClosed)
+			return
+		}
+		batch := cc.pend
+		cc.pend, cc.spare = cc.spare[:0], nil
+		cc.mu.Unlock()
+		_, err := cc.conn.Write(batch)
+		cc.mu.Lock()
+		cc.spare = batch[:0]
+		if err != nil {
+			cc.fail(err)
+			return
+		}
+		cc.flushed += uint64(len(batch))
+		cc.drained.Broadcast()
+	}
+}
+
+// fail records the connection's sticky error, keeping the first, and
+// releases every caller waiting on the buffer. Caller holds cc.mu.
+func (cc *clientConn) fail(err error) {
+	if cc.err == nil {
+		cc.err = err
+	}
+	cc.drained.Broadcast()
+}
+
+// send writes one request frame once every write buffered before the
+// call is on the socket, so TCP order puts those writes first. Caller
+// holds cc.req.
+func (cc *clientConn) send(req []byte) error {
+	cc.mu.Lock()
+	for upTo := cc.queued; cc.flushed < upTo && cc.err == nil; {
+		cc.drained.Wait()
+	}
+	err := cc.err
+	cc.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if _, err := cc.conn.Write(req); err != nil {
+		cc.mu.Lock()
+		cc.fail(err)
+		cc.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+func (cc *clientConn) close() {
+	cc.mu.Lock()
+	cc.closing = true
+	cc.kick.Signal()
+	cc.mu.Unlock()
+	cc.conn.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+	<-cc.done
+	cc.conn.Close()
+}
+
 // roundTrip sends a request frame and reads one response frame, which
 // must have the given kind.
 func (cc *clientConn) roundTrip(req []byte, want Kind) ([]byte, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, err := cc.conn.Write(req); err != nil {
+	cc.req.Lock()
+	defer cc.req.Unlock()
+	if err := cc.send(req); err != nil {
 		return nil, err
 	}
 	body, err := ReadFrame(cc.br, &cc.buf)
@@ -187,12 +306,13 @@ func (c *Client) Snapshots() ([]map[sharegraph.Register]core.Value, error) {
 	return out, nil
 }
 
-// Shutdown asks every replica to exit.
+// Shutdown asks every replica to exit, after the buffered writes to it
+// are on the socket.
 func (c *Client) Shutdown() error {
 	for r, cc := range c.conns {
-		cc.mu.Lock()
-		_, err := cc.conn.Write(AppendShutdown(nil))
-		cc.mu.Unlock()
+		cc.req.Lock()
+		err := cc.send(AppendShutdown(nil))
+		cc.req.Unlock()
 		if err != nil {
 			return fmt.Errorf("wire: shutdown replica %d: %w", r, err)
 		}

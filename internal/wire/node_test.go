@@ -18,7 +18,7 @@ import (
 // and returns the deployment config. The reserve-then-release dance has
 // an inherent race window, but loopback ports on a test host are not
 // contended at that rate.
-func loopbackConfig(t *testing.T, g *sharegraph.Graph, protocol string) ClusterConfig {
+func loopbackConfig(t testing.TB, g *sharegraph.Graph, protocol string) ClusterConfig {
 	t.Helper()
 	cfg := ClusterConfig{Protocol: protocol, Replicas: make([]NodeAddr, g.NumReplicas())}
 	lns := make([]net.Listener, len(cfg.Replicas))
@@ -40,7 +40,7 @@ func loopbackConfig(t *testing.T, g *sharegraph.Graph, protocol string) ClusterC
 }
 
 // startCluster boots one wire.Node per replica and returns them serving.
-func startCluster(t *testing.T, cfg ClusterConfig) []*Node {
+func startCluster(t testing.TB, cfg ClusterConfig) []*Node {
 	t.Helper()
 	g, err := cfg.Graph()
 	if err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -14,8 +15,9 @@ import (
 // TransportOptions configures a Transport. The zero value selects the
 // documented defaults.
 type TransportOptions struct {
-	// QueueCap bounds each peer's outgoing frame queue (default 1024).
-	// Send blocks while a peer's queue is at capacity — the same
+	// QueueCap bounds each peer's outgoing frame queue (default 1024),
+	// counting both the frames waiting and those in the batch being
+	// written. Send blocks while a peer's queue is at capacity — the same
 	// backpressure contract as the in-process engine's inboxes.
 	QueueCap int
 	// DialBackoffBase is the first reconnect delay (default 5ms); it
@@ -23,7 +25,7 @@ type TransportOptions struct {
 	// the shared runtime.Backoff discipline.
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
-	// DrainAttempts bounds dial attempts per frame once Close has begun
+	// DrainAttempts bounds dial attempts per batch once Close has begun
 	// (default 3): a peer that stays unreachable during shutdown should
 	// not wedge the drain forever. Frames still queued when the attempts
 	// run out are dropped, like messages sent after an engine shutdown.
@@ -59,6 +61,12 @@ func (o TransportOptions) withDefaults() TransportOptions {
 // a dedicated writer goroutine that dials on demand and reconnects with
 // capped exponential backoff (runtime.Backoff).
 //
+// The queue is group-committed: enqueued frames are copied back to back
+// into one byte buffer, and each time the writer wakes it swaps that
+// buffer out and writes its whole backlog with a single conn.Write. A
+// frame counts toward QueueCap until the batch holding it is on the
+// socket.
+//
 //   - Send mirrors Engine.Send: it blocks while the peer's queue is at
 //     capacity (client-operation backpressure).
 //   - Forward mirrors Engine.Forward: it enqueues above capacity, because
@@ -70,8 +78,9 @@ func (o TransportOptions) withDefaults() TransportOptions {
 //     closes the connections and joins the writers.
 //
 // Frames are pooled []byte buffers: the transport takes ownership on
-// Send/Forward and returns each buffer to the pool once written (or
-// dropped), so the steady-state send path allocates nothing.
+// Send/Forward, copies the bytes into the peer's buffer and returns the
+// frame to the pool before Send/Forward returns, so the steady-state send
+// path allocates nothing and no frame outlives its enqueue.
 type Transport struct {
 	self  int
 	addrs []string
@@ -85,21 +94,22 @@ type Transport struct {
 }
 
 // peer is one outgoing link: a bounded queue of encoded frames plus the
-// writer goroutine that drains it.
+// writer goroutine that drains it. The queue is pend, frames laid back to
+// back; the writer swaps it with spare and writes the batch in one call.
 type peer struct {
 	t    *Transport
 	id   int
 	addr string
 
 	mu      sync.Mutex
-	cond    *sync.Cond // queue became non-empty, or closing
-	space   *sync.Cond // queue dropped below capacity
-	idle    *sync.Cond // queue empty and writer not mid-write
-	queue   [][]byte
-	head    int
-	writing bool
+	cond    *sync.Cond // pend became non-empty, or closing
+	space   *sync.Cond // queued() dropped below capacity
+	idle    *sync.Cond // nothing pending and no batch in flight
+	pend    []byte     // frames awaiting the writer
+	spare   []byte     // the previous batch's buffer, reused by the next swap
+	npend   int        // frames in pend
+	flight  int        // frames in the batch being written
 	closing bool
-	wrote   uint64 // frames fully written to a socket
 	dropped uint64 // frames dropped at drain exhaustion
 }
 
@@ -171,24 +181,24 @@ func (t *Transport) enqueue(to int, frame []byte, backpressure bool) bool {
 		t.pool.Put(frame)
 		return false
 	}
-	if p.head > 0 && p.head >= len(p.queue)/2 {
-		p.queue = append(p.queue[:0], p.queue[p.head:]...)
-		p.head = 0
-	}
-	p.queue = append(p.queue, frame)
+	p.pend = append(p.pend, frame...)
+	p.npend++
 	p.cond.Signal()
 	p.mu.Unlock()
+	t.pool.Put(frame)
 	return true
 }
 
-// queued returns the number of frames waiting. Caller holds p.mu.
-func (p *peer) queued() int { return len(p.queue) - p.head }
+// queued returns the number of frames not yet on a socket: those pending
+// plus those in the batch being written. Caller holds p.mu.
+func (p *peer) queued() int { return p.npend + p.flight }
 
-// writer drains the peer's queue to its socket: dial on demand (capped
-// exponential backoff), write, recycle the frame buffer. A frame whose
-// write fails is retried on a fresh connection — the old connection dies
-// with its partial bytes, so the receiver never sees a torn or duplicated
-// frame from this path.
+// writer drains the peer's queue to its socket, one batch per wake-up:
+// swap the pending buffer out, dial on demand (capped exponential
+// backoff), write the whole batch with one call. A batch whose write
+// fails resumes on a fresh connection at its first frame not fully
+// written — the old connection dies with its partial bytes, so the
+// receiver never sees a torn or duplicated frame from this path.
 func (p *peer) writer() {
 	defer p.t.wg.Done()
 	var conn *outConn
@@ -199,42 +209,32 @@ func (p *peer) writer() {
 	}()
 	for {
 		p.mu.Lock()
-		for p.queued() == 0 && !p.closing {
+		for p.npend == 0 && !p.closing {
 			p.cond.Wait()
 		}
-		if p.queued() == 0 { // closing and drained
+		if p.npend == 0 { // closing and drained
 			p.mu.Unlock()
 			return
 		}
-		frame := p.queue[p.head]
-		p.queue[p.head] = nil
-		p.head++
-		p.writing = true
+		batch := p.pend
+		p.pend, p.spare = p.spare[:0], nil
+		p.flight, p.npend = p.npend, 0
 		closing := p.closing
 		p.mu.Unlock()
 
-		wrote := p.write(&conn, frame, closing)
-		p.t.pool.Put(frame)
+		wrote := p.write(&conn, batch, closing)
 
 		p.mu.Lock()
-		if wrote {
-			p.wrote++
-		} else {
+		if !wrote {
 			// write gives up only once Close has begun and the dial budget
-			// is spent; the rest of the queue would hit the same wall, so
-			// drop it wholesale instead of re-dialing per frame.
-			p.dropped++
-			for p.head < len(p.queue) {
-				p.t.pool.Put(p.queue[p.head])
-				p.queue[p.head] = nil
-				p.head++
-				p.dropped++
-			}
+			// is spent; the pending frames would hit the same wall, so
+			// drop them with the batch instead of re-dialing per batch.
+			p.dropped += uint64(p.flight + p.npend)
+			p.pend, p.npend = p.pend[:0], 0
 		}
-		p.writing = false
-		if p.queued() == p.t.opts.QueueCap-1 {
-			// Crossed back below the bound: wake blocked senders. Forward
-			// overshoot re-crosses and re-signals on later pops.
+		p.flight = 0
+		p.spare = batch[:0]
+		if p.queued() < p.t.opts.QueueCap {
 			p.space.Broadcast()
 		}
 		if p.queued() == 0 {
@@ -271,13 +271,14 @@ func (c *outConn) watch() {
 	}
 }
 
-// write delivers one frame over the peer's connection, (re)dialing as
-// needed. During a drain (closing), dial attempts are bounded so an
-// unreachable peer cannot wedge shutdown; it reports whether the frame
-// was written.
-func (p *peer) write(conn **outConn, frame []byte, closing bool) bool {
+// write delivers one batch of frames over the peer's connection,
+// (re)dialing as needed. After a failed write it resumes on the fresh
+// connection at the first frame the old one did not take whole. During a
+// drain (closing), dial attempts are bounded so an unreachable peer
+// cannot wedge shutdown; it reports whether the batch was written.
+func (p *peer) write(conn **outConn, batch []byte, closing bool) bool {
 	attempts := 0
-	for {
+	for len(batch) > 0 {
 		if *conn != nil && (*conn).dead.Load() {
 			(*conn).Close()
 			*conn = nil
@@ -290,12 +291,30 @@ func (p *peer) write(conn **outConn, frame []byte, closing bool) bool {
 			*conn = &outConn{Conn: c}
 			go (*conn).watch()
 		}
-		if _, err := (*conn).Write(frame); err == nil {
+		n, err := (*conn).Write(batch)
+		if err == nil {
 			return true
 		}
+		batch = resumeAt(batch, n)
 		(*conn).Close()
 		*conn = nil
 	}
+	return true
+}
+
+// resumeAt returns the suffix of buf, a run of length-prefixed frames,
+// that starts at the first frame not wholly inside buf[:n] — where a
+// write that accepted n bytes of buf must resume on a new connection.
+func resumeAt(buf []byte, n int) []byte {
+	off := 0
+	for off+4 <= len(buf) {
+		end := off + 4 + int(binary.BigEndian.Uint32(buf[off:]))
+		if end > n {
+			break
+		}
+		off = end
+	}
+	return buf[off:]
 }
 
 // dial establishes the peer connection, sending the Hello identity frame
@@ -336,8 +355,8 @@ func (p *peer) dial(attempts *int, closing bool) (net.Conn, error) {
 }
 
 // QueuedOut returns the number of frames enqueued but not yet written to
-// a socket (including one mid-write), summed over peers — the transport
-// half of the quiesce condition the status protocol exposes.
+// a socket (including the batch mid-write), summed over peers — the
+// transport half of the quiesce condition the status protocol exposes.
 func (t *Transport) QueuedOut() int {
 	t.mu.Lock()
 	peers := append([]*peer(nil), t.peers...)
@@ -349,9 +368,6 @@ func (t *Transport) QueuedOut() int {
 		}
 		p.mu.Lock()
 		n += p.queued()
-		if p.writing {
-			n++
-		}
 		p.mu.Unlock()
 	}
 	return n
@@ -387,7 +403,7 @@ func (t *Transport) Flush() {
 			continue
 		}
 		p.mu.Lock()
-		for p.queued() > 0 || p.writing {
+		for p.queued() > 0 {
 			p.idle.Wait()
 		}
 		p.mu.Unlock()

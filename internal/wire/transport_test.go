@@ -2,13 +2,18 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/sharegraph"
 	"repro/internal/transport"
 )
 
@@ -24,7 +29,8 @@ type frameServer struct {
 	bodies  [][]byte
 	accepts int
 
-	dropNext atomic.Bool // close the next accepted conn after its hello
+	dropNext atomic.Bool   // close the next accepted conn after its hello
+	hold     chan struct{} // if set, readers wait for it to close before reading
 	wg       sync.WaitGroup
 }
 
@@ -34,7 +40,13 @@ func newFrameServer(t *testing.T) *frameServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &frameServer{t: t, ln: ln}
+	return serveFrames(t, ln, nil)
+}
+
+// serveFrames runs a frame server on ln. With hold set, its readers
+// accept connections but read nothing until hold is closed.
+func serveFrames(t *testing.T, ln net.Listener, hold chan struct{}) *frameServer {
+	s := &frameServer{t: t, ln: ln, hold: hold}
 	s.wg.Add(1)
 	go s.loop()
 	t.Cleanup(func() {
@@ -64,6 +76,9 @@ func (s *frameServer) loop() {
 func (s *frameServer) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	if s.hold != nil {
+		<-s.hold
+	}
 	br := bufio.NewReader(conn)
 	var buf []byte
 	for first := true; ; first = false {
@@ -192,6 +207,97 @@ func TestTransportBackpressure(t *testing.T) {
 	}
 }
 
+// TestTransportSendReleasedByBatchDrain pins the group-commit
+// backpressure contract: frames in the batch being written still count
+// toward QueueCap, and a sender blocked on a full queue is woken when a
+// whole batch drains at once — not only when the queue passes exactly
+// one below capacity, which a batch drain jumps over.
+func TestTransportSendReleasedByBatchDrain(t *testing.T) {
+	// The peer is not listening yet, so the writer sits in its dial
+	// backoff while the whole run of frames queues up behind it; once the
+	// peer listens, the writer sends its first batch and then takes every
+	// remaining frame in one batch, which stalls mid-write because the
+	// peer does not read and the frames overflow the loopback socket
+	// buffers.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var pool transport.BytePool
+	tr := NewTransport(0, []string{"x", addr}, &pool, TransportOptions{
+		QueueCap:        4,
+		DialBackoffBase: time.Millisecond,
+		DialBackoffMax:  5 * time.Millisecond,
+		DialTimeout:     50 * time.Millisecond,
+	})
+	reg := sharegraph.Register(strings.Repeat("r", 256<<10))
+	const n = 64
+	for i := 0; i < n; i++ {
+		if !tr.Forward(1, AppendWrite(pool.Get(), reg, core.Value(i))) {
+			t.Fatalf("forward %d refused", i)
+		}
+	}
+	if ln, err = net.Listen("tcp", addr); err != nil {
+		tr.Close()
+		t.Skipf("could not listen again on %s: %v", addr, err)
+	}
+	hold := make(chan struct{})
+	srv := serveFrames(t, ln, hold)
+	t.Cleanup(func() {
+		select {
+		case <-hold:
+		default:
+			close(hold) // let the server's readers finish on a failed run
+		}
+		tr.Close()
+	})
+	waitFor(t, "the writer to take every frame", func() bool {
+		p := tr.peers[1]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.npend == 0
+	})
+	done := make(chan bool, 1)
+	go func() { done <- tr.Send(1, AppendWrite(pool.Get(), reg, n)) }()
+	select {
+	case <-done:
+		t.Fatal("Send returned while the queue was over capacity")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hold)
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Send refused after the batch drained")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send never released by the batch drain")
+	}
+	tr.Flush()
+	waitFor(t, "every frame", func() bool { return srv.frameCount() == n+1 })
+	tr.Close()
+	if got := pool.Live(); got != 0 {
+		t.Fatalf("pool balance after close: %d live buffers", got)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for i, body := range srv.bodies {
+		_, payload, err := DecodeBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, val, err := DecodeWrite(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if val != core.Value(i) {
+			t.Fatalf("frame %d carries value %d: frames lost, duplicated or reordered", i, val)
+		}
+	}
+}
+
 // TestTransportReconnects pins the redial discipline: when the peer
 // drops the connection, the writer dials a fresh one (with a fresh
 // Hello) and later frames keep flowing. Frames that entered the dead
@@ -287,4 +393,83 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	n := copy(p, r.b)
 	r.b = r.b[n:]
 	return n, nil
+}
+
+// frameRun lays out frames with the given body lengths back to back, each
+// behind its 4-byte big-endian length prefix.
+func frameRun(lens ...int) []byte {
+	var buf []byte
+	for i, n := range lens {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+		buf = append(buf, bytes.Repeat([]byte{byte(i + 1)}, n)...)
+	}
+	return buf
+}
+
+// TestResumeAt pins where a batch resumes after a write accepted only n
+// of its bytes: at the first frame not wholly written.
+func TestResumeAt(t *testing.T) {
+	buf := frameRun(3, 5, 2) // frames at [0,7), [7,16), [16,22)
+	for _, tc := range []struct {
+		name string
+		n    int
+		at   int // offset the resumed suffix starts at
+	}{
+		{"nothing written", 0, 0},
+		{"inside a length prefix", 2, 0},
+		{"inside a body", 5, 0},
+		{"inside the second prefix", 9, 7},
+		{"on an exact boundary", 7, 7},
+		{"on the last boundary", 16, 16},
+		{"inside the last body", 20, 16},
+		{"everything written", len(buf), len(buf)},
+	} {
+		got := resumeAt(buf, tc.n)
+		if !bytes.Equal(got, buf[tc.at:]) || len(got) != len(buf)-tc.at {
+			t.Errorf("%s: resumeAt(n=%d) starts at offset %d, want %d", tc.name, tc.n, len(buf)-len(got), tc.at)
+		}
+	}
+}
+
+// FuzzResumeAt checks the resume walk against any frame layout and any
+// accepted byte count: the suffix starts on a frame boundary, the frames
+// wholly written plus the suffix are exactly the batch, and no frame cut
+// short by the write is skipped.
+func FuzzResumeAt(f *testing.F) {
+	f.Add([]byte{3, 5, 2}, 9)
+	f.Add([]byte{0, 0, 1}, 4)
+	f.Add([]byte{}, 0)
+	f.Fuzz(func(t *testing.T, lens []byte, n int) {
+		ls := make([]int, len(lens))
+		for i, l := range lens {
+			ls[i] = int(l)
+		}
+		buf := frameRun(ls...)
+		if n < 0 || n > len(buf) {
+			n = len(buf)
+		}
+		got := resumeAt(buf, n)
+		at := len(buf) - len(got)
+		if !bytes.Equal(got, buf[at:]) {
+			t.Fatal("resumed bytes are not a suffix of the batch")
+		}
+		// Walk the frame boundaries: at must be one of them, every frame
+		// before it must end by n, and the frame at it must not.
+		off := 0
+		for _, l := range ls {
+			if off == at {
+				break
+			}
+			off += 4 + l
+			if off > n {
+				t.Fatalf("n=%d: frame ending at %d was skipped though cut short", n, off)
+			}
+		}
+		if off != at {
+			t.Fatalf("n=%d: resumed at %d, not a frame boundary", n, at)
+		}
+		if at < len(buf) && at+4+int(binary.BigEndian.Uint32(buf[at:])) <= n {
+			t.Fatalf("n=%d: frame at %d was written whole but resent", n, at)
+		}
+	})
 }

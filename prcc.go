@@ -97,7 +97,12 @@
 // transport that implements the same Send/Forward contract as the
 // in-process engine: per-peer writer goroutines over bounded queues,
 // Send backpressure with Forward exempt, and reconnect with the same
-// capped exponential backoff the retransmit path uses. The decoder is
+// capped exponential backoff the retransmit path uses. Every outgoing
+// stream, peer link and client connection alike, is group-committed:
+// frames are appended to one buffer per stream and a writer goroutine
+// sends the whole backlog with one socket write per wake-up, resuming
+// at a frame boundary after a failed write. The client's requests wait
+// for its buffered writes to reach the socket first. The decoder is
 // hardened against adversarial input — every declared length is clamped
 // against the bytes actually present before anything is allocated, and
 // frames are bounded by wire.MaxFrameSize.
