@@ -1,9 +1,11 @@
 package prcc
 
-// Root benchmark harness: one benchmark per experiment (the paper has no
-// measured tables; cmd/prcc-bench prints the same experiments as tables).
-// Custom metrics attach the quantities the paper reasons about — timestamp
-// entries and metadata bytes per message — to the timing output.
+// Root benchmark harness. cmd/prcc-bench prints and asserts the paper's
+// claims as one table (TestClaims); the E-rows kept here time the two
+// analyses no benchmark/ layer row measures — the Section 4 lower bound
+// (E8 trees, E9 cycles) and Section 5 compression (E11). The other
+// benchmarks time the runtimes end to end; custom metrics attach the
+// quantities the paper reasons about to the timing output.
 
 import (
 	"fmt"
@@ -13,9 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/causality"
-	"repro/internal/clientserver"
 	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/optimize"
@@ -25,74 +25,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
-
-// BenchmarkE1ShareGraphBuild measures share-graph construction
-// (Definition 3) on a random 12-replica, 36-register placement.
-func BenchmarkE1ShareGraphBuild(b *testing.B) {
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		sharegraph.RandomK(12, 36, 3, 7)
-	}
-}
-
-// namedGraph orders sub-benchmark cases explicitly: iterating a
-// map[string]*Graph made sub-benchmark output order vary run to run,
-// which broke benchstat-style diffing of saved outputs.
-type namedGraph struct {
-	name string
-	g    *sharegraph.Graph
-}
-
-// BenchmarkE2TimestampGraph measures Definition 5 timestamp-graph
-// construction ((i,e_jk)-loop search via the exact dominance-pruned
-// engine) on the Figure 5 example, on rings, and — untruncated — on the
-// dense random topology the legacy enumerating DFS could not finish.
-func BenchmarkE2TimestampGraph(b *testing.B) {
-	cases := []namedGraph{
-		{"fig5", sharegraph.Fig5Example()},
-		{"ring8", sharegraph.Ring(8)},
-		{"ring12", sharegraph.Ring(12)},
-		{"randomk32_exact", sharegraph.RandomK(32, 96, 3, 7)},
-	}
-	for _, tc := range cases {
-		g := tc.g
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			entries := 0
-			for n := 0; n < b.N; n++ {
-				entries = sharegraph.BuildTSGraph(g, 0, sharegraph.LoopOptions{}).Len()
-			}
-			b.ReportMetric(float64(entries), "entries")
-		})
-	}
-}
-
-// BenchmarkE6ConsistencyRun measures a full oracle-audited run of the
-// paper's algorithm (Theorem 24 path) on representative topologies.
-func BenchmarkE6ConsistencyRun(b *testing.B) {
-	cases := []namedGraph{
-		{"fig5", sharegraph.Fig5Example()},
-		{"ring6", sharegraph.Ring(6)},
-		{"grid9", sharegraph.Grid(3, 3)},
-	}
-	for _, tc := range cases {
-		g := tc.g
-		p, err := core.NewEdgeIndexed(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		script := workload.SharedOnly(g, 300, 1)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				res, err := sim.Run(sim.Config{Graph: g, Protocol: p, Script: script, Sched: transport.NewRandom(int64(n))})
-				if err != nil || !res.Ok() {
-					b.Fatalf("run failed: %v %v", err, res.Violations)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkE8LowerBoundTree regenerates the tree closed-form check:
 // conflict-clique construction + pairwise Definition 13 verification.
@@ -136,144 +68,6 @@ func BenchmarkE11Compression(b *testing.B) {
 			b.ReportMetric(ratio, "ratio")
 		})
 	}
-}
-
-// BenchmarkE12DummyEmulation runs the full-replication emulation and
-// reports its message amplification relative to the plain protocol.
-func BenchmarkE12DummyEmulation(b *testing.B) {
-	g := sharegraph.Ring(6)
-	script := workload.SharedOnly(g, 300, 3)
-	plain, err := core.NewEdgeIndexed(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full, err := optimize.FullEmulationPlan(g).Protocol("full-emulation")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		p    core.Protocol
-	}{{"plain", plain}, {"full-emulation", full}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			msgs := 0
-			for n := 0; n < b.N; n++ {
-				res, err := sim.Run(sim.Config{Graph: g, Protocol: bc.p, Script: script, Sched: transport.NewRandom(4)})
-				if err != nil || !res.Ok() {
-					b.Fatalf("run failed: %v", err)
-				}
-				msgs = res.MessagesSent
-			}
-			b.ReportMetric(float64(msgs), "msgs")
-		})
-	}
-}
-
-// BenchmarkE13RingBreak compares the ring protocol with the broken-ring
-// relay (Figure 13), reporting metadata bytes per message.
-func BenchmarkE13RingBreak(b *testing.B) {
-	const n = 8
-	ring := sharegraph.Ring(n)
-	ringProto, err := core.NewEdgeIndexed(ring)
-	if err != nil {
-		b.Fatal(err)
-	}
-	broken, err := optimize.BreakRing(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	script := workload.SharedOnly(ring, 300, 9)
-	for _, bc := range []struct {
-		name string
-		p    core.Protocol
-	}{{"ring", ringProto}, {"broken", broken}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var avg float64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{Graph: ring, Protocol: bc.p, Script: script, Sched: transport.NewRandom(2)})
-				if err != nil || !res.Ok() {
-					b.Fatalf("run failed: %v", err)
-				}
-				avg = res.AvgMetaBytes()
-			}
-			b.ReportMetric(avg, "metaB/msg")
-		})
-	}
-}
-
-// BenchmarkE14ClientServer measures the Appendix E architecture end to
-// end on the four-replica bridge system.
-func BenchmarkE14ClientServer(b *testing.B) {
-	g, err := sharegraph.New([][]sharegraph.Register{
-		{"a", "c"}, {"a", "p1"}, {"b", "p2"}, {"b", "c"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	aug, err := sharegraph.NewAugmented(g, sharegraph.ClientAssignment{{1, 2}, {3, 0}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := clientserver.NewSystem(aug)
-	scripts := [][]clientserver.ClientOp{
-		{{Reg: "a"}, {Reg: "b"}, {Reg: "a", IsRead: true}},
-		{{Reg: "c"}, {Reg: "c", IsRead: true}},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		res, err := clientserver.Run(clientserver.RunConfig{
-			Sys: sys, Scripts: scripts, Sched: transport.NewRandom(int64(n)),
-		})
-		if err != nil || !res.Ok() {
-			b.Fatalf("run failed: %v %v", err, res.Violations)
-		}
-	}
-}
-
-// BenchmarkE15ProtocolMetadata sweeps the four safe-or-interesting
-// protocols on one topology, reporting per-message metadata bytes — the
-// headline comparison of the paper's introduction.
-func BenchmarkE15ProtocolMetadata(b *testing.B) {
-	g := sharegraph.Ring(8)
-	script := workload.SharedOnly(g, 300, 6)
-	protos := []core.Protocol{}
-	if p, err := core.NewEdgeIndexed(g); err == nil {
-		protos = append(protos, p)
-	}
-	protos = append(protos, baseline.NewMatrix(g), baseline.NewBroadcast(g))
-	for _, p := range protos {
-		b.Run(p.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			var avg float64
-			var entries int
-			for n := 0; n < b.N; n++ {
-				res, err := sim.Run(sim.Config{Graph: g, Protocol: p, Script: script, Sched: transport.NewRandom(8)})
-				if err != nil || !res.Ok() {
-					b.Fatalf("run failed: %v", err)
-				}
-				avg = res.AvgMetaBytes()
-				entries = res.TotalMetadataEntries()
-			}
-			b.ReportMetric(avg, "metaB/msg")
-			b.ReportMetric(float64(entries), "entries")
-		})
-	}
-}
-
-// BenchmarkE16Truncation measures truncated timestamp-graph construction
-// and the entry savings on rings.
-func BenchmarkE16Truncation(b *testing.B) {
-	g := sharegraph.Ring(8)
-	b.ReportAllocs()
-	var saved int
-	for n := 0; n < b.N; n++ {
-		tr, exact := optimize.TruncationSavings(g, 3)
-		saved = exact - tr
-	}
-	b.ReportMetric(float64(saved), "entries-saved")
 }
 
 // BenchmarkScaleDelivery measures the indexed delivery engine at scale:

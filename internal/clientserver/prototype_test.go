@@ -15,7 +15,8 @@ import (
 	"repro/internal/transport"
 )
 
-// e14Run is BenchmarkE14ClientServer's script on the bridge system.
+// e14Run is the Appendix E bridge-system script of the former
+// BenchmarkE14ClientServer, kept because TestRunCountersPinned pins it.
 func e14Run(sys *System, seed int64) RunConfig {
 	return RunConfig{Sys: sys, Sched: transport.NewRandom(seed), Scripts: [][]ClientOp{
 		{{Reg: "a"}, {Reg: "b"}, {Reg: "a", IsRead: true}},

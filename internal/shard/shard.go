@@ -15,9 +15,8 @@
 //     full; deliveries that emit follow-on messages never block.
 //
 //   - Envelope batching: emitted envelopes are staged in a per-shard
-//     outbox and travel as one batch message — one inbox push (and, on
-//     a future network path, one wire.KindBatch frame) carries many
-//     updates, amortizing per-message dispatch. Batches flush on size
+//     outbox and travel as one batch message — one inbox push carries
+//     many updates, amortizing per-message dispatch. Batches flush on size
 //     (FlushSize envelopes) and on idle (a flusher sweeps outboxes every
 //     FlushInterval, bounding staging latency). Batch buffers and
 //     metadata are pooled, so the steady-state hot path allocates

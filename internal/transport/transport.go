@@ -15,143 +15,55 @@ import (
 // use. Pool is not safe for concurrent use; the deterministic runner owns
 // it single-threaded.
 //
-// The representation is hybrid, switched by live population. Small pools
-// (the steady state of every current experiment) keep messages in arrival
-// order in one slice with a head index: Take shifts whichever side of the
-// removal point is shorter, so the oldest (FIFO) and newest (LIFO) picks
-// are O(1), a uniformly random pick moves at most half the live region,
-// and memmove over a few hundred envelopes beats any index. Past indexOn
-// live messages the pool converts to tombstones plus a Fenwick (binary
-// indexed) tree over the alive flags, making the k-th-live lookup an
-// O(log n) order-statistic selection with no element movement — random
-// picks stop degrading as the in-flight population grows. Draining below
-// indexOff converts back (the hysteresis gap prevents thrashing). Both
-// representations and both conversions preserve relative message order
-// bit-for-bit, so every scheduler sees exactly the ordering the original
-// shifting implementation produced.
+// Messages stay in arrival order in one slice with a head index: Take
+// shifts whichever side of the removal point is shorter, so the oldest
+// (FIFO) and newest (LIFO) picks are O(1), a uniformly random pick moves
+// at most half the live region, and memmove over a few hundred envelopes
+// is cheaper than maintaining any index.
 type Pool struct {
-	// Shifting representation: the live region is msgs[head:], in arrival
-	// order. In indexed mode the same slice holds live slots and
-	// tombstones, and head points at the first live slot.
+	// The live region is msgs[head:], in arrival order.
 	msgs []core.Envelope
 	head int
-
-	// Fenwick representation, active when indexed is true.
-	indexed bool
-	alive   []bool
-	// tree is a 1-based Fenwick tree of size treeN (a power of two ≥
-	// len(msgs)) over the alive flags; tree[i] sums a dyadic block, so
-	// prefix counts and rank selection walk O(log n) nodes.
-	tree  []int32
-	treeN int
-	count int // live messages (indexed mode only)
 }
-
-const (
-	// indexOn is the live population at which Add switches the pool to
-	// the Fenwick representation; below it the shifting slice is faster
-	// in both constants and cache behavior.
-	indexOn = 1024
-	// indexOff is the live population at which Take abandons the index
-	// again. The gap to indexOn gives O(indexOn) takes between opposite
-	// conversions, amortizing their O(live) cost away.
-	indexOff = 256
-)
 
 // Add inserts messages into the pool.
 func (p *Pool) Add(envs ...core.Envelope) {
-	if !p.indexed {
-		p.msgs = append(p.msgs, envs...)
-		if len(p.msgs)-p.head >= indexOn {
-			p.buildIndex()
-		}
-		return
-	}
-	for _, env := range envs {
-		p.msgs = append(p.msgs, env)
-		// Append dead, grow, then mark live: growTree rebuilds from the
-		// alive flags, so the new entry must not be visible there or the
-		// bump below would double-count it across a doubling.
-		p.alive = append(p.alive, false)
-		if len(p.msgs) > p.treeN {
-			p.growTree()
-		}
-		p.alive[len(p.msgs)-1] = true
-		p.bump(len(p.msgs), 1)
-		p.count++
-	}
+	p.msgs = append(p.msgs, envs...)
 }
 
 // Len returns the number of in-flight messages.
-func (p *Pool) Len() int {
-	if p.indexed {
-		return p.count
-	}
-	return len(p.msgs) - p.head
-}
+func (p *Pool) Len() int { return len(p.msgs) - p.head }
 
 // Peek returns the message at index idx without removing it.
-func (p *Pool) Peek(idx int) core.Envelope {
-	if !p.indexed {
-		return p.msgs[p.head+idx]
-	}
-	return p.msgs[p.locate(idx)]
-}
+func (p *Pool) Peek(idx int) core.Envelope { return p.msgs[p.head+idx] }
 
 // Take removes and returns the message at index idx. Removal preserves
 // the relative order of the remaining messages, so FIFO scheduling over
 // the pool really is per-arrival FIFO.
 func (p *Pool) Take(idx int) core.Envelope {
-	if !p.indexed {
-		i := p.head + idx
-		m := p.msgs[i]
-		if i-p.head <= len(p.msgs)-1-i {
-			// Shift the (shorter) prefix right; vacated slots are zeroed
-			// so the pool does not pin delivered metadata buffers.
-			copy(p.msgs[p.head+1:i+1], p.msgs[p.head:i])
-			p.msgs[p.head] = core.Envelope{}
-			p.head++
-			if p.head > len(p.msgs)/2 && p.head >= 64 {
-				p.compactShift()
-			}
-		} else {
-			copy(p.msgs[i:], p.msgs[i+1:])
-			p.msgs[len(p.msgs)-1] = core.Envelope{}
-			p.msgs = p.msgs[:len(p.msgs)-1]
-		}
-		return m
-	}
-	i := p.locate(idx)
+	i := p.head + idx
 	m := p.msgs[i]
-	// Zero the slot so the tombstone does not pin delivered metadata.
-	p.msgs[i] = core.Envelope{}
-	p.alive[i] = false
-	p.bump(i+1, -1)
-	p.count--
-	if p.count <= indexOff {
-		p.dropIndex()
-		return m
-	}
-	for p.head < len(p.msgs) && !p.alive[p.head] {
+	if i-p.head <= len(p.msgs)-1-i {
+		// Shift the (shorter) prefix right; vacated slots are zeroed so
+		// the pool does not pin delivered metadata buffers.
+		copy(p.msgs[p.head+1:i+1], p.msgs[p.head:i])
+		p.msgs[p.head] = core.Envelope{}
 		p.head++
-	}
-	// Trailing-trim invariant: the last slot is always live, so LIFO
-	// picks are O(1) and re-appends reuse the popped indices (their tree
-	// contributions are already zero).
-	for n := len(p.msgs); n > 0 && !p.alive[n-1]; n = len(p.msgs) {
-		p.msgs = p.msgs[:n-1]
-		p.alive = p.alive[:n-1]
-	}
-	if len(p.msgs) >= 2*p.count {
-		p.compact()
+		if p.head > len(p.msgs)/2 && p.head >= 64 {
+			p.compact()
+		}
+	} else {
+		copy(p.msgs[i:], p.msgs[i+1:])
+		p.msgs[len(p.msgs)-1] = core.Envelope{}
+		p.msgs = p.msgs[:len(p.msgs)-1]
 	}
 	return m
 }
 
-// compactShift slides the shifting-mode live region back to the front of
-// the backing array, reclaiming the dead prefix. Triggered only once the
-// prefix dominates, its O(live) cost amortizes to O(1) per Take.
-func (p *Pool) compactShift() {
+// compact slides the live region back to the front of the backing array,
+// reclaiming the dead prefix. Triggered only once the prefix dominates,
+// its O(live) cost amortizes to O(1) per Take.
+func (p *Pool) compact() {
 	live := len(p.msgs) - p.head
 	copy(p.msgs, p.msgs[p.head:])
 	tail := p.msgs[live:]
@@ -160,130 +72,6 @@ func (p *Pool) compactShift() {
 	}
 	p.msgs = p.msgs[:live]
 	p.head = 0
-}
-
-// buildIndex converts the pool to the Fenwick representation: the live
-// region compacts to the slice front, every slot starts alive, and the
-// tree is built over the flags.
-func (p *Pool) buildIndex() {
-	p.compactShift()
-	n := len(p.msgs)
-	p.count = n
-	p.alive = make([]bool, n)
-	for i := range p.alive {
-		p.alive[i] = true
-	}
-	p.treeN = 64
-	for p.treeN < n {
-		p.treeN *= 2
-	}
-	p.tree = make([]int32, p.treeN+1)
-	for i := 1; i <= n; i++ {
-		p.bump(i, 1)
-	}
-	p.indexed = true
-}
-
-// dropIndex converts back to the shifting representation, squeezing out
-// tombstones (order preserved) and releasing the index.
-func (p *Pool) dropIndex() {
-	j := 0
-	for i := p.head; i < len(p.msgs); i++ {
-		if p.alive[i] {
-			p.msgs[j] = p.msgs[i]
-			j++
-		}
-	}
-	tail := p.msgs[j:]
-	for i := range tail {
-		tail[i] = core.Envelope{}
-	}
-	p.msgs = p.msgs[:j]
-	p.head = 0
-	p.alive = nil
-	p.tree = nil
-	p.treeN = 0
-	p.count = 0
-	p.indexed = false
-}
-
-// locate maps a live-rank index to its slot in indexed mode: O(1) for
-// the oldest (head pointer) and newest (trailing-trim invariant)
-// messages, Fenwick rank selection for interior picks.
-func (p *Pool) locate(idx int) int {
-	switch idx {
-	case 0:
-		return p.head
-	case p.count - 1:
-		return len(p.msgs) - 1
-	}
-	// Select the smallest slot position whose alive-prefix count reaches
-	// idx+1 by walking the tree's implicit binary trie top-down.
-	rem := int32(idx + 1)
-	pos := 0
-	for bit := p.treeN; bit > 0; bit >>= 1 {
-		if next := pos + bit; next <= p.treeN && p.tree[next] < rem {
-			pos = next
-			rem -= p.tree[next]
-		}
-	}
-	return pos // 0-based: prefix(pos) < idx+1 ≤ prefix(pos+1)
-}
-
-// bump adds delta to the alive count at 1-based slot position i.
-func (p *Pool) bump(i int, delta int32) {
-	for ; i <= p.treeN; i += i & -i {
-		p.tree[i] += delta
-	}
-}
-
-// growTree doubles the Fenwick capacity and rebuilds it from the alive
-// flags. Doubling makes the O(n log n) rebuild amortized O(log n) per
-// Add.
-func (p *Pool) growTree() {
-	p.treeN = max(64, p.treeN*2)
-	for p.treeN < len(p.msgs) {
-		p.treeN *= 2
-	}
-	p.tree = make([]int32, p.treeN+1)
-	for i, a := range p.alive {
-		if a {
-			p.bump(i+1, 1)
-		}
-	}
-}
-
-// compact rewrites the slice with only live messages (order preserved)
-// and rebuilds the tree. Triggered only once tombstones dominate, its
-// cost amortizes away.
-func (p *Pool) compact() {
-	j := 0
-	for i := p.head; i < len(p.msgs); i++ {
-		if p.alive[i] {
-			p.msgs[j] = p.msgs[i]
-			j++
-		}
-	}
-	tail := p.msgs[j:]
-	for i := range tail {
-		tail[i] = core.Envelope{}
-	}
-	p.msgs = p.msgs[:j]
-	p.alive = p.alive[:j]
-	for i := range p.alive {
-		p.alive[i] = true
-	}
-	p.head = 0
-	// Re-size the tree to the live region (a long-shrunk pool should not
-	// keep paying for its high-water mark on every compaction).
-	p.treeN = 64
-	for p.treeN < j {
-		p.treeN *= 2
-	}
-	p.tree = make([]int32, p.treeN+1)
-	for i := 1; i <= j; i++ {
-		p.bump(i, 1)
-	}
 }
 
 // Scheduler picks which of n pending choices happens next. Implementations

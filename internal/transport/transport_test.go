@@ -22,14 +22,12 @@ func TestPoolOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesReference differentially tests the hybrid pool against
+// TestPoolMatchesReference differentially tests the shifting pool against
 // the obvious append-copy implementation under a random mix of adds and
 // takes at arbitrary indexes: every Take must return the same message
-// and leave the same relative order. A seed burst pushes the pool past
-// the Fenwick threshold first, so the mixed phase drains down through
-// the index-drop conversion and continues in shifting mode — both
-// representations, both conversions, and both compactions are crossed
-// while being checked step by step.
+// and leave the same relative order. A seed burst of 3000 messages comes
+// first, so the mixed phase shifts both sides of a deep pool and crosses
+// the dead-prefix compaction while being checked step by step.
 func TestPoolMatchesReference(t *testing.T) {
 	var p Pool
 	var ref []core.Envelope
@@ -84,7 +82,7 @@ func TestPoolMatchesReference(t *testing.T) {
 // dead prefix and verifies draining to empty across compactions.
 func TestPoolFIFODrainCompacts(t *testing.T) {
 	var p Pool
-	const total = 2000 // crosses into indexed mode and back out
+	const total = 2000 // crosses the dead-prefix compaction many times
 	for i := 0; i < total; i++ {
 		p.Add(core.Envelope{Val: core.Value(i)})
 	}
@@ -104,10 +102,10 @@ func TestPoolFIFODrainCompacts(t *testing.T) {
 }
 
 // TestPoolLIFODrainTrims drives the pure-LIFO pattern: every take hits
-// the trailing-trim O(1) path and must keep the newest-live invariant.
+// the O(1) tail path.
 func TestPoolLIFODrainTrims(t *testing.T) {
 	var p Pool
-	const total = 2000 // crosses into indexed mode and back out
+	const total = 2000
 	for i := 0; i < total; i++ {
 		p.Add(core.Envelope{Val: core.Value(i)})
 	}
@@ -121,17 +119,14 @@ func TestPoolLIFODrainTrims(t *testing.T) {
 	}
 }
 
-// TestPoolInteriorSelection forces the Fenwick rank-selection path: take
-// the exact middle until empty, checking the returned message and the
-// surviving order every step. Middle takes never touch the O(1) head and
-// tail fast paths, so while the pool is indexed every removal exercises
-// the tree walk, the tombstone bookkeeping, and compaction with a tree
-// rebuild; the drain then crosses back into shifting mode and finishes
-// on the memmove path.
+// TestPoolInteriorSelection takes the exact middle until empty, checking
+// the returned message and the surviving order every step. Middle takes
+// never touch the O(1) head and tail fast paths, so every removal
+// exercises the memmove path on alternating sides.
 func TestPoolInteriorSelection(t *testing.T) {
 	var p Pool
 	var ref []core.Envelope
-	const total = 5000 // crosses several tree doublings on the way up
+	const total = 5000
 	for i := 0; i < total; i++ {
 		env := core.Envelope{Val: core.Value(i)}
 		p.Add(env)
@@ -158,8 +153,7 @@ func TestPoolInteriorSelection(t *testing.T) {
 }
 
 // TestPoolShrinksAfterHighWater checks that a pool that once held many
-// messages compacts its index down once the population collapses, then
-// keeps behaving correctly at the small size.
+// messages keeps behaving correctly after the population collapses.
 func TestPoolShrinksAfterHighWater(t *testing.T) {
 	var p Pool
 	var ref []core.Envelope
@@ -176,9 +170,6 @@ func TestPoolShrinksAfterHighWater(t *testing.T) {
 		if got.Val != want.Val {
 			t.Fatalf("Take(%d) = %v, want %v", idx, got.Val, want.Val)
 		}
-	}
-	if p.indexed || p.treeN != 0 {
-		t.Errorf("indexed=%v treeN=%d after collapse to %d live, want index dropped", p.indexed, p.treeN, p.Len())
 	}
 	for i := 0; i < 100; i++ { // stays usable at the small size
 		p.Add(core.Envelope{Val: core.Value(10000 + i)})

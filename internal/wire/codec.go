@@ -70,7 +70,6 @@ const (
 	KindStatus   Kind = 4 // status request (empty) / response (counters)
 	KindSnapshot Kind = 5 // snapshot request (empty) / response (registers)
 	KindShutdown Kind = 6 // drain and exit
-	KindBatch    Kind = 7 // many space-tagged envelopes in one frame
 )
 
 func (k Kind) String() string {
@@ -87,8 +86,6 @@ func (k Kind) String() string {
 		return "snapshot"
 	case KindShutdown:
 		return "shutdown"
-	case KindBatch:
-		return "batch"
 	default:
 		return fmt.Sprintf("kind(%d)", byte(k))
 	}
@@ -159,8 +156,7 @@ func AppendHello(dst []byte, id int) []byte {
 const flagMetaOnly = 1 << 0
 
 // appendEnvelope appends one envelope's fields — sender, destination,
-// flags, register, value, metadata — the payload shape shared by Update
-// frames (one envelope) and Batch frames (many).
+// flags, register, value, metadata — the payload of an Update frame.
 func appendEnvelope(dst []byte, env core.Envelope) []byte {
 	dst = appendVarint(dst, int64(env.From))
 	dst = appendVarint(dst, int64(env.To))
@@ -181,24 +177,6 @@ func appendEnvelope(dst []byte, env core.Envelope) []byte {
 func AppendUpdate(dst []byte, env core.Envelope) []byte {
 	dst, start := beginFrame(dst, KindUpdate)
 	return endFrame(appendEnvelope(dst, env), start)
-}
-
-// AppendBatch appends a Batch frame: a count followed by (space,
-// envelope) pairs — the network form of the shard layer's
-// per-destination batching, where one write carries every update staged
-// for one peer since the last flush. spaces and envs run in parallel
-// and must be the same length. Append-style like every encoder here.
-func AppendBatch(dst []byte, spaces []int32, envs []core.Envelope) []byte {
-	if len(spaces) != len(envs) {
-		panic("wire: AppendBatch spaces/envs length mismatch")
-	}
-	dst, start := beginFrame(dst, KindBatch)
-	dst = appendUvarint(dst, uint64(len(envs)))
-	for i := range envs {
-		dst = appendVarint(dst, int64(spaces[i]))
-		dst = appendEnvelope(dst, envs[i])
-	}
-	return endFrame(dst, start)
 }
 
 // AppendWrite appends a client Write frame.
@@ -361,7 +339,7 @@ func DecodeHello(payload []byte) (int, error) {
 }
 
 // envelope reads one envelope's fields from the cursor — the decode
-// half of appendEnvelope, shared by Update and Batch payloads.
+// half of appendEnvelope.
 func (c *cursor) envelope(intern map[string]sharegraph.Register) core.Envelope {
 	var env core.Envelope
 	env.From = sharegraph.ReplicaID(c.varint("from"))
@@ -396,29 +374,6 @@ func DecodeUpdate(payload []byte, intern map[string]sharegraph.Register) (core.E
 		return core.Envelope{}, err
 	}
 	return env, nil
-}
-
-// DecodeBatch parses a Batch payload, invoking fn once per (space,
-// envelope) pair in frame order. Each envelope's Reg and Meta alias the
-// payload buffer under the same contract as DecodeUpdate, so fn must
-// ingest (or copy) before returning. The declared count is clamped by
-// construction — every pair consumes at least four payload bytes, so a
-// huge declared count fails on the first missing pair instead of
-// driving any pre-allocation. A non-nil error from fn aborts the scan.
-func DecodeBatch(payload []byte, intern map[string]sharegraph.Register, fn func(space int32, env core.Envelope) error) error {
-	c := cursor{b: payload}
-	n := c.uvarint("batch count")
-	for i := uint64(0); i < n; i++ {
-		space := c.varint("space")
-		env := c.envelope(intern)
-		if c.err != nil {
-			break
-		}
-		if err := fn(int32(space), env); err != nil {
-			return err
-		}
-	}
-	return c.finish()
 }
 
 // DecodeWrite parses a Write payload. The register aliases the payload.

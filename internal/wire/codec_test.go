@@ -281,16 +281,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendSnapshotReq(nil))
 	f.Add(AppendSnapshot(nil, []sharegraph.Register{"a"}, []core.Value{3}))
 	f.Add(AppendShutdown(nil))
-	f.Add(AppendBatch(nil, []int32{0, 9}, []core.Envelope{
-		{From: 1, To: 2, Reg: "ab", Val: 4, Meta: []byte{0x08}},
-		{From: 2, To: 1, Reg: "cd", Val: -1, MetaOnly: true},
-	}))
 	// Adversarial seeds: truncated mid-payload, oversized declared body,
 	// oversized inner length, wrong magic.
 	f.Add(AppendUpdate(nil, core.Envelope{Reg: "abc", Meta: []byte{1, 2, 3}})[:9])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, magic0, magic1, Version, byte(KindUpdate)})
 	f.Add([]byte{0, 0, 0, 6, magic0, magic1, Version, byte(KindWrite), 0xFF, 0x7F})
 	f.Add([]byte{0, 0, 0, 4, 'X', 'Y', Version, byte(KindHello)})
+	f.Add([]byte{0, 0, 0, 5, magic0, magic1, Version, 7, 0}) // kind 7 is unassigned
 
 	intern := map[string]sharegraph.Register{"ab": "ab"}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -316,8 +313,6 @@ func FuzzWireDecode(f *testing.F) {
 				DecodeStatus(payload)
 			case KindSnapshot:
 				DecodeSnapshot(payload)
-			case KindBatch:
-				DecodeBatch(payload, intern, func(int32, core.Envelope) error { return nil })
 			}
 		}
 	})

@@ -358,6 +358,8 @@ func (n *Node) dropConn(conn net.Conn) {
 }
 
 // serveConn is one inbound reader: Hello first, then frames until EOF.
+// The Hello id is the link's identity: it must name a replica or the
+// client, and every Update on the link must come from that replica.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.dropConn(conn)
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -382,6 +384,9 @@ func (n *Node) serveConn(conn net.Conn) {
 				return
 			}
 			peerID, err = DecodeHello(payload)
+			if err == nil && peerID != ClientID && (peerID < 0 || peerID >= len(n.cfg.Replicas)) {
+				err = fmt.Errorf("id %d is neither a replica in [0,%d) nor the client", peerID, len(n.cfg.Replicas))
+			}
 			if err != nil {
 				n.logf("wire: replica %d: bad hello: %v", n.self, err)
 				return
@@ -404,6 +409,9 @@ func (n *Node) handleFrame(conn net.Conn, peerID int, kind Kind, payload []byte)
 		}
 		if env.To != n.self {
 			return fmt.Errorf("misrouted update for replica %d", env.To)
+		}
+		if int(env.From) != peerID {
+			return fmt.Errorf("update claims sender %d", env.From)
 		}
 		// Receipt is counted only after the delivery — including the flush
 		// of whatever it emitted — completes: the quiesce protocol's

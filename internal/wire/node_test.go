@@ -262,3 +262,90 @@ func BenchmarkWireEncodeSend(b *testing.B) {
 	tr.Flush()
 	tr.Close()
 }
+
+// TestNodeRejectsForeignIdentity speaks raw TCP to one replica of
+// Ring(3): a link's Hello id must name a replica or the client, and an
+// Update is accepted only from the replica its link said hello as. A
+// rejected link is closed with nothing applied; a genuine one applies.
+// Kind 7, once the Batch frame, is an unknown kind like any other.
+func TestNodeRejectsForeignIdentity(t *testing.T) {
+	g := sharegraph.Ring(3)
+	cfg := loopbackConfig(t, g, "edge-indexed")
+	proto, err := cli.Protocol(cfg.Protocol, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(cfg, 0, proto, NodeOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if err := n.Serve(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	t.Cleanup(n.Close)
+
+	// Genuine updates for replica 0 from each neighbour: 1 shares ring0,
+	// 2 shares ring2.
+	src, err := proto.NewNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := func(r sharegraph.ReplicaID, reg sharegraph.Register) []byte {
+		out, err := core.CollectWrite(src[r], reg, 7, 0)
+		if err != nil || len(out) != 1 || out[0].To != 0 {
+			t.Fatalf("write at %d: %v %v", r, err, out)
+		}
+		return AppendUpdate(nil, out[0])
+	}
+	upd1, upd2 := from(1, "ring0"), from(2, "ring2")
+
+	// send opens a link, writes the frames, and reports whether the node
+	// closed it.
+	send := func(frames ...[]byte) (closed bool) {
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for _, f := range frames {
+			if _, err := conn.Write(f); err != nil {
+				return true
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		_, err = conn.Read(make([]byte, 1))
+		return err == io.EOF
+	}
+
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"update from 2 on a link from 1", [][]byte{AppendHello(nil, 1), upd2}},
+		{"update on a client link", [][]byte{AppendHello(nil, ClientID), upd1}},
+		{"hello from 99", [][]byte{AppendHello(nil, 99)}},
+		{"frame of kind 7", [][]byte{AppendHello(nil, 1), {0, 0, 0, 4, magic0, magic1, Version, 7}}},
+	} {
+		if !send(tc.frames...) {
+			t.Errorf("%s: link not closed", tc.name)
+		}
+		if s := n.Status(); s.RecvUpd != 0 || s.Applied != 0 {
+			t.Fatalf("%s: status %+v, want nothing received or applied", tc.name, s)
+		}
+	}
+
+	if send(AppendHello(nil, 1), upd1) {
+		t.Fatal("genuine link from 1 closed")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := n.Status()
+		if s.RecvUpd == 1 && s.Applied == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("control update: status %+v, want one received and applied", s)
+		}
+	}
+}

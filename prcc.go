@@ -138,10 +138,7 @@
 // by the shard package's zero-alloc test). A partial batch never
 // waits longer than FlushInterval — an idle flusher sweeps outboxes —
 // and Sync flushes everything before draining, so batching changes
-// throughput, never visibility at quiescence. The wire codec carries
-// the same aggregation across process boundaries as a Batch frame
-// (wire.AppendBatch / DecodeBatch): many space-tagged envelopes in one
-// length-prefixed frame, one future network write.
+// throughput, never visibility at quiescence.
 //
 // Batching loses when it cannot fill: a latency-sensitive workload
 // writing sparsely across many idle spaces pays up to FlushInterval of
