@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -19,7 +20,7 @@ import (
 // workload produced has been delivered and applied.
 //
 // Writes are buffered: Write appends the frame to its connection's
-// buffer and returns, and a flusher goroutine per connection writes the
+// buffer and returns, and a writer goroutine per connection writes the
 // whole backlog with one socket write per wake-up (TCP ordering still
 // preserves each replica's program order). A write error is sticky: the
 // connection's next Write, Status, Snapshot or Shutdown returns it. Every
@@ -32,29 +33,20 @@ type Client struct {
 }
 
 // clientBufMax is the buffered-write backlog at which Write blocks until
-// the flusher has drained the connection's buffer.
+// the writer has drained the connection's buffer.
 const clientBufMax = 64 << 10
 
 // closeDrainTimeout bounds how long Close waits for buffered writes to
 // reach a peer that has stopped reading.
 const closeDrainTimeout = 5 * time.Second
 
-// clientConn is one replica link. mu guards the write buffer, which the
-// flusher goroutine swaps out and writes; req serialises request/response
-// exchanges and owns the read side.
+// clientConn is one replica link: a batcher for the buffered writes,
+// whose writer goroutine stops at the first failed write, and req, which
+// serialises request/response exchanges and owns the read side.
 type clientConn struct {
 	conn net.Conn
-
-	mu      sync.Mutex
-	kick    *sync.Cond // pend became non-empty, or closing
-	drained *sync.Cond // a batch reached the socket, or err was set
-	pend    []byte     // write frames awaiting the flusher
-	spare   []byte     // the previous batch's buffer, reused by the next swap
-	queued  uint64     // bytes ever appended to pend
-	flushed uint64     // bytes ever written to the socket
-	closing bool
-	err     error // sticky: the first write error, or net.ErrClosed after Close
-	done    chan struct{}
+	batcher
+	err error // sticky: the first write error, or net.ErrClosed after Close
 
 	req sync.Mutex
 	br  *bufio.Reader
@@ -62,10 +54,17 @@ type clientConn struct {
 }
 
 func newClientConn(conn net.Conn) *clientConn {
-	cc := &clientConn{conn: conn, br: bufio.NewReader(conn), done: make(chan struct{})}
-	cc.kick = sync.NewCond(&cc.mu)
-	cc.drained = sync.NewCond(&cc.mu)
-	go cc.flusher()
+	cc := &clientConn{conn: conn, br: bufio.NewReader(conn)}
+	cc.init()
+	go cc.run(func(batch []byte, _ bool) error {
+		_, err := cc.conn.Write(batch)
+		return err
+	}, func(err error) {
+		if err == nil {
+			err = net.ErrClosed
+		}
+		cc.fail(err)
+	})
 	return cc
 }
 
@@ -112,7 +111,7 @@ func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
 
 // Close writes out every connection's buffered writes (bounded by
 // closeDrainTimeout against a peer that stopped reading), closes the
-// connections and joins their flushers. Later calls return an error.
+// connections and joins their writers. Later calls return an error.
 func (c *Client) Close() {
 	for _, cc := range c.conns {
 		if cc != nil {
@@ -125,20 +124,19 @@ func (c *Client) Close() {
 func (c *Client) Graph() (*sharegraph.Graph, error) { return c.cfg.Graph() }
 
 // Write issues a client write at replica r: it buffers the frame for the
-// connection's flusher, blocking while clientBufMax bytes are already
+// connection's writer, blocking while clientBufMax bytes are already
 // buffered. It returns the connection's sticky error, if any.
 func (c *Client) Write(r sharegraph.ReplicaID, reg sharegraph.Register, val core.Value) error {
 	cc := c.conns[r]
 	cc.mu.Lock()
-	for len(cc.pend) >= clientBufMax && cc.err == nil {
+	for len(cc.pend) >= clientBufMax && !cc.stopped {
 		cc.drained.Wait()
 	}
 	err := cc.err
 	if err == nil {
-		n := len(cc.pend)
+		from := len(cc.pend)
 		cc.pend = AppendWrite(cc.pend, reg, val)
-		cc.queued += uint64(len(cc.pend) - n)
-		cc.kick.Signal()
+		cc.added(from)
 	}
 	cc.mu.Unlock()
 	if err != nil {
@@ -147,42 +145,12 @@ func (c *Client) Write(r sharegraph.ReplicaID, reg sharegraph.Register, val core
 	return nil
 }
 
-// flusher writes the connection's buffered frames, the whole backlog per
-// wake-up, until Close has drained the buffer or a write fails.
-func (cc *clientConn) flusher() {
-	defer close(cc.done)
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for {
-		for len(cc.pend) == 0 && !cc.closing {
-			cc.kick.Wait()
-		}
-		if len(cc.pend) == 0 {
-			cc.fail(net.ErrClosed)
-			return
-		}
-		batch := cc.pend
-		cc.pend, cc.spare = cc.spare[:0], nil
-		cc.mu.Unlock()
-		_, err := cc.conn.Write(batch)
-		cc.mu.Lock()
-		cc.spare = batch[:0]
-		if err != nil {
-			cc.fail(err)
-			return
-		}
-		cc.flushed += uint64(len(batch))
-		cc.drained.Broadcast()
-	}
-}
-
-// fail records the connection's sticky error, keeping the first, and
-// releases every caller waiting on the buffer. Caller holds cc.mu.
+// fail records the connection's sticky error, keeping the first.
+// Caller holds cc.mu.
 func (cc *clientConn) fail(err error) {
 	if cc.err == nil {
 		cc.err = err
 	}
-	cc.drained.Broadcast()
 }
 
 // send writes one request frame once every write buffered before the
@@ -190,9 +158,7 @@ func (cc *clientConn) fail(err error) {
 // holds cc.req.
 func (cc *clientConn) send(req []byte) error {
 	cc.mu.Lock()
-	for upTo := cc.queued; cc.flushed < upTo && cc.err == nil; {
-		cc.drained.Wait()
-	}
+	cc.waitFlushed()
 	err := cc.err
 	cc.mu.Unlock()
 	if err != nil {
@@ -332,8 +298,7 @@ func (c *Client) RunScript(script workload.Script) error {
 	}
 	errs := make(chan error, len(queues))
 	var wg sync.WaitGroup
-	var val int64
-	var valMu sync.Mutex
+	var val atomic.Int64
 	for r := range queues {
 		if len(queues[r]) == 0 {
 			continue
@@ -354,10 +319,7 @@ func (c *Client) RunScript(script workload.Script) error {
 				}
 				v := op.Val
 				if v == 0 {
-					valMu.Lock()
-					val++
-					v = val
-					valMu.Unlock()
+					v = val.Add(1)
 				}
 				if err := c.Write(sharegraph.ReplicaID(r), op.Reg, core.Value(v)); err != nil {
 					errs <- err

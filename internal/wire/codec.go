@@ -72,23 +72,16 @@ const (
 	KindShutdown Kind = 6 // drain and exit
 )
 
+var kindNames = [...]string{
+	KindHello: "hello", KindUpdate: "update", KindWrite: "write",
+	KindStatus: "status", KindSnapshot: "snapshot", KindShutdown: "shutdown",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindUpdate:
-		return "update"
-	case KindWrite:
-		return "write"
-	case KindStatus:
-		return "status"
-	case KindSnapshot:
-		return "snapshot"
-	case KindShutdown:
-		return "shutdown"
-	default:
-		return fmt.Sprintf("kind(%d)", byte(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", byte(k))
 }
 
 // ClientID is the Hello identity of a connection that is a client rather
@@ -198,10 +191,7 @@ type Status struct {
 }
 
 // AppendStatusReq appends an empty Status request frame.
-func AppendStatusReq(dst []byte) []byte {
-	dst, start := beginFrame(dst, KindStatus)
-	return endFrame(dst, start)
-}
+func AppendStatusReq(dst []byte) []byte { return endFrame(beginFrame(dst, KindStatus)) }
 
 // AppendStatus appends a Status response frame.
 func AppendStatus(dst []byte, s Status) []byte {
@@ -215,10 +205,7 @@ func AppendStatus(dst []byte, s Status) []byte {
 }
 
 // AppendSnapshotReq appends an empty Snapshot request frame.
-func AppendSnapshotReq(dst []byte) []byte {
-	dst, start := beginFrame(dst, KindSnapshot)
-	return endFrame(dst, start)
-}
+func AppendSnapshotReq(dst []byte) []byte { return endFrame(beginFrame(dst, KindSnapshot)) }
 
 // AppendSnapshot appends a Snapshot response frame: the replica's register
 // contents as (register, value) pairs in the given order. Responders pass
@@ -234,10 +221,7 @@ func AppendSnapshot(dst []byte, regs []sharegraph.Register, vals []core.Value) [
 }
 
 // AppendShutdown appends a Shutdown frame.
-func AppendShutdown(dst []byte) []byte {
-	dst, start := beginFrame(dst, KindShutdown)
-	return endFrame(dst, start)
-}
+func AppendShutdown(dst []byte) []byte { return endFrame(beginFrame(dst, KindShutdown)) }
 
 // DecodeBody splits one frame body (the bytes after the length prefix)
 // into kind and payload, verifying magic and version.
@@ -275,16 +259,13 @@ func (c *cursor) uvarint(what string) uint64 {
 	return x
 }
 
+// varint reads a zig-zag varint, binary.Varint's encoding.
 func (c *cursor) varint(what string) int64 {
-	if c.err != nil {
-		return 0
+	ux := c.uvarint(what)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	x, n := binary.Varint(c.b)
-	if n <= 0 {
-		c.err = fmt.Errorf("%w: %s", ErrTruncated, what)
-		return 0
-	}
-	c.b = c.b[n:]
 	return x
 }
 
@@ -305,10 +286,17 @@ func (c *cursor) byte(what string) byte {
 // against the remaining payload BEFORE slicing. The returned slice
 // aliases the payload; callers that retain it must copy.
 func (c *cursor) bytes(what string) []byte {
-	ln := c.uvarint(what + " length")
 	if c.err != nil {
 		return nil
 	}
+	// The length is read here, not through uvarint, so the error text is
+	// built only on failure: the decode path allocates nothing.
+	ln, n := binary.Uvarint(c.b)
+	if n <= 0 {
+		c.err = fmt.Errorf("%w: %s length", ErrTruncated, what)
+		return nil
+	}
+	c.b = c.b[n:]
 	if ln > uint64(len(c.b)) {
 		c.err = fmt.Errorf("%w: %s declares %d of %d bytes", ErrOversized, what, ln, len(c.b))
 		return nil
@@ -440,6 +428,16 @@ func DecodeSnapshot(payload []byte) (map[sharegraph.Register]core.Value, bool, e
 // io.EOF at a frame boundary it returns io.EOF unwrapped, so clean
 // connection shutdown is distinguishable from truncation mid-frame.
 func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
+	frame, err := readFrame(r, buf)
+	if err != nil {
+		return nil, err
+	}
+	return frame[4:], nil
+}
+
+// readFrame is ReadFrame returning the whole frame, length prefix
+// included — the bytes a Host steps and logs.
+func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -451,12 +449,13 @@ func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	if ln > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameSize, ln)
 	}
-	if uint32(cap(*buf)) < ln {
-		*buf = make([]byte, ln)
+	if uint32(cap(*buf)) < 4+ln {
+		*buf = make([]byte, 4+ln)
 	}
-	body := (*buf)[:ln]
-	if _, err := io.ReadFull(r, body); err != nil {
+	frame := (*buf)[:4+ln]
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[4:]); err != nil {
 		return nil, fmt.Errorf("%w: body: %v", ErrTruncated, err)
 	}
-	return body, nil
+	return frame, nil
 }

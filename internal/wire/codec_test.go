@@ -249,6 +249,26 @@ func TestDecodeRejectsAdversarialLengths(t *testing.T) {
 	})
 }
 
+// TestDecodeUpdateAllocs pins the receive path's decode at zero
+// allocations when the register is interned: the cursor builds error
+// text only when a field fails.
+func TestDecodeUpdateAllocs(t *testing.T) {
+	frame := AppendUpdate(nil, core.Envelope{From: 1, To: 2, Reg: "ring1", Val: 9, Meta: make([]byte, 21)})
+	_, payload, err := DecodeBody(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	intern := map[string]sharegraph.Register{"ring1": "ring1"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := DecodeUpdate(payload, intern); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeUpdate allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
 // TestReadFrameCleanEOF distinguishes connection shutdown at a frame
 // boundary (io.EOF) from truncation mid-frame (ErrTruncated).
 func TestReadFrameCleanEOF(t *testing.T) {

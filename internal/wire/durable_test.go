@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/sharegraph"
 	"repro/internal/workload"
 )
@@ -166,5 +170,63 @@ func TestDurableLogTornTail(t *testing.T) {
 	}
 	if fi.Size() != int64(len(frame)) {
 		t.Errorf("log is %d bytes after truncation, want %d", fi.Size(), len(frame))
+	}
+}
+
+// TestDurableLogAppendFailureAppliesNothing pins log-before-apply when
+// the append fails: with the node's log file closed under it, a client
+// Write and a genuine Update are each refused — the link is closed and
+// nothing is applied, so state, Applied and RecvUpd stay as they were.
+func TestDurableLogAppendFailureAppliesNothing(t *testing.T) {
+	g := sharegraph.Ring(3)
+	cfg := loopbackConfig(t, g, "edge-indexed")
+	proto, err := cli.Protocol(cfg.Protocol, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(cfg, 0, proto, NodeOptions{Logf: t.Logf, LogPath: filepath.Join(t.TempDir(), "node0.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go n.Serve()
+	t.Cleanup(n.Close)
+	src, err := proto.NewNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.CollectWrite(src[1], "ring0", 7, 0)
+	if err != nil || len(out) != 1 || out[0].To != 0 {
+		t.Fatalf("write at 1: %v %v", err, out)
+	}
+	wantState, wantStatus := n.State(), n.Status()
+	n.logF.Close()
+
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"client write", [][]byte{AppendHello(nil, ClientID), AppendWrite(nil, "ring0", 42)}},
+		{"update from 1", [][]byte{AppendHello(nil, 1), AppendUpdate(nil, out[0])}},
+	} {
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range tc.frames {
+			if _, err := conn.Write(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%s: link not closed (read: %v)", tc.name, err)
+		}
+		conn.Close()
+		if got := n.Status(); got.Applied != wantStatus.Applied || got.RecvUpd != wantStatus.RecvUpd {
+			t.Errorf("%s: status %+v, want %+v", tc.name, got, wantStatus)
+		}
+		if got := n.State(); !reflect.DeepEqual(got, wantState) {
+			t.Errorf("%s: state %v, want %v", tc.name, got, wantState)
+		}
 	}
 }

@@ -11,40 +11,35 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sharegraph"
 	"repro/internal/transport"
 )
 
-// Node hosts one replica as a network server: the protocol state machine
-// from internal/core behind a TCP listener, with outgoing updates routed
+// Node serves one replica as a network server: a Host — the replica's
+// deployed logic — behind a TCP listener, with outgoing updates routed
 // through a Transport. It is the process-boundary analogue of one slot of
 // sim.Cluster — the same emit contract, the same backpressure discipline,
 // with the wire codec in place of in-process message structs.
 //
 // Inbound connections are served one reader goroutine each: peer replicas
 // stream Update frames; clients stream Write frames and request Status,
-// Snapshot and Shutdown. All protocol calls serialize on the node lock,
-// and emitted envelopes are encoded into pooled frame buffers during
-// Emit (inside the lock, satisfying the node-owned-scratch contract),
-// then handed to the transport after the lock is released so
+// Snapshot and Shutdown. Every frame is stepped through the host under
+// the node lock, and emitted envelopes are encoded into pooled frame
+// buffers during Emit (inside the lock, satisfying the node-owned-scratch
+// contract), then handed to the transport after the lock is released so
 // backpressure never blocks while holding the node.
 type Node struct {
-	cfg   ClusterConfig
-	self  sharegraph.ReplicaID
-	g     *sharegraph.Graph
-	node  core.Node
-	stock map[string]sharegraph.Register // interned register names
+	self sharegraph.ReplicaID
+	h    *Host
 
 	pool transport.BytePool
 	tr   *Transport
 	ln   net.Listener
 
 	nodeMu sync.Mutex
-	sinks  sync.Pool // *frameSink
-	logF   *os.File  // durable mutation log, nil when disabled
+	logF   *os.File // durable mutation log, nil when disabled
 
 	conns   sync.WaitGroup
 	connMu  sync.Mutex
@@ -53,12 +48,6 @@ type Node struct {
 	shutReq chan struct{}
 	shutOne sync.Once
 
-	applied atomic.Uint64
-	recvUpd atomic.Uint64
-	sentUpd atomic.Uint64
-	idSeq   atomic.Int64
-
-	reg    *obs.Registry     // nil unless StatusAddr armed metrics
 	status *obs.StatusServer // nil unless StatusAddr set
 
 	logf func(format string, args ...any)
@@ -74,12 +63,15 @@ type NodeOptions struct {
 	// accepted mutation (client Write, delivered Update) is appended to
 	// this file as its wire frame before it is applied, and an existing
 	// log is replayed on startup to rebuild the replica's state and
-	// counters after a crash. Replay restores SentUpd/RecvUpd exactly,
-	// so the client-side quiesce protocol stays sound across a kill -9
-	// and restart of a quiescent node. Updates the transport accepted
-	// but had not yet delivered when the process died are not replayed
-	// (the transport's queue is volatile); recovery is exact when the
-	// cluster was quiescent at crash time.
+	// counters after a crash. A mutation whose append fails is not
+	// applied: the node closes the link it came on and logs the error,
+	// and refuses every later mutation, since the log may end torn.
+	// Replay restores SentUpd/RecvUpd exactly, so the client-side quiesce
+	// protocol stays sound across a kill -9 and restart of a quiescent
+	// node. Updates the transport accepted but had not yet delivered when
+	// the process died are not replayed (the transport's queue is
+	// volatile); recovery is exact when the cluster was quiescent at
+	// crash time.
 	LogPath string
 	// StatusAddr, when non-empty, arms the metrics registry and serves
 	// /statusz and /metricsz on this address (host:port; port 0 picks a
@@ -115,45 +107,33 @@ func NewNode(cfg ClusterConfig, self int, protocol core.Protocol, opts NodeOptio
 		opts.Logf = log.Printf
 	}
 	n := &Node{
-		cfg:     cfg,
 		self:    sharegraph.ReplicaID(self),
-		g:       g,
-		node:    nodes[self],
-		stock:   make(map[string]sharegraph.Register),
 		open:    make(map[net.Conn]struct{}),
 		shutReq: make(chan struct{}),
 		logf:    opts.Logf,
 	}
-	for _, x := range g.Registers() {
-		n.stock[string(x)] = x
-	}
-	n.sinks.New = func() any { return &frameSink{n: n} }
+	n.h = NewHost(g, n.self, nodes[self], nil)
 	if opts.LogPath != "" {
 		if err := n.openLog(opts.LogPath); err != nil {
 			return nil, fmt.Errorf("wire: replica %d log: %w", self, err)
 		}
 	}
 	n.tr = NewTransport(self, cfg.Addrs(), &n.pool, opts.Transport)
-	ln, err := net.Listen("tcp", cfg.Replicas[self].Addr)
+	if n.ln, err = net.Listen("tcp", cfg.Replicas[self].Addr); err != nil {
+		err = fmt.Errorf("wire: replica %d listen: %w", self, err)
+	} else if opts.StatusAddr != "" {
+		n.h.reg = obs.New(len(cfg.Replicas), 0)
+		if n.status, err = obs.Serve(opts.StatusAddr, n.Metrics); err != nil {
+			n.ln.Close()
+			err = fmt.Errorf("wire: replica %d status: %w", self, err)
+		}
+	}
 	if err != nil {
+		n.tr.Close()
 		if n.logF != nil {
 			n.logF.Close()
 		}
-		return nil, fmt.Errorf("wire: replica %d listen: %w", self, err)
-	}
-	n.ln = ln
-	if opts.StatusAddr != "" {
-		n.reg = obs.New(len(cfg.Replicas), 0)
-		st, err := obs.Serve(opts.StatusAddr, n.Metrics)
-		if err != nil {
-			ln.Close()
-			n.tr.Close()
-			if n.logF != nil {
-				n.logF.Close()
-			}
-			return nil, fmt.Errorf("wire: replica %d status: %w", self, err)
-		}
-		n.status = st
+		return nil, err
 	}
 	return n, nil
 }
@@ -228,125 +208,40 @@ func (n *Node) Close() {
 	n.connMu.Unlock()
 	n.conns.Wait()
 	if n.logF != nil {
-		n.nodeMu.Lock()
-		n.logF.Close()
-		n.logF = nil
-		n.nodeMu.Unlock()
+		n.logF.Close() // the readers are joined: nothing steps any more
 	}
 }
 
 // openLog opens (creating if missing) the durable mutation log, replays
-// whatever it already holds into the freshly built protocol state, and
-// positions the file for appends. The log is a sequence of ordinary wire
-// frames in apply order. A torn tail — a frame cut short by a crash
-// mid-append — is truncated away: log-before-apply means a torn frame
-// was never applied and its emissions never left the process, so
-// dropping it is the consistent choice.
+// whatever it already holds into the host's freshly built protocol
+// state, and positions the file for the host's appends, which land in
+// the kernel page cache: that survives a SIGKILL of this process (crash
+// recovery targets process death, not host death — no fsync). The log is
+// a sequence of ordinary wire frames in apply order. A torn tail — a
+// frame cut short by a crash mid-append — is truncated away:
+// log-before-apply means a torn frame was never applied and its
+// emissions never left the process, so dropping it is the consistent
+// choice.
 func (n *Node) openLog(path string) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
-	good, err := n.replayLog(f)
+	good, err := n.h.Replay(f)
+	if err != nil {
+		// Replaying a prefix is always safe, and the truncate that follows
+		// discards the junk.
+		n.logf("wire: replica %d: log replay stops at offset %d: %v", n.self, good, err)
+	}
+	if err = f.Truncate(good); err == nil {
+		_, err = f.Seek(good, io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	n.logF = f
+	n.logF, n.h.log = f, f
 	return nil
-}
-
-// replaySink counts the envelopes a replayed mutation re-emits without
-// sending them anywhere: the original run already handed them to the
-// transport (counting each as sent), so replay only needs the count to
-// restore SentUpd. Protocol emission is deterministic given the same
-// mutation sequence, so the count is exact. Self-addressed emissions are
-// counted too but not re-delivered — their deliveries were logged as
-// their own Update frames and replay in order.
-type replaySink struct{ emitted uint64 }
-
-func (s *replaySink) Emit(core.Envelope) { s.emitted++ }
-
-// replayLog applies every complete frame in the log and returns the
-// offset just past the last complete frame. Counters are restored to
-// exactly their pre-crash values: recvUpd = replayed updates, idSeq =
-// replayed writes, applied accumulates from the protocol, sentUpd from
-// the deterministic re-emission count.
-func (n *Node) replayLog(f *os.File) (int64, error) {
-	br := bufio.NewReaderSize(f, 64<<10)
-	var buf []byte
-	var good int64
-	for {
-		body, err := ReadFrame(br, &buf)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return good, nil
-			}
-			// Torn or corrupt tail: stop at the last complete frame. Any
-			// other read error (bad magic mid-log, oversized length) also
-			// lands here — replaying a prefix is always safe, and the
-			// truncate that follows discards the junk.
-			n.logf("wire: replica %d: log replay stops at offset %d: %v", n.self, good, err)
-			return good, nil
-		}
-		kind, payload, err := DecodeBody(body)
-		if err != nil {
-			n.logf("wire: replica %d: log replay stops at offset %d: %v", n.self, good, err)
-			return good, nil
-		}
-		s := &replaySink{}
-		switch kind {
-		case KindUpdate:
-			env, err := DecodeUpdate(payload, n.stock)
-			if err != nil {
-				n.logf("wire: replica %d: log replay stops at offset %d: %v", n.self, good, err)
-				return good, nil
-			}
-			applied := n.node.HandleMessage(env, s)
-			n.applied.Add(uint64(len(applied)))
-			n.recvUpd.Add(1)
-		case KindWrite:
-			reg, val, err := DecodeWrite(payload)
-			if err != nil {
-				n.logf("wire: replica %d: log replay stops at offset %d: %v", n.self, good, err)
-				return good, nil
-			}
-			if x, ok := n.stock[string(reg)]; ok {
-				reg = x
-			}
-			id := causality.UpdateID(n.idSeq.Add(1) - 1)
-			// A write that failed validation originally fails identically
-			// here; it still consumed an ID, which is why the bump precedes
-			// the call on both paths.
-			_ = n.node.HandleWrite(reg, val, id, s)
-		default:
-			n.logf("wire: replica %d: log replay stops at offset %d: unexpected %v frame", n.self, good, kind)
-			return good, nil
-		}
-		n.sentUpd.Add(s.emitted)
-		good += int64(4 + len(body))
-	}
-}
-
-// logAppend writes one frame to the durable log. Called with nodeMu held
-// so the log order is exactly the apply order. The write lands in the
-// kernel page cache, which survives a SIGKILL of this process (crash
-// recovery targets process death, not host death — no fsync).
-func (n *Node) logAppend(frame []byte) {
-	if n.logF == nil {
-		return
-	}
-	if _, err := n.logF.Write(frame); err != nil {
-		n.logf("wire: replica %d: log append: %v", n.self, err)
-	}
 }
 
 func (n *Node) dropConn(conn net.Conn) {
@@ -358,106 +253,69 @@ func (n *Node) dropConn(conn net.Conn) {
 }
 
 // serveConn is one inbound reader: Hello first, then frames until EOF.
-// The Hello id is the link's identity: it must name a replica or the
-// client, and every Update on the link must come from that replica.
+// The Hello id is the link's identity; the host checks every later frame
+// against it.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.dropConn(conn)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
-	peerID := 0
+	s := &frameSink{n: n} // staging for one frame at a time
+	from := 0
 	for first := true; ; first = false {
-		body, err := ReadFrame(br, &buf)
+		frame, err := readFrame(br, &buf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !n.closed.Load() {
 				n.logf("wire: replica %d: read: %v", n.self, err)
 			}
 			return
 		}
-		kind, payload, err := DecodeBody(body)
-		if err != nil {
-			n.logf("wire: replica %d: bad frame: %v", n.self, err)
-			return
-		}
 		if first {
-			if kind != KindHello {
-				n.logf("wire: replica %d: conn opened with %v, want hello", n.self, kind)
-				return
-			}
-			peerID, err = DecodeHello(payload)
-			if err == nil && peerID != ClientID && (peerID < 0 || peerID >= len(n.cfg.Replicas)) {
-				err = fmt.Errorf("id %d is neither a replica in [0,%d) nor the client", peerID, len(n.cfg.Replicas))
-			}
-			if err != nil {
-				n.logf("wire: replica %d: bad hello: %v", n.self, err)
+			if from, err = n.h.Hello(frame); err != nil {
+				n.logf("wire: replica %d: %v", n.self, err)
 				return
 			}
 			continue
 		}
-		if err := n.handleFrame(conn, peerID, kind, payload); err != nil {
-			n.logf("wire: replica %d: %v frame from %d: %v", n.self, kind, peerID, err)
+		if kind, err := n.handleFrame(conn, s, from, frame); err != nil {
+			n.logf("wire: replica %d: %v frame from %d: %v", n.self, kind, from, err)
 			return
 		}
 	}
 }
 
-func (n *Node) handleFrame(conn net.Conn, peerID int, kind Kind, payload []byte) error {
+// handleFrame steps one frame through the host and does its I/O: it
+// flushes what a mutation emitted and answers requests.
+func (n *Node) handleFrame(conn net.Conn, s *frameSink, from int, frame []byte) (Kind, error) {
+	n.nodeMu.Lock()
+	kind, _, err := n.h.Step(from, frame, s)
+	n.nodeMu.Unlock()
+	// A client write blocks under transport backpressure (the Send
+	// contract); a refused frame has emitted nothing.
+	n.flush(s, kind == KindWrite)
+	if err != nil {
+		return kind, err
+	}
+	var reply []byte
 	switch kind {
 	case KindUpdate:
-		env, err := DecodeUpdate(payload, n.stock)
-		if err != nil {
-			return err
-		}
-		if env.To != n.self {
-			return fmt.Errorf("misrouted update for replica %d", env.To)
-		}
-		if int(env.From) != peerID {
-			return fmt.Errorf("update claims sender %d", env.From)
-		}
 		// Receipt is counted only after the delivery — including the flush
 		// of whatever it emitted — completes: the quiesce protocol's
 		// soundness rests on sum(sent) exceeding sum(recv) while any
 		// update is accepted but not yet fully processed.
-		n.deliver(env)
-		n.recvUpd.Add(1)
-		return nil
-	case KindWrite:
-		reg, val, err := DecodeWrite(payload)
-		if err != nil {
-			return err
-		}
-		if x, ok := n.stock[string(reg)]; ok {
-			reg = x
-		}
-		return n.clientWrite(reg, val)
+		n.h.Received()
 	case KindStatus:
-		if _, isResp, err := DecodeStatus(payload); err != nil {
-			return err
-		} else if isResp {
-			return fmt.Errorf("unexpected status response")
-		}
-		frame := AppendStatus(n.pool.Get(), n.Status())
-		_, err := conn.Write(frame)
-		n.pool.Put(frame)
-		return err
+		reply = AppendStatus(n.pool.Get(), n.Status())
 	case KindSnapshot:
-		if _, isResp, err := DecodeSnapshot(payload); err != nil {
-			return err
-		} else if isResp {
-			return fmt.Errorf("unexpected snapshot response")
-		}
 		regs, vals := n.snapshot()
-		frame := AppendSnapshot(n.pool.Get(), regs, vals)
-		_, err := conn.Write(frame)
-		n.pool.Put(frame)
-		return err
+		reply = AppendSnapshot(n.pool.Get(), regs, vals)
 	case KindShutdown:
 		n.shutOne.Do(func() { close(n.shutReq) })
-		return nil
-	case KindHello:
-		return fmt.Errorf("duplicate hello")
-	default:
-		return fmt.Errorf("unknown kind %v", kind)
 	}
+	if reply != nil {
+		_, err = conn.Write(reply)
+		n.pool.Put(reply)
+	}
+	return kind, err
 }
 
 // frameSink implements core.Sink by encoding each emitted envelope into a
@@ -481,135 +339,52 @@ func (s *frameSink) Emit(env core.Envelope) {
 	})
 }
 
-func (n *Node) getSink() *frameSink { return n.sinks.Get().(*frameSink) }
-
-func (n *Node) putSink(s *frameSink) {
-	s.frames = s.frames[:0]
-	n.sinks.Put(s)
-}
-
-// flush hands staged frames to the transport. backpressure selects the
-// Send vs Forward contract; accepted frames are counted as sent.
+// flush hands staged frames to the transport and empties the sink.
+// backpressure selects the Send vs Forward contract. No router emits to
+// its own replica (recipient lists exclude the writer, and relay routes
+// are simple paths), so every frame crosses the wire.
 func (n *Node) flush(s *frameSink, backpressure bool) {
 	for _, sf := range s.frames {
-		if sf.to == int(n.self) {
-			// Self-addressed envelopes do not cross the wire; decode the
-			// staged frame back and deliver locally. Protocols do not emit
-			// these (recipient lists exclude the writer), but the contract
-			// tolerates them.
-			if _, payload, err := DecodeBody(sf.frame[4:]); err == nil {
-				if env, err := DecodeUpdate(payload, n.stock); err == nil {
-					// Send counts before the delivery, receipt after — the
-					// same sent-leads-recv discipline as the network path.
-					n.sentUpd.Add(1)
-					if n.reg != nil {
-						n.reg.Sent(int(n.self), sf.to, len(sf.frame))
-					}
-					n.deliver(env)
-					n.recvUpd.Add(1)
-				}
-			}
-			n.pool.Put(sf.frame)
-			continue
-		}
 		var ok bool
 		if backpressure {
 			ok = n.tr.Send(sf.to, sf.frame)
 		} else {
 			ok = n.tr.Forward(sf.to, sf.frame)
 		}
-		if ok {
-			n.sentUpd.Add(1)
-			if n.reg != nil {
-				// Bytes here are whole wire frames (header included) — the
-				// wire runtime measures what actually crosses the network,
-				// not just metadata.
-				n.reg.Sent(int(n.self), sf.to, len(sf.frame))
-			}
+		if ok && n.h.reg != nil {
+			// Bytes here are whole wire frames (header included) — the
+			// wire runtime measures what actually crosses the network,
+			// not just metadata.
+			n.h.reg.Sent(int(n.self), sf.to, len(sf.frame))
 		}
 	}
-	n.putSink(s)
+	s.frames = s.frames[:0]
 }
 
-// deliver ingests one update at the node and forwards whatever it emits.
-func (n *Node) deliver(env core.Envelope) {
-	s := n.getSink()
-	n.nodeMu.Lock()
-	if n.logF != nil {
-		// Log before apply, inside the lock: env.Meta is still valid
-		// scratch here, and the log order must be the apply order.
-		frame := AppendUpdate(n.pool.Get(), env)
-		n.logAppend(frame)
-		n.pool.Put(frame)
-	}
-	applied := n.node.HandleMessage(env, s)
-	n.applied.Add(uint64(len(applied)))
-	n.nodeMu.Unlock()
-	if n.reg != nil {
-		na := len(applied)
-		if env.MetaOnly {
-			na = obs.MetaOnly
-		}
-		n.reg.Deliver(int(env.From), int(n.self), na)
-	}
-	n.flush(s, false)
-}
-
-// clientWrite performs one client write, blocking under transport
-// backpressure (the Send contract).
-func (n *Node) clientWrite(reg sharegraph.Register, val core.Value) error {
-	s := n.getSink()
-	n.nodeMu.Lock()
-	if n.logF != nil {
-		frame := AppendWrite(n.pool.Get(), reg, val)
-		n.logAppend(frame)
-		n.pool.Put(frame)
-	}
-	// Oracle IDs are process-local: the causality oracle does not cross
-	// process boundaries, so these only need to be distinct within the
-	// node (the emit contract requires an ID, not a globally audited one).
-	id := causality.UpdateID(n.idSeq.Add(1) - 1)
-	err := n.node.HandleWrite(reg, val, id, s)
-	n.nodeMu.Unlock()
-	if err != nil {
-		n.putSink(s)
-		return err
-	}
-	n.flush(s, true)
-	return nil
-}
-
-// Status returns the node's transport counters.
+// Status returns the node's counters.
 func (n *Node) Status() Status {
 	n.nodeMu.Lock()
-	pending := n.node.PendingCount()
+	s := n.h.Status()
 	n.nodeMu.Unlock()
-	return Status{
-		Applied:   n.applied.Load(),
-		Pending:   uint64(pending),
-		SentUpd:   n.sentUpd.Load(),
-		RecvUpd:   n.recvUpd.Load(),
-		QueuedOut: uint64(n.tr.QueuedOut()),
-	}
+	s.QueuedOut = uint64(n.tr.QueuedOut())
+	return s
 }
 
 // Metrics returns the node's counters in the unified cross-runtime
 // snapshot schema. Per-edge breakdowns are present only when
 // NodeOptions.StatusAddr armed the registry; the legacy totals are
-// always filled from the transport counters. This is the same snapshot
+// always filled from the host's counters. This is the same snapshot
 // /statusz serves.
 func (n *Node) Metrics() obs.Snapshot {
-	s := n.reg.Snapshot()
+	s := n.h.reg.Snapshot()
+	st := n.Status()
 	s.Runtime = "wire"
-	s.Messages = int64(n.sentUpd.Load())
-	s.Updates = int64(n.applied.Load())
-	s.Outstanding = int64(n.tr.QueuedOut())
-	n.nodeMu.Lock()
-	parked := int64(n.node.PendingCount())
-	n.nodeMu.Unlock()
-	s.Parked = parked
+	s.Messages = int64(st.SentUpd)
+	s.Updates = int64(st.Applied)
+	s.Outstanding = int64(st.QueuedOut)
+	s.Parked = int64(st.Pending)
 	if int(n.self) < len(s.Replicas) {
-		s.Replicas[n.self].Parked = parked
+		s.Replicas[n.self].Parked = s.Parked
 	}
 	for _, e := range s.Edges {
 		s.MetaBytes += e.Bytes
@@ -617,21 +392,12 @@ func (n *Node) Metrics() obs.Snapshot {
 	return s
 }
 
-// snapshot returns the replica's register contents, sorted by register
-// name (Sorted()'s order) so the encoding is byte-stable.
+// snapshot returns the replica's register contents in Host.Snapshot's
+// order.
 func (n *Node) snapshot() ([]sharegraph.Register, []core.Value) {
-	regs := n.g.Stores(n.self).Sorted()
-	vals := make([]core.Value, 0, len(regs))
-	kept := regs[:0]
 	n.nodeMu.Lock()
-	for _, x := range regs {
-		if v, ok := n.node.Read(x); ok {
-			kept = append(kept, x)
-			vals = append(vals, v)
-		}
-	}
-	n.nodeMu.Unlock()
-	return kept, vals
+	defer n.nodeMu.Unlock()
+	return n.h.Snapshot()
 }
 
 // State returns the replica's registers as a map (the in-process shape

@@ -93,23 +93,99 @@ type Transport struct {
 	wg      sync.WaitGroup
 }
 
-// peer is one outgoing link: a bounded queue of encoded frames plus the
-// writer goroutine that drains it. The queue is pend, frames laid back to
-// back; the writer swaps it with spare and writes the batch in one call.
-type peer struct {
-	t    *Transport
-	id   int
-	addr string
-
+// batcher is the group commit every outgoing stream shares, peer links
+// and client connections alike: frames are appended back to back to pend,
+// and one writer goroutine per stream swaps pend out and writes the whole
+// backlog with one call per wake-up. It counts frames (a peer's QueueCap)
+// and bytes (a client's buffer bound and request watermark); the stream
+// supplies what writing a batch means and what a failure does.
+type batcher struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // pend became non-empty, or closing
-	space   *sync.Cond // queued() dropped below capacity
-	idle    *sync.Cond // nothing pending and no batch in flight
+	kick    *sync.Cond // pend became non-empty, or closing
+	drained *sync.Cond // a batch finished, or the writer stopped
 	pend    []byte     // frames awaiting the writer
 	spare   []byte     // the previous batch's buffer, reused by the next swap
 	npend   int        // frames in pend
 	flight  int        // frames in the batch being written
+	queued  uint64     // bytes ever appended to pend
+	flushed uint64     // bytes ever written by a finished batch
 	closing bool
+	stopped bool
+	done    chan struct{} // closed when the writer loop has returned
+}
+
+func (b *batcher) init() {
+	b.kick = sync.NewCond(&b.mu)
+	b.drained = sync.NewCond(&b.mu)
+	b.done = make(chan struct{})
+}
+
+// added records the frame just appended to pend at offset from and wakes
+// the writer. Caller holds b.mu.
+func (b *batcher) added(from int) {
+	b.npend++
+	b.queued += uint64(len(b.pend) - from)
+	b.kick.Signal()
+}
+
+// backlog returns the number of frames not yet on a socket: those
+// pending plus those in the batch being written. Caller holds b.mu.
+func (b *batcher) backlog() int { return b.npend + b.flight }
+
+// waitFlushed blocks until every byte appended before the call has been
+// written, or the writer has stopped. Caller holds b.mu.
+func (b *batcher) waitFlushed() {
+	for upTo := b.queued; b.flushed < upTo && !b.stopped; {
+		b.drained.Wait()
+	}
+}
+
+// run is the writer loop. It hands each batch to write, with whether
+// Close had begun when the batch was taken, and returns once closing has
+// drained pend or write fails; stop then runs under b.mu with the error
+// (nil on a clean drain) and the failed batch still counted in flight.
+func (b *batcher) run(write func(batch []byte, closing bool) error, stop func(error)) {
+	b.mu.Lock()
+	defer func() {
+		b.stopped, b.flight = true, 0
+		b.drained.Broadcast()
+		b.mu.Unlock()
+		close(b.done)
+	}()
+	for {
+		for b.npend == 0 && !b.closing {
+			b.kick.Wait()
+		}
+		if b.npend == 0 {
+			stop(nil)
+			return
+		}
+		batch := b.pend
+		b.pend, b.spare = b.spare[:0], nil
+		b.flight, b.npend = b.npend, 0
+		closing := b.closing
+		b.mu.Unlock()
+		err := write(batch, closing)
+		b.mu.Lock()
+		b.spare = batch[:0]
+		if err != nil {
+			stop(err)
+			return
+		}
+		b.flight = 0
+		b.flushed += uint64(len(batch))
+		b.drained.Broadcast()
+	}
+}
+
+// peer is one outgoing link: a bounded batcher of encoded frames whose
+// writer dials on demand and resumes a failed batch on a fresh
+// connection.
+type peer struct {
+	t    *Transport
+	id   int
+	addr string
+	batcher
 	dropped uint64 // frames dropped at drain exhaustion
 }
 
@@ -142,9 +218,7 @@ func (t *Transport) peerFor(to int) (*peer, error) {
 	p := t.peers[to]
 	if p == nil {
 		p = &peer{t: t, id: to, addr: t.addrs[to]}
-		p.cond = sync.NewCond(&p.mu)
-		p.space = sync.NewCond(&p.mu)
-		p.idle = sync.NewCond(&p.mu)
+		p.init()
 		t.peers[to] = p
 		t.wg.Add(1)
 		go p.writer()
@@ -172,8 +246,8 @@ func (t *Transport) enqueue(to int, frame []byte, backpressure bool) bool {
 	}
 	p.mu.Lock()
 	if backpressure {
-		for p.queued() >= t.opts.QueueCap && !p.closing {
-			p.space.Wait()
+		for p.backlog() >= t.opts.QueueCap && !p.closing {
+			p.drained.Wait()
 		}
 	}
 	if p.closing {
@@ -181,24 +255,21 @@ func (t *Transport) enqueue(to int, frame []byte, backpressure bool) bool {
 		t.pool.Put(frame)
 		return false
 	}
+	from := len(p.pend)
 	p.pend = append(p.pend, frame...)
-	p.npend++
-	p.cond.Signal()
+	p.added(from)
 	p.mu.Unlock()
 	t.pool.Put(frame)
 	return true
 }
 
-// queued returns the number of frames not yet on a socket: those pending
-// plus those in the batch being written. Caller holds p.mu.
-func (p *peer) queued() int { return p.npend + p.flight }
-
-// writer drains the peer's queue to its socket, one batch per wake-up:
-// swap the pending buffer out, dial on demand (capped exponential
-// backoff), write the whole batch with one call. A batch whose write
-// fails resumes on a fresh connection at its first frame not fully
-// written — the old connection dies with its partial bytes, so the
-// receiver never sees a torn or duplicated frame from this path.
+// writer drains the peer's queue to its socket through the batcher. A
+// batch whose write fails resumes on a fresh connection at its first
+// frame not fully written — the old connection dies with its partial
+// bytes, so the receiver never sees a torn or duplicated frame from this
+// path. write gives up only once Close has begun and the dial budget is
+// spent; the pending frames would hit the same wall, so they are dropped
+// with the batch instead of re-dialing per batch.
 func (p *peer) writer() {
 	defer p.t.wg.Done()
 	var conn *outConn
@@ -207,41 +278,14 @@ func (p *peer) writer() {
 			conn.Close()
 		}
 	}()
-	for {
-		p.mu.Lock()
-		for p.npend == 0 && !p.closing {
-			p.cond.Wait()
-		}
-		if p.npend == 0 { // closing and drained
-			p.mu.Unlock()
-			return
-		}
-		batch := p.pend
-		p.pend, p.spare = p.spare[:0], nil
-		p.flight, p.npend = p.npend, 0
-		closing := p.closing
-		p.mu.Unlock()
-
-		wrote := p.write(&conn, batch, closing)
-
-		p.mu.Lock()
-		if !wrote {
-			// write gives up only once Close has begun and the dial budget
-			// is spent; the pending frames would hit the same wall, so
-			// drop them with the batch instead of re-dialing per batch.
+	p.run(func(batch []byte, closing bool) error {
+		return p.write(&conn, batch, closing)
+	}, func(err error) {
+		if err != nil {
 			p.dropped += uint64(p.flight + p.npend)
 			p.pend, p.npend = p.pend[:0], 0
 		}
-		p.flight = 0
-		p.spare = batch[:0]
-		if p.queued() < p.t.opts.QueueCap {
-			p.space.Broadcast()
-		}
-		if p.queued() == 0 {
-			p.idle.Broadcast()
-		}
-		p.mu.Unlock()
-	}
+	})
 }
 
 // outConn is one established outgoing link plus its death watch. The
@@ -275,8 +319,8 @@ func (c *outConn) watch() {
 // (re)dialing as needed. After a failed write it resumes on the fresh
 // connection at the first frame the old one did not take whole. During a
 // drain (closing), dial attempts are bounded so an unreachable peer
-// cannot wedge shutdown; it reports whether the batch was written.
-func (p *peer) write(conn **outConn, batch []byte, closing bool) bool {
+// cannot wedge shutdown; it fails only when they run out.
+func (p *peer) write(conn **outConn, batch []byte, closing bool) error {
 	attempts := 0
 	for len(batch) > 0 {
 		if *conn != nil && (*conn).dead.Load() {
@@ -286,20 +330,20 @@ func (p *peer) write(conn **outConn, batch []byte, closing bool) bool {
 		if *conn == nil {
 			c, err := p.dial(&attempts, closing)
 			if err != nil {
-				return false // drain attempts exhausted
+				return err // drain attempts exhausted
 			}
 			*conn = &outConn{Conn: c}
 			go (*conn).watch()
 		}
 		n, err := (*conn).Write(batch)
 		if err == nil {
-			return true
+			return nil
 		}
 		batch = resumeAt(batch, n)
 		(*conn).Close()
 		*conn = nil
 	}
-	return true
+	return nil
 }
 
 // resumeAt returns the suffix of buf, a run of length-prefixed frames,
@@ -354,61 +398,41 @@ func (p *peer) dial(attempts *int, closing bool) (net.Conn, error) {
 	}
 }
 
+// each calls f on every peer created so far, holding that peer's lock.
+func (t *Transport) each(f func(p *peer)) {
+	t.mu.Lock()
+	peers := append([]*peer(nil), t.peers...)
+	t.mu.Unlock()
+	for _, p := range peers {
+		if p != nil {
+			p.mu.Lock()
+			f(p)
+			p.mu.Unlock()
+		}
+	}
+}
+
 // QueuedOut returns the number of frames enqueued but not yet written to
 // a socket (including the batch mid-write), summed over peers — the
 // transport half of the quiesce condition the status protocol exposes.
 func (t *Transport) QueuedOut() int {
-	t.mu.Lock()
-	peers := append([]*peer(nil), t.peers...)
-	t.mu.Unlock()
 	n := 0
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		n += p.queued()
-		p.mu.Unlock()
-	}
+	t.each(func(p *peer) { n += p.backlog() })
 	return n
 }
 
 // Dropped returns the number of frames dropped across peers (drain
 // exhaustion against unreachable peers); zero in a healthy run.
 func (t *Transport) Dropped() uint64 {
-	t.mu.Lock()
-	peers := append([]*peer(nil), t.peers...)
-	t.mu.Unlock()
 	var n uint64
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		n += p.dropped
-		p.mu.Unlock()
-	}
+	t.each(func(p *peer) { n += p.dropped })
 	return n
 }
 
 // Flush blocks until every queued frame has been written to a socket —
 // the outgoing half of Quiesce. Frames enqueued concurrently with Flush
 // may or may not be covered.
-func (t *Transport) Flush() {
-	t.mu.Lock()
-	peers := append([]*peer(nil), t.peers...)
-	t.mu.Unlock()
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		for p.queued() > 0 {
-			p.idle.Wait()
-		}
-		p.mu.Unlock()
-	}
-}
+func (t *Transport) Flush() { t.each((*peer).waitFlushed) }
 
 // Close drains every peer queue to its socket (bounded redial attempts
 // against unreachable peers), closes the connections, and joins the
@@ -417,17 +441,11 @@ func (t *Transport) Flush() {
 func (t *Transport) Close() {
 	t.mu.Lock()
 	t.closing = true
-	peers := append([]*peer(nil), t.peers...)
 	t.mu.Unlock()
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
+	t.each(func(p *peer) {
 		p.closing = true
-		p.cond.Broadcast()
-		p.space.Broadcast()
-		p.mu.Unlock()
-	}
+		p.kick.Broadcast()
+		p.drained.Broadcast()
+	})
 	t.wg.Wait()
 }

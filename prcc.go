@@ -91,8 +91,13 @@
 //
 // # Deployment
 //
-// A replica can be a process, not just a struct. internal/wire defines
-// a versioned length-prefixed envelope codec (magic + version + kind,
+// A replica can be a process, not just a struct. Its deployed logic is a
+// wire.Host, with no goroutines or sockets: the protocol node plus the
+// link-identity checks, the log-before-apply mutation log (replayed
+// through the same Host.Step path), update-ID issue and the quiesce
+// counters. The wire tests run sim.Run over hosts, so the causality
+// oracle judges that logic; a wire.Node is a Host plus I/O. The package
+// also defines a versioned length-prefixed envelope codec (magic + version + kind,
 // timestamp vectors via their append-style EncodeTo form) and a TCP
 // transport that implements the same Send/Forward contract as the
 // in-process engine: per-peer writer goroutines over bounded queues,
