@@ -1,8 +1,9 @@
 // Package shard is the multi-tenant scaling layer between the protocol
 // and the worker-pool engine: it hosts thousands of independent register
-// spaces — each its own set of core.Node state machines over one shared
-// placement graph, optionally its own causality oracle — multiplexed
-// onto a fixed pool of delivery workers.
+// spaces — each a sim.Space, the shared in-process host of one space's
+// core.Node state machines over one shared placement graph, its locks,
+// update-ID issue and optional causality oracle — multiplexed onto a
+// fixed pool of delivery workers.
 //
 // The paper (conf_podc_XiangV19) bounds one space at ≤64 replicas; fleet
 // scale comes from multiplexing many small spaces, not growing one. Two
@@ -39,7 +40,7 @@ import (
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
-	"repro/internal/transport"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -124,25 +125,23 @@ type outbox struct {
 // over one engine. All spaces share one placement graph and protocol;
 // their node sets, locks and (optional) oracles are per space.
 type Runtime struct {
-	g        *sharegraph.Graph
-	protocol core.Protocol
-	opts     Options
-	replicas int
-
-	nodes    [][]core.Node // [space][replica]
-	mu       []sync.Mutex  // [space*replicas + replica]
-	trackers []*causality.Tracker
+	g      *sharegraph.Graph
+	opts   Options
+	spaces []*sim.Space
 
 	eng     *rt.Engine[*batch]
 	out     []outbox
-	meta    transport.BytePool
 	batches sync.Pool // *batch
 	sinks   sync.Pool // *spaceSink
 
 	flushDone chan struct{}
 	flushWG   sync.WaitGroup
 
-	idSeq    atomic.Int64
+	// live counts batches from their creation in an outbox until their
+	// delivery or rejection ends. A delivery stages its follow-ons (new
+	// batches) before its own batch stops counting, so zero means nothing
+	// is staged, detached by a flush, queued or being delivered.
+	live     atomic.Int64
 	closed   atomic.Bool
 	msgs     atomic.Int64
 	nbatches atomic.Int64
@@ -166,29 +165,9 @@ func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, e
 		InboxCapacity: opts.InboxCapacity,
 		Seed:          opts.Seed,
 	}
-	r := &Runtime{
-		g:         g,
-		protocol:  protocol,
-		replicas:  g.NumReplicas(),
-		flushDone: make(chan struct{}),
-	}
-	r.nodes = make([][]core.Node, opts.Spaces)
-	for s := range r.nodes {
-		nodes, err := protocol.NewNodes()
-		if err != nil {
-			return nil, fmt.Errorf("shard: build space %d: %w", s, err)
-		}
-		r.nodes[s] = nodes
-	}
-	r.mu = make([]sync.Mutex, opts.Spaces*r.replicas)
-	if opts.Audit {
-		r.trackers = make([]*causality.Tracker, opts.Spaces)
-		for s := range r.trackers {
-			r.trackers[s] = causality.NewTracker(g)
-		}
-	}
+	r := &Runtime{g: g, flushDone: make(chan struct{})}
 	r.batches.New = func() any { return &batch{} }
-	r.sinks.New = func() any { return &spaceSink{r: r} }
+	r.sinks.New = func() any { return &spaceSink{} }
 	// The shard default derives from the resolved worker count, so
 	// mirror the engine's worker default before sizing its inboxes.
 	workers := opts.Workers
@@ -198,8 +177,16 @@ func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, e
 	r.opts = opts.withDefaults(workers)
 	r.out = make([]outbox, r.opts.Shards)
 	if r.opts.Metrics {
-		r.reg = obs.New(r.replicas, r.opts.Shards)
+		r.reg = obs.New(g.NumReplicas(), r.opts.Shards)
 		engOpts.Obs = r.reg
+	}
+	r.spaces = make([]*sim.Space, opts.Spaces)
+	for s := range r.spaces {
+		sp, err := sim.NewSpace(g, protocol, opts.Audit, r.reg)
+		if err != nil {
+			return nil, fmt.Errorf("shard: space %d: %w", s, err)
+		}
+		r.spaces[s] = sp
 	}
 	r.eng = rt.New(r.opts.Shards, engOpts, r.deliver)
 	r.flushWG.Add(1)
@@ -211,7 +198,7 @@ func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, e
 func (r *Runtime) Graph() *sharegraph.Graph { return r.g }
 
 // Spaces returns the hosted space count.
-func (r *Runtime) Spaces() int { return len(r.nodes) }
+func (r *Runtime) Spaces() int { return len(r.spaces) }
 
 // Shards returns the resolved shard count.
 func (r *Runtime) Shards() int { return r.opts.Shards }
@@ -224,38 +211,28 @@ func (r *Runtime) Router() Router {
 	return Router{Spaces: r.Spaces(), Shards: r.opts.Shards}
 }
 
-func (r *Runtime) lockFor(space int, rep sharegraph.ReplicaID) *sync.Mutex {
-	return &r.mu[space*r.replicas+int(rep)]
-}
-
-// spaceSink implements core.Sink for one node call: Meta buffers are
-// copied through the recycling pool inside the node's lock (satisfying
-// the consume-before-next-call contract), then staged into the space's
-// shard outbox after the lock is released. one and full are pooled
-// scratch so the flush path performs no allocation.
+// spaceSink is the core.Sink of one node call (sim.Batch copies each
+// Meta through the space's pool inside the node's lock); stage moves
+// its envelopes into the space's shard outbox after the lock is
+// released. one and full are pooled scratch so the flush path performs
+// no allocation.
 type spaceSink struct {
-	r    *Runtime
-	envs []core.Envelope
+	sim.Batch
 	full []*batch
 	one  [1]*batch
-}
-
-// Emit implements core.Sink.
-func (s *spaceSink) Emit(env core.Envelope) {
-	env.Meta = s.r.meta.Copy(env.Meta)
-	s.envs = append(s.envs, env)
 }
 
 func (r *Runtime) getSink() *spaceSink { return r.sinks.Get().(*spaceSink) }
 
 func (r *Runtime) putSink(s *spaceSink) {
-	s.envs = s.envs[:0]
+	s.Envs = s.Envs[:0]
 	s.full = s.full[:0]
 	s.one[0] = nil
 	r.sinks.Put(s)
 }
 
 func (r *Runtime) getBatch(shard int) *batch {
+	r.live.Add(1)
 	b := r.batches.Get().(*batch)
 	b.shard = shard
 	return b
@@ -267,6 +244,7 @@ func (r *Runtime) putBatch(b *batch) {
 	clear(b.items)
 	b.items = b.items[:0]
 	r.batches.Put(b)
+	r.live.Add(-1)
 }
 
 // stage appends the sink's staged envelopes to the space's shard outbox
@@ -274,14 +252,14 @@ func (r *Runtime) putBatch(b *batch) {
 // the engine contract for those pushes: Send (blocking, client path) or
 // Forward (worker path).
 func (r *Runtime) stage(s *spaceSink, space int, backpressure bool) {
-	if len(s.envs) == 0 {
+	if len(s.Envs) == 0 {
 		return
 	}
 	sh := space % r.opts.Shards
 	ob := &r.out[sh]
 	s.full = s.full[:0]
 	ob.mu.Lock()
-	for _, env := range s.envs {
+	for _, env := range s.Envs {
 		if ob.cur == nil {
 			ob.cur = r.getBatch(sh)
 		}
@@ -300,7 +278,7 @@ func (r *Runtime) stage(s *spaceSink, space int, backpressure bool) {
 		s.full[i] = nil
 	}
 	s.full = s.full[:0]
-	s.envs = s.envs[:0]
+	s.Envs = s.Envs[:0]
 }
 
 // push hands one detached batch to the engine. A batch the engine drops
@@ -334,7 +312,7 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 	s.one[0] = nil
 	if accepted == 0 {
 		for i := range b.items {
-			r.meta.Put(b.items[i].env.Meta)
+			r.spaces[b.items[i].space].Recycle(b.items[i].env.Meta)
 		}
 		r.putBatch(b)
 		return
@@ -351,40 +329,12 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 func (r *Runtime) deliver(b *batch) {
 	s := r.getSink()
 	for i := range b.items {
-		space := int(b.items[i].space)
-		env := b.items[i].env
-		mu := r.lockFor(space, env.To)
-		mu.Lock()
-		applied := r.nodes[space][env.To].HandleMessage(env, s)
-		if r.trackers != nil {
-			tr := r.trackers[space]
-			for _, a := range applied {
-				tr.OnApply(env.To, a.OracleID)
-			}
-		}
-		mu.Unlock()
-		if r.reg != nil {
-			na := len(applied)
-			if env.MetaOnly {
-				na = obs.MetaOnly
-			}
-			r.reg.Deliver(int(env.From), int(env.To), na)
-		}
-		// The node has decoded (or rejected) the metadata; recycle it.
-		r.meta.Put(env.Meta)
-		r.stage(s, space, false)
+		sp := r.spaces[b.items[i].space]
+		sp.Deliver(b.items[i].env, s.For(sp))
+		r.stage(s, int(b.items[i].space), false)
 	}
 	r.putBatch(b)
 	r.putSink(s)
-}
-
-// issueID reports a client write to the space's oracle, or mints a bare
-// ID when auditing is off. Callers hold the writer node's lock.
-func (r *Runtime) issueID(space int, rep sharegraph.ReplicaID, x sharegraph.Register) causality.UpdateID {
-	if r.trackers != nil {
-		return r.trackers[space].OnIssue(rep, x)
-	}
-	return causality.UpdateID(r.idSeq.Add(1) - 1)
 }
 
 // Write performs a client write at replica rep of space, blocking while
@@ -395,33 +345,26 @@ func (r *Runtime) Write(space int, rep sharegraph.ReplicaID, x sharegraph.Regist
 	if r.closed.Load() {
 		return fmt.Errorf("shard: closed")
 	}
-	if space < 0 || space >= len(r.nodes) {
-		return fmt.Errorf("shard: space %d outside [0,%d)", space, len(r.nodes))
+	if space < 0 || space >= len(r.spaces) {
+		return fmt.Errorf("shard: space %d outside [0,%d)", space, len(r.spaces))
 	}
 	s := r.getSink()
-	mu := r.lockFor(space, rep)
-	mu.Lock()
-	id := r.issueID(space, rep, x)
-	err := r.nodes[space][rep].HandleWrite(x, v, id, s)
-	mu.Unlock()
-	if err != nil {
-		r.putSink(s)
-		return fmt.Errorf("shard: write at space %d replica %d: %w", space, rep, err)
+	defer r.putSink(s)
+	sp := r.spaces[space]
+	if _, err := sp.Write(rep, x, v, s.For(sp)); err != nil {
+		return fmt.Errorf("shard: space %d: %w", space, err)
 	}
 	r.stage(s, space, true)
-	r.putSink(s)
 	return nil
 }
 
-// Read returns replica rep's local copy of x in space.
+// Read returns replica rep's local copy of x in space; ok is false for a
+// space or replica out of range.
 func (r *Runtime) Read(space int, rep sharegraph.ReplicaID, x sharegraph.Register) (core.Value, bool) {
-	if space < 0 || space >= len(r.nodes) {
+	if space < 0 || space >= len(r.spaces) {
 		return 0, false
 	}
-	mu := r.lockFor(space, rep)
-	mu.Lock()
-	defer mu.Unlock()
-	return r.nodes[space][rep].Read(x)
+	return r.spaces[space].Read(rep, x)
 }
 
 // flusher is the idle-flush loop: every FlushInterval it detaches every
@@ -457,33 +400,21 @@ func (r *Runtime) flushAll() {
 	r.putSink(s)
 }
 
-// outboxesEmpty reports whether nothing is staged anywhere.
-func (r *Runtime) outboxesEmpty() bool {
-	for i := range r.out {
-		ob := &r.out[i]
-		ob.mu.Lock()
-		empty := ob.cur == nil
-		ob.mu.Unlock()
-		if !empty {
-			return false
-		}
-	}
-	return true
-}
-
-// Quiesce blocks until no messages are in flight anywhere: outboxes
-// empty and the engine idle. Batching makes this a fixpoint loop — a
-// draining delivery may stage new envelopes after a sweep, so Quiesce
-// alternates flushing and engine quiescence until both hold at once.
-// Callers stop issuing writes first (updates stuck in protocol pending
-// buffers do not count, as with the engine's own Quiesce).
+// Quiesce blocks until no messages are in flight anywhere: no batch is
+// live. Batching makes this a fixpoint loop — a draining delivery may
+// stage new envelopes after a sweep, and the idle flusher may hold a
+// batch it detached but has not pushed yet — so Quiesce alternates
+// flushing and engine quiescence until no batch is left. Callers stop
+// issuing writes first (updates stuck in protocol pending buffers do not
+// count, as with the engine's own Quiesce).
 func (r *Runtime) Quiesce() {
 	for {
 		r.flushAll()
 		r.eng.Quiesce()
-		if r.outboxesEmpty() && r.eng.Outstanding() == 0 {
+		if r.live.Load() == 0 {
 			return
 		}
+		goruntime.Gosched()
 	}
 }
 
@@ -504,36 +435,21 @@ func (r *Runtime) Close() {
 // all violations. Empty (and cheap) when auditing is off.
 func (r *Runtime) AuditViolations() []causality.Violation {
 	var out []causality.Violation
-	for _, tr := range r.trackers {
-		if tr == nil {
-			continue
-		}
-		tr.CheckLiveness()
-		out = append(out, tr.Violations()...)
+	for _, sp := range r.spaces {
+		out = append(out, sp.Audit()...)
 	}
 	return out
 }
 
 // StateSnapshot returns space's per-replica register contents — the
 // same shape sim.Cluster.StateSnapshot produces, so sharded and
-// single-space runs compare directly. Call after Quiesce.
+// single-space runs compare directly; nil for a space out of range.
+// Call after Quiesce.
 func (r *Runtime) StateSnapshot(space int) []map[sharegraph.Register]core.Value {
-	out := make([]map[sharegraph.Register]core.Value, r.replicas)
-	for rep := 0; rep < r.replicas; rep++ {
-		id := sharegraph.ReplicaID(rep)
-		regs := r.g.Stores(id).Sorted()
-		m := make(map[sharegraph.Register]core.Value, len(regs))
-		mu := r.lockFor(space, id)
-		mu.Lock()
-		for _, x := range regs {
-			if v, ok := r.nodes[space][id].Read(x); ok {
-				m[x] = v
-			}
-		}
-		mu.Unlock()
-		out[rep] = m
+	if space < 0 || space >= len(r.spaces) {
+		return nil
 	}
-	return out
+	return r.spaces[space].State()
 }
 
 // Metrics snapshots the runtime in the unified observability schema.
@@ -568,32 +484,18 @@ func (r *Runtime) RunMulti(ms *workload.MultiScript, drivers int) []causality.Vi
 		d := (mo.Space*31 + int(mo.Op.Replica)) % drivers
 		queues[d] = append(queues[d], mo)
 	}
-	var wg sync.WaitGroup
 	var val atomic.Int64
-	for d := range queues {
-		if len(queues[d]) == 0 {
-			continue
+	sim.Drive(queues, func(mo workload.MultiOp) {
+		if mo.Op.IsRead {
+			r.Read(mo.Space, mo.Op.Replica, mo.Op.Reg)
+			return
 		}
-		wg.Add(1)
-		go func(ops []workload.MultiOp) {
-			defer wg.Done()
-			for _, mo := range ops {
-				if mo.Op.IsRead {
-					r.Read(mo.Space, mo.Op.Replica, mo.Op.Reg)
-					continue
-				}
-				v := core.Value(mo.Op.Val)
-				if v == 0 {
-					v = core.Value(val.Add(1))
-				}
-				_ = r.Write(mo.Space, mo.Op.Replica, mo.Op.Reg, v)
-			}
-		}(queues[d])
-	}
-	wg.Wait()
+		v := core.Value(mo.Op.Val)
+		if v == 0 {
+			v = core.Value(val.Add(1))
+		}
+		_ = r.Write(mo.Space, mo.Op.Replica, mo.Op.Reg, v)
+	})
 	r.Quiesce()
-	if r.trackers == nil {
-		return nil
-	}
 	return r.AuditViolations()
 }

@@ -120,6 +120,35 @@ func TestShardedWriteErrors(t *testing.T) {
 	if _, ok := r.Read(9, 0, "x0"); ok {
 		t.Error("out-of-range space read ok")
 	}
+	if r.StateSnapshot(-1) != nil || r.StateSnapshot(2) != nil {
+		t.Error("out-of-range space snapshot not nil")
+	}
+	// An out-of-range replica is an error, and it must not leave another
+	// space's replica lock held: space 1's replica 0 still writes and
+	// drains afterwards.
+	x := r.Graph().Stores(0).Sorted()[0]
+	for _, rep := range []sharegraph.ReplicaID{-1, 3} {
+		if err := r.Write(0, rep, x, 1); err == nil {
+			t.Errorf("write at replica %d accepted", rep)
+		}
+		if _, ok := r.Read(0, rep, x); ok {
+			t.Errorf("read at replica %d ok", rep)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := r.Write(1, 0, x, 2)
+		r.Quiesce()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write at space 1 replica 0 blocked")
+	}
 	r.Close()
 	if err := r.Write(0, 0, "x0", 1); err == nil {
 		t.Error("write after close accepted")
@@ -188,6 +217,48 @@ func TestShardedConcurrentMixedSpaces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardedQuiesceWaitsForDetachedBatch pins Quiesce against the idle
+// flusher's window: a batch it detached from its outbox but has not yet
+// pushed is neither staged nor in the engine, and Quiesce must still
+// wait for its delivery.
+func TestShardedQuiesceWaitsForDetachedBatch(t *testing.T) {
+	r := newRing(t, 4, Options{Spaces: 1, FlushSize: 1 << 20, FlushInterval: time.Hour})
+	defer r.Close()
+	g := r.Graph()
+	var reg sharegraph.Register
+	for _, x := range g.Registers() {
+		if len(g.Holders(x)) >= 2 {
+			reg = x
+			break
+		}
+	}
+	holders := g.Holders(reg)
+	if err := r.Write(0, holders[0], reg, 42); err != nil {
+		t.Fatal(err)
+	}
+	// Detach the staged batch the way flushAll does and push it late.
+	ob := &r.out[0]
+	ob.mu.Lock()
+	b := ob.cur
+	ob.cur = nil
+	ob.mu.Unlock()
+	pushed := make(chan struct{})
+	go func() {
+		defer close(pushed)
+		time.Sleep(20 * time.Millisecond)
+		s := r.getSink()
+		r.push(s, b, false)
+		r.putSink(s)
+	}()
+	r.Quiesce()
+	for _, rep := range holders {
+		if v, ok := r.Read(0, rep, reg); !ok || v != 42 {
+			t.Errorf("replica %d read (%d, %v) after Quiesce, want (42, true)", rep, v, ok)
+		}
+	}
+	<-pushed
 }
 
 // TestShardedBatchingSteadyStateZeroAlloc asserts the acceptance

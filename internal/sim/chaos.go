@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,32 +100,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	var val atomic.Int64
-	runPhase := func(queues [][]workload.Op) {
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			if len(queues[r]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(r int, ops []workload.Op) {
-				defer wg.Done()
-				for _, op := range ops {
-					if op.IsRead {
-						c.Read(sharegraph.ReplicaID(r), op.Reg)
-						continue
-					}
-					v := core.Value(op.Val)
-					if v == 0 {
-						v = core.Value(val.Add(1))
-					}
-					_ = c.Write(sharegraph.ReplicaID(r), op.Reg, v)
-				}
-			}(r, queues[r])
-		}
-		wg.Wait()
-	}
-
-	runPhase(phases[0])
+	c.drive(phases[0], &val)
 
 	if cfg.Partition {
 		if err := c.Partition(cfg.PartitionA, cfg.PartitionB, cfg.PartitionHeal); err != nil {
@@ -142,7 +116,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		phases[1][cfg.CrashReplica] = nil
 	}
 
-	runPhase(phases[1])
+	c.drive(phases[1], &val)
 
 	if cfg.Crash {
 		if err := c.Restart(cfg.CrashReplica); err != nil {
@@ -164,7 +138,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}
 
-	runPhase(phases[2])
+	c.drive(phases[2], &val)
 
 	if err := c.HealAll(); err != nil {
 		return nil, err
@@ -181,9 +155,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		res.Dropped = f.Dropped()
 		res.Duped = f.Duped()
 	}
-	if tr := c.Tracker(); tr != nil {
-		tr.CheckLiveness()
-		res.Violations = tr.Violations()
-	}
+	res.Violations = c.space.Audit()
 	return res, nil
 }

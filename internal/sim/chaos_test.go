@@ -193,6 +193,67 @@ func TestChaosCrashGuards(t *testing.T) {
 	}
 }
 
+// TestChaosNodeBoundaryPark opens, deterministically, the window a
+// delivery can otherwise only hit by race: it passed the fault layer's
+// down check just before Crash. Replica 1's Space record is marked down
+// while the fault layer still has it up, so a neighbour's update reaches
+// the node boundary and must park there, Meta and all, until Restart
+// re-forwards it.
+func TestChaosNodeBoundaryPark(t *testing.T) {
+	g := sharegraph.Ring(4)
+	p, err := core.NewEdgeIndexed(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(g, p, WithChaos(rt.FaultPlan{Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	var reg sharegraph.Register
+	writer := sharegraph.ReplicaID(-1)
+	for _, x := range g.Stores(1).Sorted() {
+		for _, h := range g.Holders(x) {
+			if h != 1 {
+				reg, writer = x, h
+			}
+		}
+	}
+	sp := c.space
+	sp.mu[1].Lock()
+	sp.rec[1].down = true
+	sp.mu[1].Unlock()
+	state, pending := sp.State()[1], sp.Pending(1)
+
+	if err := c.Write(writer, reg, 77); err != nil {
+		t.Fatal(err)
+	}
+	c.Quiesce()
+	if got := sp.State()[1]; !reflect.DeepEqual(got, state) || sp.Pending(1) != pending {
+		t.Fatalf("down replica changed: state %v pending %d, want %v and %d", got, sp.Pending(1), state, pending)
+	}
+	sp.mu[1].Lock()
+	parked := len(sp.rec[1].parked)
+	sp.mu[1].Unlock()
+	if parked == 0 {
+		t.Fatal("no delivery parked at the node boundary")
+	}
+
+	if err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	c.Quiesce()
+	if v, ok := c.Read(1, reg); !ok || v != 77 {
+		t.Errorf("Read(1, %s) = (%d, %v) after Restart, want (77, true)", reg, v, ok)
+	}
+	if vs := sp.Audit(); len(vs) != 0 {
+		t.Errorf("oracle verdicts after the parked delivery: %v", vs)
+	}
+}
+
 // TestChaosDisabledGuards pins that recovery controls refuse to operate
 // on a cluster built without WithChaos rather than panicking.
 func TestChaosDisabledGuards(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -38,12 +37,8 @@ import (
 // buffer that returns to the pool once the message has been ingested at
 // its destination.
 type Cluster struct {
-	g        *sharegraph.Graph
-	protocol core.Protocol
-	tracker  *causality.Tracker // nil when auditing is disabled
-	nodes    []core.Node
-	nodeMu   []sync.Mutex
-	eng      *rt.Engine[core.Envelope]
+	space *Space
+	eng   *rt.Engine[core.Envelope]
 
 	opts  rt.Options
 	audit bool
@@ -56,13 +51,8 @@ type Cluster struct {
 	// metrics-free hot path pays a nil check, nothing more.
 	metrics bool
 	reg     *obs.Registry
-	// rec[r] is replica r's recovery state, guarded by nodeMu[r]; the
-	// slice itself is nil when chaos is disabled, so the fault-free
-	// delivery path pays one nil check.
-	rec []replicaRec
 
-	meta    transport.BytePool
-	batches sync.Pool // *envBatch
+	batches sync.Pool // *Batch
 
 	// epoch is the reconfiguration fence: every client write holds it
 	// for reading, so Reconfigure's write lock blocks new writes while
@@ -70,26 +60,9 @@ type Cluster struct {
 	// on inbox backpressure inside the read section can always drain.
 	epoch sync.RWMutex
 
-	idSeq     atomic.Int64 // oracle-ID source when auditing is off
 	closed    atomic.Bool
 	msgs      atomic.Int64
 	metaBytes atomic.Int64
-}
-
-// envBatch is a core.Sink that stages one node call's emitted envelopes:
-// Meta buffers are copied through the cluster's recycling pool inside the
-// node's lock (satisfying the consume-before-next-call contract), and the
-// staged batch is flushed to the engine after the lock is released so
-// backpressure never blocks while holding a node.
-type envBatch struct {
-	c    *Cluster
-	envs []core.Envelope
-}
-
-// Emit implements core.Sink.
-func (b *envBatch) Emit(env core.Envelope) {
-	env.Meta = b.c.meta.Copy(env.Meta)
-	b.envs = append(b.envs, env)
 }
 
 // recordSent counts messages the engine actually accepted — never the
@@ -109,14 +82,10 @@ func (c *Cluster) recordSent(envs []core.Envelope) {
 	}
 }
 
-func (c *Cluster) getBatch() *envBatch {
-	b := c.batches.Get().(*envBatch)
-	b.c = c
-	return b
-}
+func (c *Cluster) getBatch() *Batch { return c.batches.Get().(*Batch) }
 
-func (c *Cluster) putBatch(b *envBatch) {
-	b.envs = b.envs[:0]
+func (c *Cluster) putBatch(b *Batch) {
+	b.Envs = b.Envs[:0]
 	c.batches.Put(b)
 }
 
@@ -192,18 +161,10 @@ func WithMetrics() ClusterOption {
 // NewCluster builds and starts a live cluster for the protocol. The
 // worker pool runs until Close.
 func NewCluster(g *sharegraph.Graph, protocol core.Protocol, opts ...ClusterOption) (*Cluster, error) {
-	c := &Cluster{
-		g:        g,
-		protocol: protocol,
-		audit:    true,
-	}
+	c := &Cluster{audit: true}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.audit {
-		c.tracker = causality.NewTracker(g)
-	}
-	c.batches.New = func() any { return &envBatch{} }
 	if c.metrics {
 		c.reg = obs.New(g.NumReplicas(), g.NumReplicas())
 		c.opts.Obs = c.reg
@@ -212,17 +173,18 @@ func NewCluster(g *sharegraph.Graph, protocol core.Protocol, opts ...ClusterOpti
 	// capture it at construction): drops count in the registry when
 	// metrics are armed, and logging is rate-limited either way.
 	c.armDiag(protocol)
-	nodes, err := protocol.NewNodes()
+	sp, err := NewSpace(g, protocol, c.audit, c.reg)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: build nodes: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.nodes = nodes
-	c.nodeMu = make([]sync.Mutex, len(nodes))
+	c.space = sp
+	c.batches.New = func() any { return new(Batch).For(sp) }
+	n := g.NumReplicas()
 	if c.chaosPlan != nil {
-		c.rec = make([]replicaRec, len(nodes))
-		c.eng = rt.NewWithFaults(len(nodes), c.opts, *c.chaosPlan, c.cloneEnv, c.deliver)
+		sp.rec = make([]replicaRec, n)
+		c.eng = rt.NewWithFaults(n, c.opts, *c.chaosPlan, c.cloneEnv, c.deliver)
 	} else {
-		c.eng = rt.New(len(nodes), c.opts, c.deliver)
+		c.eng = rt.New(n, c.opts, c.deliver)
 	}
 	return c, nil
 }
@@ -244,7 +206,7 @@ func (c *Cluster) armDiag(protocol core.Protocol) {
 // path: the original's Meta is a pooled buffer recycled after its own
 // delivery, so the duplicate needs an independent copy.
 func (c *Cluster) cloneEnv(env core.Envelope) core.Envelope {
-	env.Meta = c.meta.Copy(env.Meta)
+	env.Meta = c.space.meta.Copy(env.Meta)
 	return env
 }
 
@@ -254,23 +216,14 @@ func (c *Cluster) Faults() *rt.FaultInjector[core.Envelope] { return c.eng.Fault
 
 // Tracker exposes the oracle auditing this cluster; nil when the cluster
 // was built with WithoutAudit.
-func (c *Cluster) Tracker() *causality.Tracker { return c.tracker }
+func (c *Cluster) Tracker() *causality.Tracker { return c.space.tracker }
 
 // Workers returns the delivery worker-pool size.
 func (c *Cluster) Workers() int { return c.eng.Workers() }
 
-// issueID reports a client write to the oracle, or mints a bare ID when
-// auditing is off. Callers hold the writer node's lock, preserving the
-// per-replica issue order the oracle requires.
-func (c *Cluster) issueID(r sharegraph.ReplicaID, x sharegraph.Register) causality.UpdateID {
-	if c.tracker != nil {
-		return c.tracker.OnIssue(r, x)
-	}
-	return causality.UpdateID(c.idSeq.Add(1) - 1)
-}
-
 // Write performs a client write at replica r, blocking while any
-// destination inbox is at capacity (the backpressure contract).
+// destination inbox is at capacity (the backpressure contract). It fails
+// for a replica outside [0,n) or a crashed one.
 func (c *Cluster) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Value) error {
 	if c.closed.Load() {
 		return fmt.Errorf("cluster: closed")
@@ -281,37 +234,19 @@ func (c *Cluster) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Va
 	c.epoch.RLock()
 	defer c.epoch.RUnlock()
 	b := c.getBatch()
-	c.nodeMu[r].Lock()
-	if c.rec != nil && c.rec[r].down {
-		c.nodeMu[r].Unlock()
-		c.putBatch(b)
-		return fmt.Errorf("cluster: replica %d is down", r)
+	defer c.putBatch(b)
+	if _, err := c.space.Write(r, x, v, b); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	id := c.issueID(r, x)
-	err := c.nodes[r].HandleWrite(x, v, id, b)
-	if err == nil && c.rec != nil && c.rec[r].logging {
-		c.rec[r].log = append(c.rec[r].log, logEntry{write: true, reg: x, val: v, id: id})
-	}
-	c.nodeMu[r].Unlock()
-	if err != nil {
-		c.putBatch(b)
-		return fmt.Errorf("cluster: write at %d: %w", r, err)
-	}
-	accepted := c.eng.Send(b.envs...)
-	c.recordSent(b.envs[:accepted])
-	c.putBatch(b)
+	accepted := c.eng.Send(b.Envs...)
+	c.recordSent(b.Envs[:accepted])
 	return nil
 }
 
-// Read returns replica r's local copy of x. A crashed replica serves no
-// reads: ok is false while r is down.
+// Read returns replica r's local copy of x. A crashed replica, or one
+// outside [0,n), serves no reads: ok is false.
 func (c *Cluster) Read(r sharegraph.ReplicaID, x sharegraph.Register) (core.Value, bool) {
-	c.nodeMu[r].Lock()
-	defer c.nodeMu[r].Unlock()
-	if c.rec != nil && c.rec[r].down {
-		return 0, false
-	}
-	return c.nodes[r].Read(x)
+	return c.space.Read(r, x)
 }
 
 // deliver handles one message at its destination node and forwards any
@@ -320,44 +255,9 @@ func (c *Cluster) Read(r sharegraph.ReplicaID, x sharegraph.Register) (core.Valu
 // counter never reads zero mid-cascade.
 func (c *Cluster) deliver(env core.Envelope) {
 	b := c.getBatch()
-	to := env.To
-	c.nodeMu[to].Lock()
-	if c.rec != nil {
-		rec := &c.rec[to]
-		if rec.down {
-			// Arrived in the window between the fault layer's down check
-			// and delivery; park it (keeping its pooled Meta) until
-			// Restart re-forwards it.
-			rec.parked = append(rec.parked, env)
-			c.nodeMu[to].Unlock()
-			c.putBatch(b)
-			return
-		}
-		if rec.logging {
-			e := env
-			e.Meta = append([]byte(nil), env.Meta...)
-			rec.log = append(rec.log, logEntry{env: e})
-		}
-	}
-	applied := c.nodes[to].HandleMessage(env, b)
-	if c.tracker != nil {
-		for _, a := range applied {
-			c.tracker.OnApply(to, a.OracleID)
-		}
-	}
-	c.nodeMu[to].Unlock()
-	if c.reg != nil {
-		n := len(applied)
-		if env.MetaOnly {
-			n = obs.MetaOnly // applies nothing by design: not a stall
-		}
-		c.reg.Deliver(int(env.From), int(to), n)
-	}
-	// The node has decoded (or rejected) the metadata; recycle the buffer
-	// for a future emit.
-	c.meta.Put(env.Meta)
-	accepted := c.eng.Forward(b.envs...)
-	c.recordSent(b.envs[:accepted])
+	c.space.Deliver(env, b)
+	accepted := c.eng.Forward(b.Envs...)
+	c.recordSent(b.Envs[:accepted])
 	c.putBatch(b)
 }
 
@@ -379,28 +279,12 @@ func (c *Cluster) Close() {
 func (c *Cluster) Outstanding() int { return c.eng.Outstanding() }
 
 // PendingTotal sums buffered-but-unapplied updates across replicas.
-func (c *Cluster) PendingTotal() int {
-	total := 0
-	for r := range c.nodes {
-		c.nodeMu[r].Lock()
-		total += c.nodes[r].PendingCount()
-		c.nodeMu[r].Unlock()
-	}
-	return total
-}
+func (c *Cluster) PendingTotal() int { return c.space.PendingTotal() }
 
 // StateSnapshot returns each replica's current register contents: one map
 // per replica covering the registers it genuinely stores. Call after
 // Quiesce for a stable snapshot.
-func (c *Cluster) StateSnapshot() []map[sharegraph.Register]core.Value {
-	out := make([]map[sharegraph.Register]core.Value, len(c.nodes))
-	for r := range c.nodes {
-		c.nodeMu[r].Lock()
-		out[r] = nodeState(c.g, c.nodes[r], sharegraph.ReplicaID(r))
-		c.nodeMu[r].Unlock()
-	}
-	return out
-}
+func (c *Cluster) StateSnapshot() []map[sharegraph.Register]core.Value { return c.space.State() }
 
 // MessagesSent returns the number of messages dispatched so far.
 func (c *Cluster) MessagesSent() int64 { return c.msgs.Load() }
@@ -422,11 +306,9 @@ func (c *Cluster) Metrics() obs.Snapshot {
 		s.Duped = int64(f.Duped())
 		s.Parked += int64(f.ParkedMessages())
 	}
-	if len(s.Replicas) == len(c.nodes) {
-		for r := range c.nodes {
-			c.nodeMu[r].Lock()
-			p := int64(c.nodes[r].PendingCount())
-			c.nodeMu[r].Unlock()
+	if len(s.Replicas) == len(c.space.nodes) {
+		for r := range s.Replicas {
+			p := int64(c.space.Pending(r))
 			s.Replicas[r].Parked = p
 			s.Parked += p
 		}
@@ -441,40 +323,28 @@ func (c *Cluster) Metrics() obs.Snapshot {
 // under inbox backpressure), then the cluster quiesces. Returns the
 // oracle verdicts (including liveness); nil on an unaudited cluster.
 func (c *Cluster) RunScript(script workload.Script) []causality.Violation {
-	n := c.g.NumReplicas()
-	queues := make([][]workload.Op, n)
+	queues := make([][]workload.Op, len(c.space.nodes))
 	for _, op := range script {
 		queues[op.Replica] = append(queues[op.Replica], op)
 	}
-	var wg sync.WaitGroup
-	var val atomic.Int64
-	for r := 0; r < n; r++ {
-		if len(queues[r]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for _, op := range queues[r] {
-				if op.IsRead {
-					c.Read(sharegraph.ReplicaID(r), op.Reg)
-					continue
-				}
-				v := core.Value(op.Val)
-				if v == 0 {
-					v = core.Value(val.Add(1))
-				}
-				// Errors can only be NotStoredError from a malformed
-				// script; generators never produce those.
-				_ = c.Write(sharegraph.ReplicaID(r), op.Reg, v)
-			}
-		}(r)
-	}
-	wg.Wait()
+	c.drive(queues, new(atomic.Int64))
 	c.Quiesce()
-	if c.tracker == nil {
-		return nil
-	}
-	c.tracker.CheckLiveness()
-	return c.tracker.Violations()
+	return c.space.Audit()
+}
+
+// drive runs per-replica op queues through Drive. A write whose Val is
+// zero takes the next value of val. Write errors can only come from a
+// malformed script or a crashed replica; generators produce neither.
+func (c *Cluster) drive(queues [][]workload.Op, val *atomic.Int64) {
+	Drive(queues, func(op workload.Op) {
+		if op.IsRead {
+			c.Read(op.Replica, op.Reg)
+			return
+		}
+		v := core.Value(op.Val)
+		if v == 0 {
+			v = core.Value(val.Add(1))
+		}
+		_ = c.Write(op.Replica, op.Reg, v)
+	})
 }

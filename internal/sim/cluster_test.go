@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,6 +82,27 @@ func TestClusterReadAndLifecycle(t *testing.T) {
 	c.Close()
 	if err := c.Write(0, "x", 8); err == nil {
 		t.Error("write after Close accepted")
+	}
+}
+
+// TestClusterReplicaOutOfRange pins the range check on the client
+// path: a replica index outside [0,n) is an error on Write and a miss on
+// Read, never an index panic.
+func TestClusterReplicaOutOfRange(t *testing.T) {
+	g := sharegraph.Ring(3)
+	c, err := NewCluster(g, edgeIndexed(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	x := g.Registers()[0]
+	for _, r := range []sharegraph.ReplicaID{-1, 3} {
+		if err := c.Write(r, x, 1); err == nil || !strings.Contains(err.Error(), "[0,3)") {
+			t.Errorf("Write(%d) = %v, want an error naming [0,3)", r, err)
+		}
+		if _, ok := c.Read(r, x); ok {
+			t.Errorf("Read(%d) reported ok", r)
+		}
 	}
 }
 

@@ -49,9 +49,9 @@ func (c *Cluster) Reconfigure(next core.Protocol) error {
 	if err != nil {
 		return fmt.Errorf("cluster: reconfigure: build nodes: %w", err)
 	}
-	if len(newNodes) != len(c.nodes) {
+	if len(newNodes) != len(c.space.nodes) {
 		return fmt.Errorf("cluster: reconfigure: next protocol has %d replicas, cluster has %d",
-			len(newNodes), len(c.nodes))
+			len(newNodes), len(c.space.nodes))
 	}
 
 	c.epoch.Lock()
@@ -68,31 +68,31 @@ func (c *Cluster) Reconfigure(next core.Protocol) error {
 
 	// Phase A: snapshot every old node and install into the new ones.
 	// Nothing is mutated yet, so any failure aborts cleanly.
-	installed := make([]core.Snapshotter, len(c.nodes))
-	for r := range c.nodes {
-		c.nodeMu[r].Lock()
-		if c.rec != nil && c.rec[r].down {
-			c.nodeMu[r].Unlock()
+	installed := make([]core.Snapshotter, len(c.space.nodes))
+	for r := range c.space.nodes {
+		c.space.mu[r].Lock()
+		if c.space.rec != nil && c.space.rec[r].down {
+			c.space.mu[r].Unlock()
 			return fmt.Errorf("cluster: reconfigure: replica %d is down", r)
 		}
-		oldSn, ok := c.nodes[r].(core.Snapshotter)
+		oldSn, ok := c.space.nodes[r].(core.Snapshotter)
 		if !ok {
-			c.nodeMu[r].Unlock()
-			return fmt.Errorf("cluster: reconfigure: protocol %T does not support snapshotting", c.nodes[r])
+			c.space.mu[r].Unlock()
+			return fmt.Errorf("cluster: reconfigure: protocol %T does not support snapshotting", c.space.nodes[r])
 		}
 		// Post-quiesce, a LIVE pending update means some causally earlier
 		// message never arrived — a liveness bug the fence must not paper
 		// over by dropping state. Dead-parked buffers (fault-injected
 		// duplicates, stale replays, metadata-only leftovers) can never
 		// deliver and die with the old epoch.
-		if lp, ok := c.nodes[r].(core.LivePendingCounter); ok {
+		if lp, ok := c.space.nodes[r].(core.LivePendingCounter); ok {
 			if n := lp.LivePending(); n != 0 {
-				c.nodeMu[r].Unlock()
+				c.space.mu[r].Unlock()
 				return fmt.Errorf("cluster: reconfigure: replica %d still buffers %d undeliverable updates after the drain", r, n)
 			}
 		}
 		ck := oldSn.Snapshot()
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 		newSn, ok := newNodes[r].(core.Snapshotter)
 		if !ok {
 			return fmt.Errorf("cluster: reconfigure: next protocol %T does not support snapshotting", newNodes[r])
@@ -105,18 +105,18 @@ func (c *Cluster) Reconfigure(next core.Protocol) error {
 		installed[r] = newSn
 	}
 
-	// Phase B: swap. Reads (which take only nodeMu) see either epoch's
+	// Phase B: swap. Reads (which take only the replica lock) see either epoch's
 	// node — both serve the same register contents.
-	for r := range c.nodes {
-		c.nodeMu[r].Lock()
-		c.nodes[r] = installed[r]
-		if c.rec != nil {
+	for r := range c.space.nodes {
+		c.space.mu[r].Lock()
+		c.space.nodes[r] = installed[r]
+		if c.space.rec != nil {
 			// Old-epoch checkpoints and logs index the old timestamp
 			// space; replaying them into the new epoch would corrupt it.
-			c.rec[r] = replicaRec{}
+			c.space.rec[r] = replicaRec{}
 		}
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 	}
-	c.protocol = next
+	c.space.protocol = next
 	return nil
 }

@@ -148,16 +148,16 @@ func TestReconfigureMetadataShrinks(t *testing.T) {
 	script := workload.OwnerWrites(g, 200, 5)
 	c.RunScript(script[:100])
 	before := 0
-	for r := range c.nodes {
-		before += c.nodes[r].MetadataEntries()
+	for r := range c.space.nodes {
+		before += c.space.nodes[r].MetadataEntries()
 	}
 	if err := c.Reconfigure(searchProtocol(t, g, 1)); err != nil {
 		t.Fatal(err)
 	}
 	c.RunScript(script[100:])
 	after := 0
-	for r := range c.nodes {
-		after += c.nodes[r].MetadataEntries()
+	for r := range c.space.nodes {
+		after += c.space.nodes[r].MetadataEntries()
 	}
 	if after >= before {
 		t.Errorf("tracked entries did not shrink: %d -> %d", before, after)
@@ -261,7 +261,7 @@ func TestRingBreakChaosSoak(t *testing.T) {
 	// counted in PendingTotal; what must be empty is the live buffer. The
 	// cluster is closed by now, so its nodes are quiescent and safe to read.
 	live := 0
-	for _, node := range c.nodes {
+	for _, node := range c.space.nodes {
 		live += node.(core.LivePendingCounter).LivePending()
 	}
 	if live != 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 // replicaRec is one replica's crash/restart state, guarded by the
-// replica's nodeMu entry. The recovery model is checkpoint + retention
+// replica's Space lock. The recovery model is checkpoint + retention
 // log: Checkpoint snapshots the node and the oracle's view of it and
 // starts logging every subsequent local event (client writes and
 // ingested envelopes); Restart rebuilds a fresh node from the
@@ -39,7 +39,7 @@ type logEntry struct {
 }
 
 func (c *Cluster) requireChaos() error {
-	if c.rec == nil {
+	if c.space.rec == nil {
 		return fmt.Errorf("cluster: built without WithChaos")
 	}
 	return nil
@@ -94,19 +94,19 @@ func (c *Cluster) Checkpoint(r sharegraph.ReplicaID) error {
 	if err := c.requireChaos(); err != nil {
 		return err
 	}
-	sn, ok := c.nodes[r].(core.Snapshotter)
+	sn, ok := c.space.nodes[r].(core.Snapshotter)
 	if !ok {
-		return fmt.Errorf("cluster: protocol %T does not support checkpointing", c.nodes[r])
+		return fmt.Errorf("cluster: protocol %T does not support checkpointing", c.space.nodes[r])
 	}
-	c.nodeMu[r].Lock()
-	defer c.nodeMu[r].Unlock()
-	rec := &c.rec[r]
+	c.space.mu[r].Lock()
+	defer c.space.mu[r].Unlock()
+	rec := &c.space.rec[r]
 	if rec.down {
 		return fmt.Errorf("cluster: replica %d is down", r)
 	}
 	rec.ckpt = sn.Snapshot()
-	if c.tracker != nil {
-		rec.ockpt = c.tracker.ExportCheckpoint(r)
+	if c.space.tracker != nil {
+		rec.ockpt = c.space.tracker.ExportCheckpoint(r)
 	}
 	rec.logging = true
 	rec.log = nil
@@ -121,14 +121,14 @@ func (c *Cluster) Crash(r sharegraph.ReplicaID) error {
 	if err := c.requireChaos(); err != nil {
 		return err
 	}
-	c.nodeMu[r].Lock()
-	rec := &c.rec[r]
+	c.space.mu[r].Lock()
+	rec := &c.space.rec[r]
 	if rec.down {
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 		return fmt.Errorf("cluster: replica %d is already down", r)
 	}
 	rec.down = true
-	c.nodeMu[r].Unlock()
+	c.space.mu[r].Unlock()
 	c.eng.Faults().SetDown(int(r), true)
 	return nil
 }
@@ -146,7 +146,7 @@ func (c *Cluster) Restart(r sharegraph.ReplicaID) error {
 		return err
 	}
 	// Build the replacement node before taking the lock.
-	fresh, err := c.protocol.NewNodes()
+	fresh, err := c.space.protocol.NewNodes()
 	if err != nil {
 		return fmt.Errorf("cluster: rebuild nodes: %w", err)
 	}
@@ -155,57 +155,57 @@ func (c *Cluster) Restart(r sharegraph.ReplicaID) error {
 		return fmt.Errorf("cluster: protocol %T does not support checkpointing", fresh[r])
 	}
 
-	c.nodeMu[r].Lock()
-	rec := &c.rec[r]
+	c.space.mu[r].Lock()
+	rec := &c.space.rec[r]
 	if !rec.down {
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 		return fmt.Errorf("cluster: replica %d is not down", r)
 	}
 	if rec.ckpt == nil {
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 		return fmt.Errorf("cluster: replica %d has no checkpoint to restore from", r)
 	}
 	applied, err := node.Install(rec.ckpt)
 	if err != nil {
-		c.nodeMu[r].Unlock()
+		c.space.mu[r].Unlock()
 		return fmt.Errorf("cluster: install checkpoint at %d: %w", r, err)
 	}
-	if c.tracker != nil {
-		if err := c.tracker.RestoreCheckpoint(r, rec.ockpt); err != nil {
-			c.nodeMu[r].Unlock()
+	if c.space.tracker != nil {
+		if err := c.space.tracker.RestoreCheckpoint(r, rec.ockpt); err != nil {
+			c.space.mu[r].Unlock()
 			return fmt.Errorf("cluster: restore oracle checkpoint at %d: %w", r, err)
 		}
 		// Determinism keeps installed pendings pending, but report any
 		// applies Install did produce rather than hide them.
 		for _, a := range applied {
-			c.tracker.OnApply(r, a.OracleID)
+			c.space.tracker.OnApply(r, a.OracleID)
 		}
 	}
-	c.nodes[r] = node
+	c.space.nodes[r] = node
 	oldLog := rec.log
 	// Re-checkpoint the restored basis so a second crash replays only
 	// events after this recovery.
 	rec.ckpt = node.Snapshot()
-	if c.tracker != nil {
-		rec.ockpt = c.tracker.ExportCheckpoint(r)
+	if c.space.tracker != nil {
+		rec.ockpt = c.space.tracker.ExportCheckpoint(r)
 	}
 	rec.log = nil
 	for _, le := range oldLog {
 		if le.write {
 			if err := node.HandleWrite(le.reg, le.val, le.id, core.DiscardSink{}); err != nil {
-				c.nodeMu[r].Unlock()
+				c.space.mu[r].Unlock()
 				return fmt.Errorf("cluster: replay write at %d: %w", r, err)
 			}
-			if c.tracker != nil {
+			if c.space.tracker != nil {
 				// The oracle saw OnIssue at first execution and rolled the
 				// apply back in restore; replay is an apply, not a re-issue.
-				c.tracker.OnApply(r, le.id)
+				c.space.tracker.OnApply(r, le.id)
 			}
 		} else {
 			replayed := node.HandleMessage(le.env, core.DiscardSink{})
-			if c.tracker != nil {
+			if c.space.tracker != nil {
 				for _, a := range replayed {
-					c.tracker.OnApply(r, a.OracleID)
+					c.space.tracker.OnApply(r, a.OracleID)
 				}
 			}
 		}
@@ -214,7 +214,7 @@ func (c *Cluster) Restart(r sharegraph.ReplicaID) error {
 	parked := rec.parked
 	rec.parked = nil
 	rec.down = false
-	c.nodeMu[r].Unlock()
+	c.space.mu[r].Unlock()
 
 	// Release deliveries that raced past the fault layer while down
 	// (their Meta is still pooled and will be recycled on delivery), then

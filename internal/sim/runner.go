@@ -2,8 +2,10 @@
 // a deterministic single-threaded runner (seeded/adversarial schedules,
 // used by the correctness experiments) and a live worker-pool cluster
 // (bounded per-replica inboxes, used to exercise real concurrency at
-// scale). Both audit executions with the causality oracle and collect the
-// metadata metrics the experiments report.
+// scale). Both host their replicas in a Space — the shared in-process
+// host that issues update IDs, delivers and audits with the causality
+// oracle, captures state and drives scripts — which shard.Runtime also
+// builds on; both collect the metadata metrics the experiments report.
 package sim
 
 import (
@@ -133,18 +135,12 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil || cfg.Protocol == nil || cfg.Sched == nil {
 		return nil, fmt.Errorf("sim: Graph, Protocol and Sched are required")
 	}
-	nodes, err := cfg.Protocol.NewNodes()
+	sp, err := NewSpace(cfg.Graph, cfg.Protocol, !cfg.SkipAudit, nil)
 	if err != nil {
-		return nil, fmt.Errorf("sim: build nodes: %w", err)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	n := cfg.Graph.NumReplicas()
-	if len(nodes) != n {
-		return nil, fmt.Errorf("sim: protocol built %d nodes for %d replicas", len(nodes), n)
-	}
-	var tracker *causality.Tracker
-	if !cfg.SkipAudit {
-		tracker = causality.NewTracker(cfg.Graph)
-	}
+	nodes, tracker := sp.nodes, sp.tracker // per-step probes: single-threaded, no locks
+	n := len(nodes)
 	res := &Result{Protocol: cfg.Protocol.Name(), Scheduler: cfg.Sched.Name()}
 
 	// Per-replica op queues preserving script order.
@@ -169,11 +165,8 @@ func Run(cfg Config) (*Result, error) {
 	// contract); buffers return to the freelist once their message has
 	// been ingested, so the steady-state send→deliver cycle is
 	// allocation-free.
-	sink := &runnerSink{res: res, pool: &pool}
+	sink := &runnerSink{res: res, pool: &pool, meta: &sp.meta}
 	nextVal := core.Value(1)
-	// nextID mints update identifiers when the oracle is off; with the
-	// oracle on, OnIssue is the allocator so IDs stay dense either way.
-	nextID := causality.UpdateID(0)
 	// falseDeps tracks oracle IDs that have ever been blocked while
 	// oracle-deliverable. UpdateIDs are issued sequentially, so a dense
 	// slice replaces the map the runner used to allocate per lookup.
@@ -207,7 +200,7 @@ func Run(cfg Config) (*Result, error) {
 			op := queues[r][0]
 			queues[r] = queues[r][1:]
 			if op.IsRead {
-				nodes[r].Read(op.Reg)
+				sp.Read(op.Replica, op.Reg)
 				res.Reads++
 			} else {
 				v := core.Value(op.Val)
@@ -215,15 +208,9 @@ func Run(cfg Config) (*Result, error) {
 					v = nextVal
 					nextVal++
 				}
-				var id causality.UpdateID
-				if tracker != nil {
-					id = tracker.OnIssue(op.Replica, op.Reg)
-				} else {
-					id = nextID
-					nextID++
-				}
-				if err := nodes[r].HandleWrite(op.Reg, v, id, sink); err != nil {
-					return nil, fmt.Errorf("sim: write at replica %d: %w", r, err)
+				id, err := sp.Write(op.Replica, op.Reg, v, sink)
+				if err != nil {
+					return nil, fmt.Errorf("sim: %w", err)
 				}
 				res.Writes++
 				for int(id) >= len(sentAt) {
@@ -232,13 +219,7 @@ func Run(cfg Config) (*Result, error) {
 				sentAt[id] = step
 			}
 		} else {
-			env := pool.Take(choice - len(opReplicas))
-			applied := nodes[env.To].HandleMessage(env, sink)
-			sink.meta.Put(env.Meta)
-			for _, a := range applied {
-				if tracker != nil {
-					tracker.OnApply(env.To, a.OracleID)
-				}
+			for _, a := range sp.Deliver(pool.Take(choice-len(opReplicas)), sink) {
 				res.Applies++
 				if int(a.OracleID) < len(sentAt) && sentAt[a.OracleID] >= 0 {
 					d := step - sentAt[a.OracleID]
@@ -275,30 +256,24 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	for r := 0; r < n; r++ {
-		res.StuckPending += nodes[r].PendingCount()
 		res.MetadataEntriesPerReplica = append(res.MetadataEntriesPerReplica, nodes[r].MetadataEntries())
 	}
+	res.StuckPending = sp.PendingTotal()
 	res.FalseDepUpdates = falseDepCount
 	if cfg.CaptureState {
-		res.FinalState = make([]map[sharegraph.Register]core.Value, n)
-		for r := 0; r < n; r++ {
-			res.FinalState[r] = nodeState(cfg.Graph, nodes[r], sharegraph.ReplicaID(r))
-		}
+		res.FinalState = sp.State()
 	}
-	if tracker != nil {
-		tracker.CheckLiveness()
-		res.Violations = tracker.Violations()
-	}
+	res.Violations = sp.Audit()
 	return res, nil
 }
 
 // runnerSink is the deterministic runner's core.Sink: it records
 // transport metrics and files each emitted envelope into the in-flight
-// pool with its metadata copied through a recycling freelist.
+// pool with its metadata copied through the space's recycling pool.
 type runnerSink struct {
 	res  *Result
 	pool *transport.Pool
-	meta transport.BytePool
+	meta *transport.BytePool
 }
 
 // Emit implements core.Sink.
@@ -310,19 +285,4 @@ func (s *runnerSink) Emit(env core.Envelope) {
 	}
 	env.Meta = s.meta.Copy(env.Meta)
 	s.pool.Add(env)
-}
-
-// nodeState snapshots the registers replica r genuinely stores. Both
-// runtimes build their differential-test state captures with it, so the
-// two sides compare maps produced by the same code. Callers serialize
-// access to the node (the runner is single-threaded; the cluster holds
-// the node's lock).
-func nodeState(g *sharegraph.Graph, node core.Node, r sharegraph.ReplicaID) map[sharegraph.Register]core.Value {
-	out := make(map[sharegraph.Register]core.Value)
-	for _, x := range g.Stores(r).Sorted() {
-		if v, ok := node.Read(x); ok {
-			out[x] = v
-		}
-	}
-	return out
 }

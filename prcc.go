@@ -568,8 +568,8 @@ func (c *Cluster) checkReplica(r ReplicaID) error {
 	return nil
 }
 
-// Write performs a client write at replica r. It fails if r does not
-// store x.
+// Write performs a client write at replica r. It fails if r is outside
+// [0,n) or does not store x.
 func (c *Cluster) Write(r ReplicaID, x Register, v Value) error {
 	return c.inner.Write(r, x, v)
 }
