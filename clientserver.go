@@ -37,14 +37,23 @@ func NewClientServer(stores [][]Register, clients [][]ReplicaID) (*ClientServerS
 	return &ClientServerSystem{sys: clientserver.NewSystem(aug)}, nil
 }
 
-// ServerEntries returns |Ê_i| for replica i (augmented timestamp size).
+// ServerEntries returns |Ê_i| for replica i (augmented timestamp size),
+// or 0 for a replica outside [0,n).
 func (c *ClientServerSystem) ServerEntries(i ReplicaID) int {
-	return c.sys.ReplicaGraphs[i].Len()
+	return entries(c.sys.ReplicaGraphs, int(i))
 }
 
-// ClientEntries returns the length of client c's timestamp µ_c.
+// ClientEntries returns the length of client c's timestamp µ_c, or 0
+// for a client outside [0,clients).
 func (c *ClientServerSystem) ClientEntries(id ClientID) int {
-	return c.sys.ClientGraphs[id].Len()
+	return entries(c.sys.ClientGraphs, int(id))
+}
+
+func entries(gs []*sharegraph.TSGraph, i int) int {
+	if i < 0 || i >= len(gs) {
+		return 0
+	}
+	return gs[i].Len()
 }
 
 // ClientOp is one operation of a client program.
@@ -58,7 +67,7 @@ type ClientOp = clientserver.ClientOp
 // GOMAXPROCS workers, no artificial delivery delay (the engine's seeded
 // inbox shuffle reorders deliveries regardless).
 func (c *ClientServerSystem) Live() *LiveClientServer {
-	return &LiveClientServer{inner: clientserver.NewLive(c.sys)}
+	return c.LiveWith(ClusterOptions{})
 }
 
 // LiveWith starts a concurrent deployment with explicit runtime options —
@@ -77,31 +86,50 @@ func (c *ClientServerSystem) LiveWith(opts ClusterOptions) *LiveClientServer {
 		n := len(c.sys.ReplicaGraphs)
 		ro.Obs = obs.New(n, n)
 	}
-	return &LiveClientServer{inner: clientserver.NewLiveWith(c.sys, ro)}
+	return &LiveClientServer{
+		inner:   clientserver.NewLiveWith(c.sys, ro),
+		clients: len(c.sys.ClientGraphs),
+	}
 }
 
 // LiveClientServer is a running client-server deployment.
 type LiveClientServer struct {
-	inner *clientserver.LiveSystem
+	inner   *clientserver.LiveSystem
+	clients int
 }
 
 // Client returns a synchronous handle for client id. Handles issue one
-// operation at a time; distinct clients may run concurrently.
+// operation at a time; distinct clients may run concurrently. The
+// handle of a client outside [0,clients) fails every Write and Read.
 func (l *LiveClientServer) Client(id ClientID) *LiveClient {
+	if id < 0 || int(id) >= l.clients {
+		return &LiveClient{err: fmt.Errorf("prcc: client %d outside [0,%d)", id, l.clients)}
+	}
 	return &LiveClient{inner: l.inner.Client(id)}
 }
 
 // LiveClient issues blocking reads and writes for one client.
 type LiveClient struct {
 	inner *clientserver.LiveClient
+	err   error // set, and inner nil, for a client outside the system
 }
 
 // Write performs write(x, v), blocking until a replica accepts it.
-func (lc *LiveClient) Write(x Register, v Value) error { return lc.inner.Write(x, v) }
+func (lc *LiveClient) Write(x Register, v Value) error {
+	if lc.err != nil {
+		return lc.err
+	}
+	return lc.inner.Write(x, v)
+}
 
 // Read performs read(x), blocking until the serving replica satisfies the
 // client's causal past.
-func (lc *LiveClient) Read(x Register) (Value, error) { return lc.inner.Read(x) }
+func (lc *LiveClient) Read(x Register) (Value, error) {
+	if lc.err != nil {
+		return 0, lc.err
+	}
+	return lc.inner.Read(x)
+}
 
 // Sync blocks until all inter-replica updates have been applied.
 func (l *LiveClientServer) Sync() { l.inner.Quiesce() }

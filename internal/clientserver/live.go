@@ -66,9 +66,9 @@ func NewLiveWith(sys *System, opts rt.Options) *LiveSystem {
 
 // NewLiveChaotic starts a live deployment whose inter-replica transport
 // runs through the engine's seeded fault layer: per-edge loss and
-// duplication lotteries, partitions and crash parking per the plan.
-// Faults are transient (drops retransmit, cuts park until heal), so a
-// chaotic system that heals still converges and must pass CheckLiveness.
+// duplication lotteries per the plan, and partitions. Faults are
+// transient (drops retransmit, cuts park until heal), so a chaotic
+// system that heals still converges and must pass CheckLiveness.
 func NewLiveChaotic(sys *System, opts rt.Options, plan rt.FaultPlan) *LiveSystem {
 	ls := newLiveBase(sys)
 	ls.reg = opts.Obs

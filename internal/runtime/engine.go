@@ -155,10 +155,10 @@ func New[M Message](destinations int, opts Options, deliver func(M)) *Engine[M] 
 // NewWithFaults builds and starts an engine whose send/forward boundary
 // runs through a seeded fault-injection layer: every message is subject
 // to the plan's loss/duplication lottery and to the injector's runtime
-// partition and crash controls. clone must return an independently
-// deliverable copy of a message (deep-copying any pooled buffers); nil
-// disables duplication. Both deployment shapes — the replica cluster and
-// the client-server system — inherit fault injection through this one
+// partition controls. clone must return an independently deliverable
+// copy of a message (deep-copying any pooled buffers); nil disables
+// duplication. Both deployment shapes — the replica cluster and the
+// client-server system — inherit fault injection through this one
 // boundary.
 func NewWithFaults[M Message](destinations int, opts Options, plan FaultPlan, clone func(M) M, deliver func(M)) *Engine[M] {
 	e := New(destinations, opts, deliver)
@@ -338,8 +338,7 @@ func (e *Engine[M]) worker() {
 // diverted transmission is force-delivered (loss is transient in the
 // paper's reliable model) and due scheduled heals are performed, looping
 // until nothing remains in flight. Messages parked behind a manual cut
-// or a down destination stay parked — heal or restart first for a fully
-// settled system.
+// stay parked — heal first for a fully settled system.
 func (e *Engine[M]) Quiesce() {
 	for {
 		e.mu.Lock()
@@ -350,11 +349,11 @@ func (e *Engine[M]) Quiesce() {
 		if e.faults == nil {
 			return
 		}
-		if e.faults.settle() {
+		if e.faults.step(time.Now(), true) {
 			continue // the flush put messages back in flight; drain again
 		}
-		// The settle was empty, but the fault pump may have flushed
-		// retransmissions between our drain and the settle: re-check.
+		// The forced step was empty, but the fault pump may have flushed
+		// retransmissions between our drain and the step: re-check.
 		e.mu.Lock()
 		done := e.outstanding == 0
 		e.mu.Unlock()

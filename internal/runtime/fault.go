@@ -33,8 +33,8 @@ type EdgeFault struct {
 }
 
 // FaultPlan seeds the deterministic fault lottery of an engine. The zero
-// value injects no faults (but still enables the partition/crash
-// controls of the FaultInjector).
+// value injects no faults (but still enables the partition controls of
+// the FaultInjector).
 //
 // Determinism: every lottery outcome is a pure hash of (Seed, from, to,
 // stream, counter) where the counter increments per transmission on that
@@ -116,14 +116,15 @@ type retransEntry[M Message] struct {
 }
 
 // FaultInjector applies a FaultPlan at the engine's send/forward
-// boundary and exposes the runtime fault controls: partitions (with
-// optional scheduled heal) and crash/restart parking of a destination.
+// boundary and exposes the runtime fault control: partitions, with
+// optional scheduled heal. Crashes are the host's: a crashed replica's
+// messages are delivered and park at its node boundary (sim.Space).
 // All methods are safe for concurrent use.
 //
-// Parked messages — whether behind a cut edge or a down destination —
-// do not count as in flight and bypass inbox backpressure: a writer
-// whose recipient is partitioned away proceeds, exactly as a real
-// sender would, and the backlog delivers at Heal / restart time.
+// Messages parked behind a cut edge do not count as in flight and
+// bypass inbox backpressure: a writer whose recipient is partitioned
+// away proceeds, exactly as a real sender would, and the backlog
+// delivers at Heal time.
 type FaultInjector[M Message] struct {
 	eng   *Engine[M]
 	plan  FaultPlan
@@ -132,9 +133,7 @@ type FaultInjector[M Message] struct {
 	mu      sync.Mutex
 	seqs    map[[3]int]uint64    // (from, to, stream) → lottery counter
 	cuts    map[[2]int]time.Time // cut edges → heal deadline (zero = manual)
-	down    map[int]bool
-	parked  map[[2]int][]M // partition-parked, per cut edge
-	crashed map[int][]M    // crash-parked, per down destination
+	parked  map[[2]int][]M       // partition-parked, per cut edge
 	retrans []retransEntry[M]
 	dropped uint64 // transmissions diverted to the retransmit queue
 	duped   uint64 // extra deliveries injected
@@ -151,9 +150,7 @@ func newFaultInjector[M Message](e *Engine[M], plan FaultPlan, clone func(M) M) 
 		clone:    clone,
 		seqs:     make(map[[3]int]uint64),
 		cuts:     make(map[[2]int]time.Time),
-		down:     make(map[int]bool),
 		parked:   make(map[[2]int][]M),
-		crashed:  make(map[int][]M),
 		stopPump: make(chan struct{}),
 		pumpDone: make(chan struct{}),
 	}
@@ -203,11 +200,6 @@ func (f *FaultInjector[M]) admit(m M, backpressure bool) bool {
 		// would be without the fault layer; the engine itself refuses
 		// once it sets stopping.
 		return f.eng.enqueueOne(m, backpressure) == 1
-	}
-	if f.down[to] {
-		f.crashed[to] = append(f.crashed[to], m)
-		f.mu.Unlock()
-		return true
 	}
 	key := [2]int{from, to}
 	if _, cut := f.cuts[key]; cut {
@@ -301,35 +293,6 @@ func (f *FaultInjector[M]) healLocked(key [2]int) {
 	delete(f.parked, key)
 }
 
-// SetDown marks destination r as crashed (true) or restarted (false).
-// While down, transmissions to r park; clearing the flag delivers the
-// backlog. The state-machine side of a crash — wiping and restoring the
-// replica — is the runtime's job (see sim.Cluster.Crash / Restart);
-// SetDown only controls the transport.
-func (f *FaultInjector[M]) SetDown(r int, down bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if down {
-		f.down[r] = true
-		return
-	}
-	if !f.down[r] {
-		return
-	}
-	delete(f.down, r)
-	for _, m := range f.crashed[r] {
-		f.eng.enqueueOne(m, false)
-	}
-	delete(f.crashed, r)
-}
-
-// Down reports whether destination r is currently marked crashed.
-func (f *FaultInjector[M]) Down(r int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[r]
-}
-
 // Dropped returns the number of transmissions diverted to the
 // retransmit queue so far; Duped the number of injected duplicates.
 func (f *FaultInjector[M]) Dropped() uint64 {
@@ -345,15 +308,12 @@ func (f *FaultInjector[M]) Duped() uint64 {
 }
 
 // ParkedMessages returns the number of messages currently parked behind
-// cuts and down destinations plus those awaiting retransmission.
+// cuts plus those awaiting retransmission.
 func (f *FaultInjector[M]) ParkedMessages() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.retrans)
 	for _, ms := range f.parked {
-		n += len(ms)
-	}
-	for _, ms := range f.crashed {
 		n += len(ms)
 	}
 	return n
@@ -375,43 +335,46 @@ func (f *FaultInjector[M]) pump() {
 		case <-f.stopPump:
 			return
 		case <-timer.C:
-			f.step(time.Now())
+			f.step(time.Now(), false)
 			timer.Reset(tick)
 		}
 	}
 }
 
-// step performs one pump iteration at the given time.
-func (f *FaultInjector[M]) step(now time.Time) {
+// step performs one pump iteration at the given time: due scheduled
+// heals, then every due retransmission, re-rolling the loss lottery. It
+// reports whether it enqueued anything. With force it is the Quiesce
+// hook: every queued retransmission is delivered with no lottery.
+// Either way a manually cut edge stays parked, so quiescing a
+// partitioned engine leaves the partition backlog for Heal.
+func (f *FaultInjector[M]) step(now time.Time, force bool) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.stopped {
-		return
+		return false
 	}
+	flushed := false
 	for key, deadline := range f.cuts {
 		if !deadline.IsZero() && !now.Before(deadline) {
+			flushed = flushed || len(f.parked[key]) > 0
 			f.healLocked(key)
 		}
 	}
 	kept := f.retrans[:0]
 	for _, re := range f.retrans {
-		if now.Before(re.due) {
+		if !force && now.Before(re.due) {
 			kept = append(kept, re)
 			continue
 		}
-		// A parked destination or re-cut edge re-parks the message rather
-		// than retransmitting into the void.
-		if f.down[re.to] {
-			f.crashed[re.to] = append(f.crashed[re.to], re.m)
-			continue
-		}
+		// A re-cut edge re-parks the message rather than retransmitting
+		// into the void.
 		key := [2]int{re.from, re.to}
 		if _, cut := f.cuts[key]; cut {
 			f.parked[key] = append(f.parked[key], re.m)
 			continue
 		}
 		ef := f.plan.edgeFault(re.from, re.to)
-		if re.attempts < f.plan.MaxRetransmits && ef.Drop > 0 &&
+		if !force && re.attempts < f.plan.MaxRetransmits && ef.Drop > 0 &&
 			f.roll(re.from, re.to, streamDrop) < ef.Drop {
 			re.attempts++
 			re.due = now.Add(f.backoff(re.attempts))
@@ -420,53 +383,11 @@ func (f *FaultInjector[M]) step(now time.Time) {
 		}
 		f.eng.obs.Retransmitted(re.from, re.to)
 		f.eng.enqueueOne(re.m, false)
-	}
-	// Zero the tail so dropped entries do not pin message payloads.
-	for i := len(kept); i < len(f.retrans); i++ {
-		f.retrans[i] = retransEntry[M]{}
-	}
-	f.retrans = kept
-}
-
-// settle force-delivers every queued retransmission and performs due
-// scheduled heals — the Quiesce hook. It reports whether it enqueued
-// anything. Manually cut edges and down destinations stay parked:
-// quiescing a partitioned engine settles everything deliverable and
-// leaves the partition backlog for Heal / SetDown.
-func (f *FaultInjector[M]) settle() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stopped {
-		return false
-	}
-	flushed := false
-	now := time.Now()
-	for key, deadline := range f.cuts {
-		if !deadline.IsZero() && !now.Before(deadline) {
-			if len(f.parked[key]) > 0 {
-				flushed = true
-			}
-			f.healLocked(key)
-		}
-	}
-	for _, re := range f.retrans {
-		if f.down[re.to] {
-			f.crashed[re.to] = append(f.crashed[re.to], re.m)
-			continue
-		}
-		key := [2]int{re.from, re.to}
-		if _, cut := f.cuts[key]; cut {
-			f.parked[key] = append(f.parked[key], re.m)
-			continue
-		}
-		f.eng.obs.Retransmitted(re.from, re.to)
-		f.eng.enqueueOne(re.m, false)
 		flushed = true
 	}
-	for i := range f.retrans {
-		f.retrans[i] = retransEntry[M]{}
-	}
-	f.retrans = f.retrans[:0]
+	// Zero the tail so dropped entries do not pin message payloads.
+	clear(f.retrans[len(kept):])
+	f.retrans = kept
 	return flushed
 }
 
@@ -488,12 +409,9 @@ func (f *FaultInjector[M]) stop() {
 	// timer-armed entry behind and releases the pinned payloads now
 	// rather than at the garbage collector's whim.
 	f.mu.Lock()
-	for i := range f.retrans {
-		f.retrans[i] = retransEntry[M]{}
-	}
+	clear(f.retrans)
 	f.retrans = f.retrans[:0]
 	clear(f.parked)
-	clear(f.crashed)
 	f.mu.Unlock()
 }
 
@@ -501,6 +419,6 @@ func (f *FaultInjector[M]) stop() {
 func (f *FaultInjector[M]) String() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return fmt.Sprintf("faults{cuts=%d down=%d retrans=%d dropped=%d duped=%d}",
-		len(f.cuts), len(f.down), len(f.retrans), f.dropped, f.duped)
+	return fmt.Sprintf("faults{cuts=%d retrans=%d dropped=%d duped=%d}",
+		len(f.cuts), len(f.retrans), f.dropped, f.duped)
 }

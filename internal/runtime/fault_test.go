@@ -157,30 +157,6 @@ func TestFaultScheduledHeal(t *testing.T) {
 	eng.Close()
 }
 
-// TestFaultCrashRestart: messages to a down destination park and flush
-// on restart.
-func TestFaultCrashRestart(t *testing.T) {
-	eng, _, total := collectEngine(t, 3, FaultPlan{Seed: 9})
-	f := eng.Faults()
-	f.SetDown(1, true)
-	if !f.Down(1) || f.Down(2) {
-		t.Fatal("down flags wrong")
-	}
-	for i := 0; i < 7; i++ {
-		eng.Send(edgeMsg{from: 0, to: 1, val: i})
-	}
-	eng.Quiesce()
-	if total.Load() != 0 {
-		t.Fatalf("delivered %d to a down destination", total.Load())
-	}
-	f.SetDown(1, false)
-	eng.Quiesce()
-	if total.Load() != 7 {
-		t.Fatalf("restart flushed %d messages, want 7", total.Load())
-	}
-	eng.Close()
-}
-
 // TestFaultDisabledPath: an engine built with New has no injector and
 // behaves exactly as before.
 func TestFaultDisabledPath(t *testing.T) {
@@ -214,10 +190,9 @@ func TestCloseUnderActiveLossInjection(t *testing.T) {
 		eng := NewWithFaults(4, Options{Workers: 3, InboxCapacity: 16}, plan, clone, func(m edgeMsg) {
 			total.Add(1)
 		})
-		// One destination is cut and one down, so all three parking books
-		// (retransmit, partition, crash) have live entries at Close time.
+		// One edge is cut, so both parking books (retransmit, partition)
+		// have live entries at Close time.
 		eng.Faults().Cut(0, 2, 0)
-		eng.Faults().SetDown(3, true)
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})

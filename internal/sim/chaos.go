@@ -72,6 +72,12 @@ type ChaosResult struct {
 // cut heals and every crash restarts before the audit, so zero
 // violations — including liveness — is the pass criterion.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
+	// Refuse a bad fault target before any write runs.
+	n := cfg.Graph.NumReplicas()
+	bad := func(r sharegraph.ReplicaID) bool { return r < 0 || int(r) >= n }
+	if cfg.Partition && (bad(cfg.PartitionA) || bad(cfg.PartitionB)) || cfg.Crash && bad(cfg.CrashReplica) {
+		return nil, fmt.Errorf("chaos: fault target outside [0,%d)", n)
+	}
 	opts := append([]ClusterOption{WithChaos(cfg.Plan)}, cfg.Opts...)
 	c, err := NewCluster(cfg.Graph, cfg.Protocol, opts...)
 	if err != nil {
@@ -89,7 +95,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	// Split the script into thirds, keeping per-replica order.
-	n := cfg.Graph.NumReplicas()
 	var phases [3][][]workload.Op
 	for p := range phases {
 		phases[p] = make([][]workload.Op, n)

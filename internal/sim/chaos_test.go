@@ -193,12 +193,10 @@ func TestChaosCrashGuards(t *testing.T) {
 	}
 }
 
-// TestChaosNodeBoundaryPark opens, deterministically, the window a
-// delivery can otherwise only hit by race: it passed the fault layer's
-// down check just before Crash. Replica 1's Space record is marked down
-// while the fault layer still has it up, so a neighbour's update reaches
-// the node boundary and must park there, Meta and all, until Restart
-// re-forwards it.
+// TestChaosNodeBoundaryPark pins the one place a crashed replica's
+// messages wait: a neighbour's update to a crashed replica is delivered,
+// parks at the node boundary with its Meta, counts in Metrics().Parked,
+// and applies once Restart re-forwards it.
 func TestChaosNodeBoundaryPark(t *testing.T) {
 	g := sharegraph.Ring(4)
 	p, err := core.NewEdgeIndexed(g)
@@ -222,10 +220,10 @@ func TestChaosNodeBoundaryPark(t *testing.T) {
 			}
 		}
 	}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
 	sp := c.space
-	sp.mu[1].Lock()
-	sp.rec[1].down = true
-	sp.mu[1].Unlock()
 	state, pending := sp.State()[1], sp.Pending(1)
 
 	if err := c.Write(writer, reg, 77); err != nil {
@@ -235,11 +233,12 @@ func TestChaosNodeBoundaryPark(t *testing.T) {
 	if got := sp.State()[1]; !reflect.DeepEqual(got, state) || sp.Pending(1) != pending {
 		t.Fatalf("down replica changed: state %v pending %d, want %v and %d", got, sp.Pending(1), state, pending)
 	}
-	sp.mu[1].Lock()
-	parked := len(sp.rec[1].parked)
-	sp.mu[1].Unlock()
+	parked := sp.Parked()
 	if parked == 0 {
 		t.Fatal("no delivery parked at the node boundary")
+	}
+	if got, want := c.Metrics().Parked, int64(parked+c.PendingTotal()); got != want {
+		t.Errorf("Metrics().Parked = %d while replica 1 is down, want %d", got, want)
 	}
 
 	if err := c.Restart(1); err != nil {
@@ -248,6 +247,9 @@ func TestChaosNodeBoundaryPark(t *testing.T) {
 	c.Quiesce()
 	if v, ok := c.Read(1, reg); !ok || v != 77 {
 		t.Errorf("Read(1, %s) = (%d, %v) after Restart, want (77, true)", reg, v, ok)
+	}
+	if got := c.Metrics().Parked; got != 0 {
+		t.Errorf("Metrics().Parked = %d after Restart and Quiesce, want 0", got)
 	}
 	if vs := sp.Audit(); len(vs) != 0 {
 		t.Errorf("oracle verdicts after the parked delivery: %v", vs)

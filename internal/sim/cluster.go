@@ -138,12 +138,14 @@ func WithoutAudit() ClusterOption {
 }
 
 // WithChaos routes every message through the engine's seeded
-// fault-injection layer (loss, duplication, partitions, crash parking —
-// see runtime.FaultPlan) and enables the cluster's recovery controls:
-// Partition/Heal, Checkpoint/Crash/Restart. Faults are transient, so a
-// chaos run that heals its partitions and restarts its crashed replicas
-// still satisfies the paper's reliable-delivery model in the limit and
-// must pass the oracle's liveness audit.
+// fault-injection layer (loss, duplication, partitions — see
+// runtime.FaultPlan) and enables the cluster's recovery controls:
+// Partition/Heal and Checkpoint/Crash/Restart. A crashed replica's
+// messages park at the node boundary (Space.Deliver) until Restart.
+// Faults are transient, so a chaos run that heals its partitions and
+// restarts its crashed replicas still satisfies the paper's
+// reliable-delivery model in the limit and must pass the oracle's
+// liveness audit.
 func WithChaos(plan rt.FaultPlan) ClusterOption {
 	return func(c *Cluster) { c.chaosPlan = &plan }
 }
@@ -304,7 +306,7 @@ func (c *Cluster) Metrics() obs.Snapshot {
 	if f := c.eng.Faults(); f != nil {
 		s.Dropped = int64(f.Dropped())
 		s.Duped = int64(f.Duped())
-		s.Parked += int64(f.ParkedMessages())
+		s.Parked += int64(f.ParkedMessages() + c.space.Parked())
 	}
 	if len(s.Replicas) == len(c.space.nodes) {
 		for r := range s.Replicas {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/optimize"
+	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
 	"repro/internal/workload"
 )
@@ -85,23 +86,54 @@ func TestClusterReadAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestClusterReplicaOutOfRange pins the range check on the client
-// path: a replica index outside [0,n) is an error on Write and a miss on
-// Read, never an index panic.
+// TestClusterReplicaOutOfRange pins the range check on every replica
+// control: a replica index outside [0,n) is an error on Write, the
+// recovery controls and the partition controls, and a miss on Read —
+// never an index panic or a silent cut to a phantom replica. RunChaos
+// refuses such a fault target before it builds a cluster.
 func TestClusterReplicaOutOfRange(t *testing.T) {
 	g := sharegraph.Ring(3)
-	c, err := NewCluster(g, edgeIndexed(t, g))
+	p := edgeIndexed(t, g)
+	c, err := NewCluster(g, p, WithChaos(rt.FaultPlan{Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	x := g.Registers()[0]
-	for _, r := range []sharegraph.ReplicaID{-1, 3} {
-		if err := c.Write(r, x, 1); err == nil || !strings.Contains(err.Error(), "[0,3)") {
-			t.Errorf("Write(%d) = %v, want an error naming [0,3)", r, err)
+	want := func(op string, r sharegraph.ReplicaID, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "[0,3)") {
+			t.Errorf("%s(%d) = %v, want an error naming [0,3)", op, r, err)
 		}
+	}
+	for _, r := range []sharegraph.ReplicaID{-1, 3} {
+		want("Write", r, c.Write(r, x, 1))
 		if _, ok := c.Read(r, x); ok {
 			t.Errorf("Read(%d) reported ok", r)
+		}
+		want("Checkpoint", r, c.Checkpoint(r))
+		want("Crash", r, c.Crash(r))
+		want("Restart", r, c.Restart(r))
+		want("Heal", r, c.Heal(r, 0))
+		want("Partition", r, c.Partition(0, r, 0))
+		want("PartitionOneWay", r, c.PartitionOneWay(r, 0, 0))
+		if f := c.Faults().String(); !strings.Contains(f, "cuts=0") {
+			t.Errorf("rejected partitions of %d left cuts: %s", r, f)
+		}
+	}
+
+	script := workload.OwnerWrites(g, 30, 1)
+	for _, cfg := range []ChaosConfig{
+		{Crash: true, CrashReplica: 3},
+		{Partition: true, PartitionB: 3},
+	} {
+		built := false
+		cfg.Graph, cfg.Protocol, cfg.Script = g, p, script
+		cfg.OnCluster = func(*Cluster) { built = true }
+		_, err := RunChaos(cfg)
+		want("RunChaos", 3, err)
+		if built {
+			t.Errorf("RunChaos built a cluster for fault target 3 of 3 replicas")
 		}
 	}
 }

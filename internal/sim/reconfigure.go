@@ -32,8 +32,8 @@ import (
 // assumption the protocol's correctness argument makes.
 //
 // Reconfigure fails (leaving the cluster on the old protocol) if any
-// replica is down, the fault layer still holds parked messages (heal
-// partitions and restart crashed replicas first), a node is left with a
+// replica is down (restart it first), the fault layer still holds
+// parked messages (heal partitions first), a node is left with a
 // buffered-but-undeliverable update after the drain (a liveness bug —
 // reconfiguring would silently drop it), or either protocol's nodes do
 // not support snapshotting. Recovery checkpoints and retention logs
@@ -62,7 +62,7 @@ func (c *Cluster) Reconfigure(next core.Protocol) error {
 	}
 	if f := c.eng.Faults(); f != nil {
 		if n := f.ParkedMessages(); n > 0 {
-			return fmt.Errorf("cluster: reconfigure: %d messages parked at the fault layer — heal partitions and restart crashed replicas first", n)
+			return fmt.Errorf("cluster: reconfigure: %d messages parked at the fault layer — heal partitions first", n)
 		}
 	}
 

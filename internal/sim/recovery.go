@@ -1,28 +1,29 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/causality"
 	"repro/internal/core"
+	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
 )
 
 // replicaRec is one replica's crash/restart state, guarded by the
 // replica's Space lock. The recovery model is checkpoint + retention
-// log: Checkpoint snapshots the node and the oracle's view of it and
-// starts logging every subsequent local event (client writes and
-// ingested envelopes); Restart rebuilds a fresh node from the
+// log: Checkpoint snapshots the node and the oracle's view of it, and
+// from then on (ckpt != nil) every local event, client write or
+// ingested envelope, is logged; Restart rebuilds a fresh node from the
 // checkpoint and replays the log in original order, which per-replica
 // protocol determinism makes an exact reconstruction.
 type replicaRec struct {
-	down    bool
-	logging bool
-	log     []logEntry
-	// parked holds envelopes that slipped past the fault layer's down
-	// check before delivery; their pooled Meta buffers are retained
-	// until Restart re-forwards them.
+	down bool
+	log  []logEntry
+	// parked holds the deliveries that reached the replica while it was
+	// down; their pooled Meta buffers are retained until Restart hands
+	// them back for re-forwarding.
 	parked []core.Envelope
 	ckpt   *core.NodeCheckpoint
 	ockpt  *causality.ReplicaCheckpoint
@@ -38,98 +39,56 @@ type logEntry struct {
 	id    causality.UpdateID
 }
 
-func (c *Cluster) requireChaos() error {
-	if c.space.rec == nil {
-		return fmt.Errorf("cluster: built without WithChaos")
-	}
-	return nil
-}
+var errNoChaos = errors.New("built without WithChaos")
 
-// Partition cuts the links between a and b in both directions. Messages
-// crossing a cut edge park at the transport and deliver at heal time.
-// healAfter > 0 schedules an automatic heal; 0 cuts until Heal/HealAll.
-func (c *Cluster) Partition(a, b sharegraph.ReplicaID, healAfter time.Duration) error {
-	if err := c.requireChaos(); err != nil {
-		return err
+// recoverable checks r and that the host enabled crash/restart.
+func (sp *Space) recoverable(r sharegraph.ReplicaID) error {
+	if sp.rec == nil {
+		return errNoChaos
 	}
-	c.eng.Faults().CutBoth(int(a), int(b), healAfter)
-	return nil
-}
-
-// PartitionOneWay cuts only the from→to direction: an asymmetric link.
-func (c *Cluster) PartitionOneWay(from, to sharegraph.ReplicaID, healAfter time.Duration) error {
-	if err := c.requireChaos(); err != nil {
-		return err
-	}
-	c.eng.Faults().Cut(int(from), int(to), healAfter)
-	return nil
-}
-
-// Heal restores both directions between a and b, flushing parked
-// messages.
-func (c *Cluster) Heal(a, b sharegraph.ReplicaID) error {
-	if err := c.requireChaos(); err != nil {
-		return err
-	}
-	f := c.eng.Faults()
-	f.Heal(int(a), int(b))
-	f.Heal(int(b), int(a))
-	return nil
-}
-
-// HealAll removes every cut in the cluster.
-func (c *Cluster) HealAll() error {
-	if err := c.requireChaos(); err != nil {
-		return err
-	}
-	c.eng.Faults().HealAll()
-	return nil
+	return sp.check(r)
 }
 
 // Checkpoint snapshots replica r — protocol state plus the oracle's
 // causal bookkeeping for r — and begins retaining r's subsequent local
 // events so a later Crash/Restart can replay them. Re-checkpointing
 // truncates the retention log.
-func (c *Cluster) Checkpoint(r sharegraph.ReplicaID) error {
-	if err := c.requireChaos(); err != nil {
+func (sp *Space) Checkpoint(r sharegraph.ReplicaID) error {
+	if err := sp.recoverable(r); err != nil {
 		return err
 	}
-	sn, ok := c.space.nodes[r].(core.Snapshotter)
-	if !ok {
-		return fmt.Errorf("cluster: protocol %T does not support checkpointing", c.space.nodes[r])
-	}
-	c.space.mu[r].Lock()
-	defer c.space.mu[r].Unlock()
-	rec := &c.space.rec[r]
+	sp.mu[r].Lock()
+	defer sp.mu[r].Unlock()
+	rec := &sp.rec[r]
 	if rec.down {
-		return fmt.Errorf("cluster: replica %d is down", r)
+		return fmt.Errorf("replica %d is down", r)
+	}
+	sn, ok := sp.nodes[r].(core.Snapshotter)
+	if !ok {
+		return fmt.Errorf("protocol %T does not support checkpointing", sp.nodes[r])
 	}
 	rec.ckpt = sn.Snapshot()
-	if c.space.tracker != nil {
-		rec.ockpt = c.space.tracker.ExportCheckpoint(r)
+	if sp.tracker != nil {
+		rec.ockpt = sp.tracker.ExportCheckpoint(r)
 	}
-	rec.logging = true
 	rec.log = nil
 	return nil
 }
 
-// Crash takes replica r down: it stops serving reads and writes, the
-// fault layer parks everything addressed to it, and any delivery already
-// in flight parks at the node boundary. State accumulated since the last
-// Checkpoint is considered lost until Restart replays the retention log.
-func (c *Cluster) Crash(r sharegraph.ReplicaID) error {
-	if err := c.requireChaos(); err != nil {
+// Crash takes replica r down: it stops serving reads and writes, and
+// every delivery addressed to it parks in Deliver. State accumulated
+// since the last Checkpoint is considered lost until Restart replays
+// the retention log.
+func (sp *Space) Crash(r sharegraph.ReplicaID) error {
+	if err := sp.recoverable(r); err != nil {
 		return err
 	}
-	c.space.mu[r].Lock()
-	rec := &c.space.rec[r]
-	if rec.down {
-		c.space.mu[r].Unlock()
-		return fmt.Errorf("cluster: replica %d is already down", r)
+	sp.mu[r].Lock()
+	defer sp.mu[r].Unlock()
+	if sp.rec[r].down {
+		return fmt.Errorf("replica %d is already down", r)
 	}
-	rec.down = true
-	c.space.mu[r].Unlock()
-	c.eng.Faults().SetDown(int(r), true)
+	sp.rec[r].down = true
 	return nil
 }
 
@@ -139,87 +98,133 @@ func (c *Cluster) Crash(r sharegraph.ReplicaID) error {
 // Replayed events re-apply with no re-emission — an update's fanout was
 // already dispatched at first execution, and the transport never truly
 // loses a message (drops retransmit, cuts park), so resending would only
-// manufacture duplicates. The oracle is told each replayed apply, then
-// deliveries that arrived while the replica was down are released.
-func (c *Cluster) Restart(r sharegraph.ReplicaID) error {
-	if err := c.requireChaos(); err != nil {
-		return err
+// manufacture duplicates. The oracle is told each replayed apply. The
+// deliveries parked while r was down are returned, Meta still pooled,
+// for the host to re-forward.
+func (sp *Space) Restart(r sharegraph.ReplicaID) ([]core.Envelope, error) {
+	if err := sp.recoverable(r); err != nil {
+		return nil, err
 	}
 	// Build the replacement node before taking the lock.
-	fresh, err := c.space.protocol.NewNodes()
+	fresh, err := sp.protocol.NewNodes()
 	if err != nil {
-		return fmt.Errorf("cluster: rebuild nodes: %w", err)
+		return nil, fmt.Errorf("rebuild nodes: %w", err)
 	}
 	node, ok := fresh[r].(core.Snapshotter)
 	if !ok {
-		return fmt.Errorf("cluster: protocol %T does not support checkpointing", fresh[r])
+		return nil, fmt.Errorf("protocol %T does not support checkpointing", fresh[r])
 	}
 
-	c.space.mu[r].Lock()
-	rec := &c.space.rec[r]
+	sp.mu[r].Lock()
+	defer sp.mu[r].Unlock()
+	rec := &sp.rec[r]
 	if !rec.down {
-		c.space.mu[r].Unlock()
-		return fmt.Errorf("cluster: replica %d is not down", r)
+		return nil, fmt.Errorf("replica %d is not down", r)
 	}
 	if rec.ckpt == nil {
-		c.space.mu[r].Unlock()
-		return fmt.Errorf("cluster: replica %d has no checkpoint to restore from", r)
+		return nil, fmt.Errorf("replica %d has no checkpoint to restore from", r)
 	}
 	applied, err := node.Install(rec.ckpt)
 	if err != nil {
-		c.space.mu[r].Unlock()
-		return fmt.Errorf("cluster: install checkpoint at %d: %w", r, err)
+		return nil, fmt.Errorf("install checkpoint at %d: %w", r, err)
 	}
-	if c.space.tracker != nil {
-		if err := c.space.tracker.RestoreCheckpoint(r, rec.ockpt); err != nil {
-			c.space.mu[r].Unlock()
-			return fmt.Errorf("cluster: restore oracle checkpoint at %d: %w", r, err)
-		}
-		// Determinism keeps installed pendings pending, but report any
-		// applies Install did produce rather than hide them.
-		for _, a := range applied {
-			c.space.tracker.OnApply(r, a.OracleID)
+	if sp.tracker != nil {
+		if err := sp.tracker.RestoreCheckpoint(r, rec.ockpt); err != nil {
+			return nil, fmt.Errorf("restore oracle checkpoint at %d: %w", r, err)
 		}
 	}
-	c.space.nodes[r] = node
-	oldLog := rec.log
-	// Re-checkpoint the restored basis so a second crash replays only
-	// events after this recovery.
-	rec.ckpt = node.Snapshot()
-	if c.space.tracker != nil {
-		rec.ockpt = c.space.tracker.ExportCheckpoint(r)
-	}
-	rec.log = nil
-	for _, le := range oldLog {
-		if le.write {
-			if err := node.HandleWrite(le.reg, le.val, le.id, core.DiscardSink{}); err != nil {
-				c.space.mu[r].Unlock()
-				return fmt.Errorf("cluster: replay write at %d: %w", r, err)
-			}
-			if c.space.tracker != nil {
-				// The oracle saw OnIssue at first execution and rolled the
-				// apply back in restore; replay is an apply, not a re-issue.
-				c.space.tracker.OnApply(r, le.id)
-			}
-		} else {
-			replayed := node.HandleMessage(le.env, core.DiscardSink{})
-			if c.space.tracker != nil {
-				for _, a := range replayed {
-					c.space.tracker.OnApply(r, a.OracleID)
-				}
-			}
+	// Determinism keeps installed pendings pending, but report any
+	// applies Install did produce rather than hide them.
+	sp.report(r, applied)
+	// Install copies the checkpoint, so it stays the basis and the log
+	// stays whole: a second crash restores and replays the same way.
+	for _, le := range rec.log {
+		if !le.write {
+			sp.report(r, node.HandleMessage(le.env, core.DiscardSink{}))
+			continue
 		}
-		rec.log = append(rec.log, le)
+		if err := node.HandleWrite(le.reg, le.val, le.id, core.DiscardSink{}); err != nil {
+			return nil, fmt.Errorf("replay write at %d: %w", r, err)
+		}
+		if sp.tracker != nil {
+			// The oracle saw OnIssue at first execution and rolled the
+			// apply back in restore; replay is an apply, not a re-issue.
+			sp.tracker.OnApply(r, le.id)
+		}
 	}
+	sp.nodes[r] = node
 	parked := rec.parked
 	rec.parked = nil
 	rec.down = false
-	c.space.mu[r].Unlock()
+	return parked, nil
+}
 
-	// Release deliveries that raced past the fault layer while down
-	// (their Meta is still pooled and will be recycled on delivery), then
-	// let the fault layer flush everything it parked for r.
-	c.eng.Forward(parked...)
-	c.eng.Faults().SetDown(int(r), false)
+// Parked counts the deliveries parked at crashed replicas.
+func (sp *Space) Parked() int {
+	total := 0
+	for r := range sp.rec {
+		sp.mu[r].Lock()
+		total += len(sp.rec[r].parked)
+		sp.mu[r].Unlock()
+	}
+	return total
+}
+
+// fault runs do on the fault layer after checking that WithChaos built
+// it and that every replica named is in [0,n).
+func (c *Cluster) fault(do func(*rt.FaultInjector[core.Envelope]), rs ...sharegraph.ReplicaID) error {
+	f := c.eng.Faults()
+	if f == nil {
+		return errNoChaos
+	}
+	for _, r := range rs {
+		if err := c.space.check(r); err != nil {
+			return err
+		}
+	}
+	do(f)
 	return nil
+}
+
+// Partition cuts the links between a and b in both directions. Messages
+// crossing a cut edge park at the transport and deliver at heal time.
+// healAfter > 0 schedules an automatic heal; 0 cuts until Heal/HealAll.
+func (c *Cluster) Partition(a, b sharegraph.ReplicaID, healAfter time.Duration) error {
+	return c.fault(func(f *rt.FaultInjector[core.Envelope]) { f.CutBoth(int(a), int(b), healAfter) }, a, b)
+}
+
+// PartitionOneWay cuts only the from→to direction: an asymmetric link.
+func (c *Cluster) PartitionOneWay(from, to sharegraph.ReplicaID, healAfter time.Duration) error {
+	return c.fault(func(f *rt.FaultInjector[core.Envelope]) { f.Cut(int(from), int(to), healAfter) }, from, to)
+}
+
+// Heal restores both directions between a and b, flushing parked
+// messages.
+func (c *Cluster) Heal(a, b sharegraph.ReplicaID) error {
+	return c.fault(func(f *rt.FaultInjector[core.Envelope]) {
+		f.Heal(int(a), int(b))
+		f.Heal(int(b), int(a))
+	}, a, b)
+}
+
+// HealAll removes every cut in the cluster.
+func (c *Cluster) HealAll() error {
+	return c.fault(func(f *rt.FaultInjector[core.Envelope]) { f.HealAll() })
+}
+
+// Checkpoint forwards to Space.Checkpoint.
+func (c *Cluster) Checkpoint(r sharegraph.ReplicaID) error { return c.space.Checkpoint(r) }
+
+// Crash forwards to Space.Crash: every message addressed to r parks at
+// the node boundary until Restart.
+func (c *Cluster) Crash(r sharegraph.ReplicaID) error { return c.space.Crash(r) }
+
+// Restart recovers replica r (Space.Restart) and re-forwards the
+// messages parked while it was down.
+func (c *Cluster) Restart(r sharegraph.ReplicaID) error {
+	parked, err := c.space.Restart(r)
+	if err == nil {
+		c.eng.Forward(parked...)
+	}
+	return err
 }

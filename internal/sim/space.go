@@ -56,13 +56,32 @@ func NewSpace(g *sharegraph.Graph, protocol core.Protocol, audit bool, reg *obs.
 
 func (sp *Space) has(r sharegraph.ReplicaID) bool { return r >= 0 && int(r) < len(sp.nodes) }
 
+// check is has as an error naming the valid range.
+func (sp *Space) check(r sharegraph.ReplicaID) error {
+	if !sp.has(r) {
+		return fmt.Errorf("replica %d outside [0,%d)", r, len(sp.nodes))
+	}
+	return nil
+}
+
+// report tells the oracle replica r applied each update; the caller
+// holds mu[r].
+func (sp *Space) report(r sharegraph.ReplicaID, applied []core.Applied) {
+	if sp.tracker == nil {
+		return
+	}
+	for _, a := range applied {
+		sp.tracker.OnApply(r, a.OracleID)
+	}
+}
+
 // Write performs a client write at replica r: the update is issued to
 // the oracle (or numbered) and handled under r's lock, so issue order
 // per replica is the order the oracle requires. It fails for a replica
 // outside [0,n), a crashed replica, or a register r does not store.
 func (sp *Space) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Value, out core.Sink) (causality.UpdateID, error) {
-	if !sp.has(r) {
-		return 0, fmt.Errorf("replica %d outside [0,%d)", r, len(sp.nodes))
+	if err := sp.check(r); err != nil {
+		return 0, err
 	}
 	sp.mu[r].Lock()
 	defer sp.mu[r].Unlock()
@@ -78,40 +97,36 @@ func (sp *Space) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Val
 	if err := sp.nodes[r].HandleWrite(x, v, id, out); err != nil {
 		return 0, fmt.Errorf("write at %d: %w", r, err)
 	}
-	if sp.rec != nil && sp.rec[r].logging {
+	if sp.rec != nil && sp.rec[r].ckpt != nil {
 		sp.rec[r].log = append(sp.rec[r].log, logEntry{write: true, reg: x, val: v, id: id})
 	}
 	return id, nil
 }
 
 // Deliver ingests env at its destination, reports every apply to the
-// oracle and recycles env's Meta. The returned slice is the node's
-// scratch: a concurrent host may read only its length.
+// oracle and recycles env's Meta. A delivery to a crashed replica parks
+// here, the one place that holds it until Restart. The returned slice is
+// the node's scratch: a concurrent host may read only its length.
 func (sp *Space) Deliver(env core.Envelope, out core.Sink) []core.Applied {
 	to := env.To
 	sp.mu[to].Lock()
 	if sp.rec != nil {
 		rec := &sp.rec[to]
 		if rec.down {
-			// Arrived in the window between the fault layer's down check
-			// and delivery; park it (keeping its pooled Meta) until
-			// Restart re-forwards it.
+			// Park it, keeping its pooled Meta, until Restart returns it
+			// for re-forwarding.
 			rec.parked = append(rec.parked, env)
 			sp.mu[to].Unlock()
 			return nil
 		}
-		if rec.logging {
+		if rec.ckpt != nil {
 			e := env
 			e.Meta = append([]byte(nil), env.Meta...)
 			rec.log = append(rec.log, logEntry{env: e})
 		}
 	}
 	applied := sp.nodes[to].HandleMessage(env, out)
-	if sp.tracker != nil {
-		for _, a := range applied {
-			sp.tracker.OnApply(to, a.OracleID)
-		}
-	}
+	sp.report(to, applied)
 	sp.mu[to].Unlock()
 	if sp.reg != nil {
 		n := len(applied)

@@ -51,21 +51,23 @@
 // # Robustness
 //
 // The runtime carries a seeded fault-injection layer, armed by
-// ClusterOptions.Chaos: per-edge drop and duplication lotteries, one-
-// and two-way partitions with scheduled heals, and crash/restart of
-// whole replicas. Faults are injected at the engine's send/forward
-// boundary, so the replica cluster and the client-server deployment
-// inherit the same fault model. Every lottery outcome is a pure hash of
-// (seed, edge, stream, counter), so a chaos run injects the same faults
-// regardless of goroutine scheduling. A dropped transmission is
-// diverted to a retransmit queue with exponential backoff and is
-// force-delivered after FaultPlan.MaxRetransmits consecutive losses —
-// loss degrades latency, never liveness. Messages crossing a cut edge
-// or addressed to a crashed replica park at the transport and flush at
-// heal or restart. The caller drives every fault; the runtime never
-// decides on its own that a replica has failed. No such verdict could
-// change what a replica applies: the share graph fixes each write's
-// recipients, and predicate J decides delivery from the timestamp alone.
+// ClusterOptions.Chaos: per-edge drop and duplication lotteries and one-
+// and two-way partitions with scheduled heals. They are injected at the
+// engine's send/forward boundary, so the replica cluster and the
+// client-server deployment inherit the same fault model. Every lottery
+// outcome is a pure hash of (seed, edge, stream, counter), so a chaos
+// run injects the same faults regardless of goroutine scheduling. A
+// dropped transmission is diverted to a retransmit queue with
+// exponential backoff and is force-delivered after
+// FaultPlan.MaxRetransmits consecutive losses — loss degrades latency,
+// never liveness. Messages crossing a cut edge park at the transport and
+// flush at heal. The replica cluster can also crash and restart whole
+// replicas: a crashed replica's messages are still delivered, and park
+// at its node boundary until restart. The caller drives every fault;
+// the runtime never decides on its own that a replica has failed. No
+// such verdict could change what a replica applies: the share graph
+// fixes each write's recipients, and predicate J decides delivery from
+// the timestamp alone.
 //
 // Crashed replicas recover by state transfer. Cluster.Checkpoint
 // snapshots the node — register store, timestamp vector, buffered
@@ -75,7 +77,7 @@
 // the log in original order (per-replica protocol determinism makes the
 // replay exact, and nothing is re-emitted: the first execution already
 // dispatched each update's fanout and the transport never truly loses a
-// message), then releases deliveries parked while the replica was down.
+// message), then re-sends the messages parked at it while it was down.
 //
 // The happened-before oracle stays the judge under every fault class:
 // loss and duplication must produce zero safety violations and full
@@ -552,20 +554,12 @@ func (s *System) ClusterWith(opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prcc: %w", err)
 	}
-	return &Cluster{inner: c, n: s.graph.NumReplicas()}, nil
+	return &Cluster{inner: c}, nil
 }
 
 // Cluster is a running shared-memory deployment.
 type Cluster struct {
 	inner *sim.Cluster
-	n     int
-}
-
-func (c *Cluster) checkReplica(r ReplicaID) error {
-	if int(r) < 0 || int(r) >= c.n {
-		return fmt.Errorf("prcc: replica %d out of range [0,%d)", r, c.n)
-	}
-	return nil
 }
 
 // Write performs a client write at replica r. It fails if r is outside
@@ -624,39 +618,21 @@ func (c *Cluster) Close() { c.inner.Close() }
 // Partition cuts the links between a and b in both directions; messages
 // crossing a cut edge park at the transport and deliver at heal time.
 // healAfter > 0 schedules an automatic heal, 0 cuts until Heal/HealAll.
-// It errors on a cluster built without ClusterOptions.Chaos.
+// It errors on a cluster built without ClusterOptions.Chaos, and for a
+// replica outside [0,n), as do the other recovery and partition
+// controls.
 func (c *Cluster) Partition(a, b ReplicaID, healAfter time.Duration) error {
-	if err := c.checkReplica(a); err != nil {
-		return err
-	}
-	if err := c.checkReplica(b); err != nil {
-		return err
-	}
 	return c.inner.Partition(a, b, healAfter)
 }
 
 // PartitionOneWay cuts only the from→to direction: an asymmetric link.
 func (c *Cluster) PartitionOneWay(from, to ReplicaID, healAfter time.Duration) error {
-	if err := c.checkReplica(from); err != nil {
-		return err
-	}
-	if err := c.checkReplica(to); err != nil {
-		return err
-	}
 	return c.inner.PartitionOneWay(from, to, healAfter)
 }
 
 // Heal restores both directions between a and b, flushing parked
 // messages.
-func (c *Cluster) Heal(a, b ReplicaID) error {
-	if err := c.checkReplica(a); err != nil {
-		return err
-	}
-	if err := c.checkReplica(b); err != nil {
-		return err
-	}
-	return c.inner.Heal(a, b)
-}
+func (c *Cluster) Heal(a, b ReplicaID) error { return c.inner.Heal(a, b) }
 
 // HealAll removes every cut in the cluster.
 func (c *Cluster) HealAll() error { return c.inner.HealAll() }
@@ -665,31 +641,17 @@ func (c *Cluster) HealAll() error { return c.inner.HealAll() }
 // causal bookkeeping — and begins retaining r's subsequent local events
 // so a later Crash/Restart can replay them. Re-checkpointing truncates
 // the retention log.
-func (c *Cluster) Checkpoint(r ReplicaID) error {
-	if err := c.checkReplica(r); err != nil {
-		return err
-	}
-	return c.inner.Checkpoint(r)
-}
+func (c *Cluster) Checkpoint(r ReplicaID) error { return c.inner.Checkpoint(r) }
 
-// Crash takes replica r down: reads and writes at r fail, and the fault
-// layer parks everything addressed to it until Restart.
-func (c *Cluster) Crash(r ReplicaID) error {
-	if err := c.checkReplica(r); err != nil {
-		return err
-	}
-	return c.inner.Crash(r)
-}
+// Crash takes replica r down: reads and writes at r fail, and every
+// message addressed to it parks at its node boundary until Restart.
+func (c *Cluster) Crash(r ReplicaID) error { return c.inner.Crash(r) }
 
 // Restart recovers a crashed replica by state transfer from its last
-// Checkpoint plus retention-log replay, then releases deliveries parked
-// while it was down. It errors if r is up or was never checkpointed.
-func (c *Cluster) Restart(r ReplicaID) error {
-	if err := c.checkReplica(r); err != nil {
-		return err
-	}
-	return c.inner.Restart(r)
-}
+// Checkpoint plus retention-log replay, then re-sends the messages
+// parked at it while it was down. It errors if r is up or was never
+// checkpointed.
+func (c *Cluster) Restart(r ReplicaID) error { return c.inner.Restart(r) }
 
 // FaultStats reports the fault layer's counters: transmissions diverted
 // to the retransmitter and duplicate deliveries injected. Both are zero
@@ -713,8 +675,8 @@ func (c *Cluster) FaultStats() (dropped, duped uint64) {
 // plain and under chaos.
 //
 // Reconfigure fails, leaving the cluster untouched, if any replica is
-// down or the fault layer still holds parked messages — restart crashed
-// replicas and heal partitions first. Recovery checkpoints reference
+// down (restart it first) or a cut edge still holds parked messages
+// (heal partitions first). Recovery checkpoints reference
 // the old epoch's timestamp space and are discarded; re-checkpoint
 // afterwards.
 func (c *Cluster) Reconfigure(p *Placement) error {
@@ -1029,16 +991,6 @@ func (s *System) RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
-	}
-	if opts.Partition {
-		for _, r := range []ReplicaID{opts.PartitionA, opts.PartitionB} {
-			if int(r) < 0 || int(r) >= s.NumReplicas() {
-				return ChaosReport{}, fmt.Errorf("prcc: partition replica %d out of range [0,%d)", r, s.NumReplicas())
-			}
-		}
-	}
-	if opts.Crash && (int(opts.CrashReplica) < 0 || int(opts.CrashReplica) >= s.NumReplicas()) {
-		return ChaosReport{}, fmt.Errorf("prcc: crash replica %d out of range [0,%d)", opts.CrashReplica, s.NumReplicas())
 	}
 	script, err := workload.Generate(s.graph, workload.Options{
 		Ops: ops, ReadFraction: opts.ReadFraction, Seed: seed,

@@ -313,6 +313,44 @@ func TestLiveClientServerFacade(t *testing.T) {
 	}
 }
 
+// TestClientServerOutOfRange pins the facade's client and replica
+// ranges: a handle for a client outside [0,2) fails every operation with
+// an error naming the range instead of panicking, and the entry counts
+// of an unknown replica or client are 0.
+func TestClientServerOutOfRange(t *testing.T) {
+	cs, err := NewClientServer(
+		[][]Register{{"a", "c"}, {"a"}, {"b"}, {"b", "c"}},
+		[][]ReplicaID{{1, 2}, {3, 0}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{-1, 4, 9} {
+		if n := cs.ServerEntries(ReplicaID(i)); n != 0 {
+			t.Errorf("ServerEntries(%d) = %d, want 0", i, n)
+		}
+	}
+	for _, id := range []ClientID{-1, 2, 9} {
+		if n := cs.ClientEntries(id); n != 0 {
+			t.Errorf("ClientEntries(%d) = %d, want 0", id, n)
+		}
+	}
+	live := cs.Live()
+	defer live.Close()
+	for _, id := range []ClientID{-1, 2, 5} {
+		lc := live.Client(id)
+		if err := lc.Write("a", 1); err == nil || !strings.Contains(err.Error(), "[0,2)") {
+			t.Errorf("Client(%d).Write = %v, want an error naming [0,2)", id, err)
+		}
+		if _, err := lc.Read("a"); err == nil || !strings.Contains(err.Error(), "[0,2)") {
+			t.Errorf("Client(%d).Read = %v, want an error naming [0,2)", id, err)
+		}
+	}
+	if err := live.Client(1).Write("c", 3); err != nil {
+		t.Errorf("in-range client after rejected ones: %v", err)
+	}
+}
+
 // ringStores builds the Figure 13 ring placement as facade input:
 // replica i shares ring<i> with replica (i+1) mod n, plus a private
 // register each.
