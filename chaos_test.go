@@ -82,6 +82,40 @@ func TestClusterChaosDisarmed(t *testing.T) {
 	}
 }
 
+// TestLiveClientServerChaos pins that the client-server deployment
+// honours ClusterOptions.Chaos: its inter-replica links lose and
+// duplicate updates under the plan, and the audit still comes back clean
+// once the deployment quiesces.
+func TestLiveClientServerChaos(t *testing.T) {
+	cs, err := NewClientServer(
+		[][]Register{{"a", "b"}, {"a", "b"}, {"b"}},
+		[][]ReplicaID{{0}, {1, 2}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := cs.LiveWith(ClusterOptions{
+		Chaos:   &FaultPlan{Seed: 3, Default: EdgeFault{Drop: 0.5, Dup: 0.5}},
+		Metrics: true,
+	})
+	defer live.Close()
+	clients := []*LiveClient{live.Client(0), live.Client(1)}
+	regs := []Register{"a", "b"}
+	for k := 0; k < 200; k++ {
+		if err := clients[k%2].Write(regs[k/2%2], Value(k+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.Sync()
+	m := live.Metrics()
+	if m.Dropped == 0 || m.Duped == 0 {
+		t.Errorf("chaos plan ignored: %d updates, %d dropped, %d duped", m.Updates, m.Dropped, m.Duped)
+	}
+	if err := live.Check(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRunChaosFacade runs the orchestrated three-phase chaos workload —
 // ambient loss and duplication, a healed partition, a crash recovered by
 // state transfer — and requires the oracle's verdict to be clean.

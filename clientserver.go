@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/clientserver"
-	"repro/internal/obs"
-	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
 	"repro/internal/transport"
 )
@@ -71,25 +69,18 @@ func (c *ClientServerSystem) Live() *LiveClientServer {
 }
 
 // LiveWith starts a concurrent deployment with explicit runtime options —
-// the same ClusterOptions surface the replica cluster takes. SkipAudit is
-// ignored: the client-server oracle also carries the Definition 26 client
-// clauses the tests rely on. A zero MaxDelay means no artificial delivery
-// jitter.
+// the same ClusterOptions surface the replica cluster takes, on the same
+// runtime. SkipAudit is ignored: the client-server oracle also carries
+// the Definition 26 client clauses the tests rely on. Chaos arms the
+// fault layer (loss, duplication, partitions) on the inter-replica
+// links. A zero MaxDelay means no artificial delivery jitter.
 func (c *ClientServerSystem) LiveWith(opts ClusterOptions) *LiveClientServer {
-	ro := rt.Options{
-		Workers:       opts.Workers,
-		InboxCapacity: opts.InboxCapacity,
-		MaxDelay:      opts.MaxDelay,
-		Seed:          opts.Seed,
+	opts.SkipAudit = false
+	inner, err := clientserver.NewLive(c.sys, opts.simOptions()...)
+	if err != nil {
+		panic(err) // the system's servers are one node per replica by construction
 	}
-	if opts.Metrics {
-		n := len(c.sys.ReplicaGraphs)
-		ro.Obs = obs.New(n, n)
-	}
-	return &LiveClientServer{
-		inner:   clientserver.NewLiveWith(c.sys, ro),
-		clients: len(c.sys.ClientGraphs),
-	}
+	return &LiveClientServer{inner: inner, clients: len(c.sys.ClientGraphs)}
 }
 
 // LiveClientServer is a running client-server deployment.
@@ -149,8 +140,9 @@ func (l *LiveClientServer) Outstanding() int { return l.inner.Outstanding() }
 // Check audits the execution (including Definition 26's client clauses
 // and liveness at quiescence).
 func (l *LiveClientServer) Check() error {
-	l.inner.CheckLiveness()
-	vs := l.inner.Tracker().Violations()
+	t := l.inner.Tracker()
+	t.CheckLiveness()
+	vs := t.Violations()
 	if len(vs) == 0 {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
+	"repro/internal/sim"
 )
 
 // TestLiveChaoticConvergence runs the concurrent client workload over a
@@ -16,10 +17,13 @@ import (
 // clean.
 func TestLiveChaoticConvergence(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	ls := NewLiveChaotic(sys, rt.Options{}, rt.FaultPlan{
+	ls, err := NewLive(sys, sim.WithChaos(rt.FaultPlan{
 		Seed:    9,
 		Default: rt.EdgeFault{Drop: 0.05, Dup: 0.05},
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ls.Close()
 	if ls.Faults() == nil {
 		t.Fatal("chaotic system has no fault injector")
@@ -55,28 +59,40 @@ func TestLiveChaoticConvergence(t *testing.T) {
 	}
 	wg.Wait()
 	ls.Quiesce()
-	if vs := ls.CheckLiveness(); len(vs) != 0 {
+	if vs := ls.Tracker().CheckLiveness(); len(vs) != 0 {
 		t.Errorf("liveness under chaos: %v", vs)
 	}
 	if vs := ls.Tracker().Violations(); len(vs) != 0 {
 		t.Errorf("violations under chaos: %v", vs)
 	}
-	if f := ls.Faults(); f.Duped() > 0 && ls.StaleDrops() == 0 {
+	if f := ls.Faults(); f.Duped() > 0 && staleDrops(ls) == 0 {
 		t.Errorf("%d duplicates injected but no server parked any", f.Duped())
 	}
+}
+
+// staleDrops sums the undeliverable updates every server received (see
+// Server.StaleDrops).
+func staleDrops(ls *LiveSystem) int {
+	total := 0
+	for r := range ls.sys.ReplicaGraphs {
+		_ = ls.Do(sharegraph.ReplicaID(r), func(n core.Node, _ core.Sink) error {
+			total += n.(*Server).StaleDrops()
+			return nil
+		})
+	}
+	return total
 }
 
 // TestServerDropsDuplicateUpdates pins the prototype's staleness rule at
 // the server: the same update delivered twice is applied once and parked
 // dead once, a replayed older update parks dead too, and neither counts as
-// pending; a misrouted or corrupt envelope is dropped outright. StaleDrops
-// counts all of them.
+// pending; a corrupt envelope is dropped outright. StaleDrops counts all
+// of them.
 func TestServerDropsDuplicateUpdates(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	servers := []*Server{NewServer(sys, 0), NewServer(sys, 1), NewServer(sys, 2), NewServer(sys, 3)}
+	h := newHost(t, sys)
 	client := NewClient(sys, 1)
 
-	var out Outcome
 	mkUpdate := func(v core.Value) core.Envelope {
 		t.Helper()
 		req, err := client.NewRequest("c", v, false)
@@ -84,21 +100,18 @@ func TestServerDropsDuplicateUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Replica = 3
-		out.Reset()
-		servers[3].HandleRequest(req, &out)
-		if len(out.Updates) != 1 {
-			t.Fatalf("want 1 update, got %+v", out.Updates)
+		h.request(req)
+		if len(h.out.Envs) != 1 {
+			t.Fatalf("want 1 update, got %+v", h.out.Envs)
 		}
-		client.AbsorbResponse(out.Responses[0])
-		return out.Updates[0]
+		client.AbsorbResponse(h.responses[0])
+		return h.out.Envs[0]
 	}
-	// HandleUpdate recycles the Meta it is handed, so every delivery gets
-	// its own copy.
+	// Delivery recycles the Meta it is handed, so every delivery gets its
+	// own copy.
 	deliver := func(env core.Envelope) int {
 		env.Meta = append([]byte(nil), env.Meta...)
-		out.Reset()
-		servers[0].HandleUpdate(env, &out)
-		return len(out.Applied)
+		return len(h.update(env))
 	}
 
 	u1, u2 := mkUpdate(7), mkUpdate(8)
@@ -114,53 +127,51 @@ func TestServerDropsDuplicateUpdates(t *testing.T) {
 	if got := deliver(u2); got != 0 {
 		t.Fatalf("stale replay applied %d updates, want 0", got)
 	}
-	if servers[0].PendingUpdates() != 0 {
-		t.Errorf("%d updates live in pending after replays", servers[0].PendingUpdates())
+	srv := h.servers[0]
+	if srv.PendingUpdates() != 0 {
+		t.Errorf("%d updates live in pending after replays", srv.PendingUpdates())
 	}
-	if servers[0].StaleDrops() != 2 {
-		t.Errorf("StaleDrops = %d, want 2 (both replays parked dead)", servers[0].StaleDrops())
+	if srv.StaleDrops() != 2 {
+		t.Errorf("StaleDrops = %d, want 2 (both replays parked dead)", srv.StaleDrops())
 	}
-	misrouted, corrupt := u2, u2
-	misrouted.To = 1
+	corrupt := u2
 	corrupt.Meta = u2.Meta[:len(u2.Meta)-1]
-	if deliver(misrouted)+deliver(corrupt) != 0 {
+	if deliver(corrupt) != 0 {
 		t.Fatal("malformed envelope applied")
 	}
-	if servers[0].StaleDrops() != 4 || servers[0].PendingUpdates() != 0 {
-		t.Errorf("after two malformed envelopes: StaleDrops = %d, pending = %d; want 4, 0",
-			servers[0].StaleDrops(), servers[0].PendingUpdates())
+	if srv.StaleDrops() != 3 || srv.PendingUpdates() != 0 {
+		t.Errorf("after a malformed envelope: StaleDrops = %d, pending = %d; want 3, 0",
+			srv.StaleDrops(), srv.PendingUpdates())
 	}
 }
 
 // TestServeSteadyStateAllocs pins the emit-contract payoff: once the
-// vector freelist and outcome scratch are warm, serving a client write —
-// request build, predicate check, τ advance, one update per recipient,
-// response — allocates nothing.
+// vector freelist, the space's Meta pool and the host's scratch are
+// warm, serving a client write — request build, predicate check, τ
+// advance, one update per recipient, response — allocates nothing.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	server := NewServer(sys, 3)
+	h := newHost(t, sys)
 	client := NewClient(sys, 1)
 
-	var out Outcome
 	cycle := func() {
 		req, err := client.NewRequest("c", 5, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Replica = 3
-		out.Reset()
-		server.HandleRequest(req, &out)
+		h.request(req)
 		// Stand in for the consumers: recycle the buffers the update
 		// receivers and the client would.
-		for i := range out.Updates {
-			sys.meta.Put(out.Updates[i].Meta)
+		for i := range h.out.Envs {
+			h.sp.Recycle(h.out.Envs[i].Meta)
 		}
-		for i := range out.Responses {
-			sys.putVec(out.Responses[i].Tau)
+		for i := range h.responses {
+			sys.putVec(h.responses[i].Tau)
 		}
 	}
 	for i := 0; i < 32; i++ {
-		cycle() // warm the freelist and the outcome's capacity
+		cycle() // warm the freelist and the host's capacity
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0.5 {
 		t.Errorf("serve path allocates %.1f objects/op in steady state, want 0", avg)

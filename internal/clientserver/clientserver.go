@@ -25,6 +25,15 @@
 // over ∪_{i∈Rc} Ê_i (merge1/merge2). Every alignment between a client's
 // edge order and a replica's is computed once per System.
 //
+// The servers are hosted like every other node, in a sim.Space: its
+// locks, oracle, Meta pool, delivery and state capture are theirs. A
+// request is a Space.Do on the server; a delivery that applies updates
+// ends with the server's Settle, which serves the buffered requests the
+// applies unblocked. LiveSystem is a sim.Cluster of servers (the engine,
+// backpressure, metrics and the fault layer come with it); Run is a
+// deterministic scheduler loop over a Space, whose events are client
+// requests and responses besides updates.
+//
 // Clients accessing multiple replicas propagate causal dependencies even
 // between replicas sharing no registers; the augmented share graph
 // (Definition 16) adds edges for exactly those paths, and the augmented
@@ -42,8 +51,8 @@ import (
 	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/sharegraph"
+	"repro/internal/sim"
 	"repro/internal/timestamp"
-	"repro/internal/transport"
 )
 
 // ---------------------------------------------------------------------------
@@ -104,7 +113,7 @@ func (s *System) putVec(v timestamp.Vec) {
 // augmented graph, every replica's augmented timestamp graph Ê_i, every
 // client's timestamp universe ∪_{i∈Rc} Ê_i, the prototype instantiated
 // over the Ê_i and the client↔replica alignments — all immutable after
-// construction — plus the deployment's freelists.
+// construction — plus the vector freelist its servers and clients share.
 type System struct {
 	Aug *sharegraph.AugmentedGraph
 	// ReplicaGraphs[i] indexes replica i's timestamp τ_i.
@@ -120,9 +129,6 @@ type System struct {
 
 	vecMu   sync.Mutex
 	vecFree []timestamp.Vec
-	// meta recycles the encoded timestamps of in-flight updates: Outcome
-	// copies an emitted Meta through it, HandleUpdate returns it.
-	meta transport.BytePool
 }
 
 // clientView is everything client c and a replica i ∈ R_c need of each
@@ -183,21 +189,62 @@ func newSystemWithGraphs(aug *sharegraph.AugmentedGraph, graphs []*sharegraph.TS
 // Server
 
 // Server is one replica of the client-server architecture (Appendix E.1):
-// one node of the prototype over Ê_i, which stores the registers, buffers
+// the prototype node over Ê_i, which stores the registers, buffers
 // inter-replica updates behind J3 and merges them, plus the client layer —
 // requests buffered behind J1/J2, the µ_c raise before a write, responses
-// carrying τ_i. Not safe for concurrent use.
+// carrying τ_i. A sim.Space hosts it like any other node: the Space
+// delivers its updates, audits its applies and then calls Settle under
+// the same lock. Not safe for concurrent use.
 type Server struct {
-	sys  *System
-	id   sharegraph.ReplicaID
-	node core.Layered
+	core.Layered
+	dep  *deployment
 	diag *core.Diag
-	// tracker, when a runtime sets it, is told every apply and every
-	// accepted request in the order they happen here, and names the
-	// writes; nil runs unaudited.
-	tracker *causality.Tracker
 
 	pendingRequests []Request
+}
+
+// deployment is what one host's servers share, and the core.Protocol the
+// host's sim.Space builds them with: the System, the oracle (nil runs
+// unaudited; told every accepted request, in the order the servers
+// accept them, and naming every client write) and respond, which takes
+// every response under the serving replica's lock.
+type deployment struct {
+	sys     *System
+	tracker *causality.Tracker // the Space's, set once the Space is built
+	respond func(Response)
+}
+
+// Name implements core.Protocol.
+func (d *deployment) Name() string { return d.sys.proto.Name() }
+
+// NewNodes implements core.Protocol: one Server per replica, each
+// counting its own ingest drops (StaleDrops reports them; none is
+// logged).
+func (d *deployment) NewNodes() ([]core.Node, error) {
+	nodes := make([]core.Node, len(d.sys.ReplicaGraphs))
+	for i := range nodes {
+		diag := core.NewDiag(func(string, ...any) {}, nil)
+		nodes[i] = &Server{Layered: d.sys.proto.NewNode(sharegraph.ReplicaID(i), diag), dep: d, diag: diag}
+	}
+	return nodes, nil
+}
+
+// newSpace hosts sys's servers in a sim.Space, audited if audit is set,
+// whose responses go to respond. It also returns the servers, for a
+// single-threaded host to read.
+func newSpace(sys *System, audit bool, respond func(Response)) (*sim.Space, []*Server, error) {
+	d := &deployment{sys: sys, respond: respond}
+	sp, err := sim.NewSpace(sys.Aug.G, d, audit, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("clientserver: %w", err)
+	}
+	d.tracker = sp.Tracker()
+	servers := make([]*Server, len(sys.ReplicaGraphs))
+	for r := range servers {
+		// Cannot fail: r is in range and a new Space has no replica down.
+		_ = sp.Do(sharegraph.ReplicaID(r), func(n core.Node) error { servers[r] = n.(*Server); return nil })
+	}
+	return sp, servers, nil
 }
 
 // Request is a client read or write request carrying the client's
@@ -212,7 +259,8 @@ type Request struct {
 }
 
 // Response is the replica's reply: the read value (for reads) and the
-// replica's timestamp τ_i at acceptance.
+// replica's timestamp τ_i at acceptance. Tau is recycled by the client
+// that absorbs it.
 type Response struct {
 	Client  sharegraph.ClientID
 	Replica sharegraph.ReplicaID
@@ -222,57 +270,49 @@ type Response struct {
 	Tau     timestamp.Vec
 }
 
-// NewServer builds replica i's server.
-func NewServer(sys *System, i sharegraph.ReplicaID) *Server {
-	// Ingest drops are counted, not logged: StaleDrops reports them.
-	diag := core.NewDiag(func(string, ...any) {}, nil)
-	return &Server{sys: sys, id: i, node: sys.proto.NewNode(i, diag), diag: diag}
-}
-
-// ID returns the replica id.
-func (s *Server) ID() sharegraph.ReplicaID { return s.id }
-
 // Timestamp returns a copy of τ_i.
-func (s *Server) Timestamp() timestamp.Vec { return s.node.Tau().Clone() }
-
-// MetadataEntries returns |Ê_i|.
-func (s *Server) MetadataEntries() int { return s.node.MetadataEntries() }
+func (s *Server) Timestamp() timestamp.Vec { return s.Tau().Clone() }
 
 // PendingUpdates returns the number of buffered inter-replica updates
 // still awaiting delivery (core.LivePendingCounter).
-func (s *Server) PendingUpdates() int { return s.node.LivePending() }
+func (s *Server) PendingUpdates() int { return s.LivePending() }
 
 // PendingRequests returns the number of buffered client requests.
 func (s *Server) PendingRequests() int { return len(s.pendingRequests) }
 
+// PendingCount counts everything the replica holds unserved: the node's
+// buffered updates and the buffered client requests, so a host's parked
+// count covers both.
+func (s *Server) PendingCount() int { return s.Layered.PendingCount() + len(s.pendingRequests) }
+
 // StaleDrops returns the number of received update messages J3 can never
 // admit: duplicates, stale replays and updates from untracked senders,
 // which the node parks dead, plus the malformed envelopes (corrupt or
-// wrong-length timestamp, unknown sender, misrouted) dropped at ingest.
+// wrong-length timestamp, unknown sender) dropped at ingest.
 func (s *Server) StaleDrops() int {
-	return s.node.PendingCount() - s.node.LivePending() + int(s.diag.Drops())
+	return s.Layered.PendingCount() - s.LivePending() + int(s.diag.Drops())
 }
 
-// HandleRequest ingests a client request, appending everything it
-// produces to out (the caller owns and recycles the Outcome — the emit
-// half of the contract that keeps the serve path allocation-free). If
-// the request's predicate holds it is served immediately; otherwise it
-// is buffered until later update applications unblock it. The server
-// takes ownership of req.Mu. Returns false — without consuming req — if
-// the request does not belong here: addressed to a different replica,
-// from an unknown client or one that may not access this replica, naming
-// a register not stored here, or carrying a µ of the wrong length.
-func (s *Server) HandleRequest(req Request, out *Outcome) bool {
-	if req.Replica != s.id || req.Client < 0 || int(req.Client) >= len(s.sys.views) ||
-		!s.sys.views[req.Client][s.id].ok || len(req.Mu) != s.sys.ClientGraphs[req.Client].Len() ||
-		!s.sys.Aug.G.StoresRegister(s.id, req.Reg) {
+// HandleRequest ingests a client request, emitting the updates a write
+// produces into out. If the request's predicate holds it is served
+// immediately and its response goes to the host; otherwise it is
+// buffered until later update applications unblock it (Settle). The
+// server takes ownership of req.Mu. Returns false — without consuming
+// req — if the request does not belong here: addressed to a different
+// replica, from an unknown client or one that may not access this
+// replica, naming a register not stored here, or carrying a µ of the
+// wrong length.
+func (s *Server) HandleRequest(req Request, out core.Sink) bool {
+	sys, id := s.dep.sys, s.ID()
+	if req.Replica != id || req.Client < 0 || int(req.Client) >= len(sys.views) ||
+		!sys.views[req.Client][id].ok || len(req.Mu) != sys.ClientGraphs[req.Client].Len() ||
+		!sys.Aug.G.StoresRegister(id, req.Reg) {
 		return false
 	}
 	if !s.requestReady(req) {
 		s.pendingRequests = append(s.pendingRequests, req)
 		return true
 	}
-	out.meta = &s.sys.meta
 	s.serve(req, out)
 	return true
 }
@@ -280,95 +320,45 @@ func (s *Server) HandleRequest(req Request, out *Outcome) bool {
 // requestReady implements J1 = J2: τ[e_ji] ≥ µ[e_ji] for every edge into
 // this replica tracked by Ê_i.
 func (s *Server) requestReady(req Request) bool {
-	return s.sys.views[req.Client][s.id].incoming.Dominates(s.node.Tau(), req.Mu)
-}
-
-// Outcome collects everything one event produced: responses to clients,
-// update messages to replicas (it is the core.Sink the server's node
-// emits into) and the updates applied.
-//
-// Callers pass an Outcome into HandleRequest/HandleUpdate and recycle it
-// with Reset once its contents are consumed. Ownership of the buffers
-// inside (Updates[i].Meta, Responses[i].Tau) transfers to whoever consumes
-// the message: HandleUpdate recycles Meta after ingest, clients recycle
-// Tau when absorbing the response.
-type Outcome struct {
-	Responses []Response
-	Updates   []core.Envelope
-	Applied   []core.Applied
-
-	meta *transport.BytePool // the serving System's; set before any Emit
-}
-
-// Emit implements core.Sink: the node's Meta is scratch, so the retained
-// envelope gets a pooled copy.
-func (o *Outcome) Emit(env core.Envelope) {
-	env.Meta = o.meta.Copy(env.Meta)
-	o.Updates = append(o.Updates, env)
-}
-
-// Reset clears the outcome for reuse, keeping capacity. It does not
-// release the buffers referenced by the cleared entries — their ownership
-// moved to the message consumers at dispatch.
-func (o *Outcome) Reset() {
-	o.Responses = o.Responses[:0]
-	o.Updates = o.Updates[:0]
-	o.Applied = o.Applied[:0]
+	return s.dep.sys.views[req.Client][s.ID()].incoming.Dominates(s.Tau(), req.Mu)
 }
 
 // serve executes an accepted request (predicate already true), recycling
 // the request's µ once it is consumed. A write is the prototype's, after
 // τ is raised by µ; J2 just checked that τ dominates µ on every edge into
 // i, so the raise moves no gate (see the package comment).
-func (s *Server) serve(req Request, out *Outcome) {
-	if s.tracker != nil {
-		s.tracker.OnClientAccess(req.Client, s.id)
+func (s *Server) serve(req Request, out core.Sink) {
+	d, id := s.dep, s.ID()
+	if d.tracker != nil {
+		d.tracker.OnClientAccess(req.Client, id)
 	}
 	val := req.Val
 	if req.IsRead {
-		val, _ = s.node.Read(req.Reg)
+		val, _ = s.Read(req.Reg)
 	} else {
-		var id causality.UpdateID
-		if s.tracker != nil {
-			id = s.tracker.OnClientWrite(req.Client, s.id, req.Reg)
+		var uid causality.UpdateID
+		if d.tracker != nil {
+			uid = d.tracker.OnClientWrite(req.Client, id, req.Reg)
 		}
-		s.node.RaiseTau(s.sys.views[req.Client][s.id].raise, req.Mu)
-		if err := s.node.HandleWrite(req.Reg, val, id, out); err != nil {
+		s.RaiseTau(d.sys.views[req.Client][id].raise, req.Mu)
+		if err := s.HandleWrite(req.Reg, val, uid, out); err != nil {
 			panic(err) // HandleRequest admits only registers stored here
 		}
 	}
-	s.sys.putVec(req.Mu)
-	out.Responses = append(out.Responses, Response{
-		Client: req.Client, Replica: s.id, Reg: req.Reg,
-		Val: val, IsRead: req.IsRead, Tau: s.sys.cloneVec(s.node.Tau()),
+	d.sys.putVec(req.Mu)
+	d.respond(Response{
+		Client: req.Client, Replica: id, Reg: req.Reg,
+		Val: val, IsRead: req.IsRead, Tau: d.sys.cloneVec(s.Tau()),
 	})
 }
 
-// HandleUpdate ingests an inter-replica update (step 3 of the replica
-// prototype) and then serves the buffered client requests the applies
-// unblocked, into out. The server takes ownership of env.Meta.
-//
-// Serving a request never unblocks an update — a write moves only this
-// replica's outgoing edges, J3 reads incoming ones — so "drain updates,
-// then requests, once" is the fixpoint.
-func (s *Server) HandleUpdate(env core.Envelope, out *Outcome) {
-	if env.To != s.id {
-		s.diag.Dropf(s.id, "client-server: replica %d dropping update addressed to %d", s.id, env.To)
-		s.sys.meta.Put(env.Meta)
-		return
-	}
-	out.meta = &s.sys.meta
-	applied := s.node.HandleMessage(env, out)
-	s.sys.meta.Put(env.Meta)
-	if len(applied) == 0 {
-		return
-	}
-	if s.tracker != nil {
-		for _, a := range applied {
-			s.tracker.OnApply(s.id, a.OracleID)
-		}
-	}
-	out.Applied = append(out.Applied, applied...)
+// Settle serves the buffered requests that the applies just reported to
+// the oracle unblocked; the Space calls it after every delivery that
+// applied something, under the same lock. Serving a request never
+// unblocks an update — a write moves only this replica's outgoing
+// edges, J3 reads incoming ones — so "drain updates, then requests,
+// once" is the fixpoint.
+func (s *Server) Settle(out core.Sink) {
 	kept := s.pendingRequests[:0]
 	for _, req := range s.pendingRequests {
 		if s.requestReady(req) {
@@ -379,10 +369,6 @@ func (s *Server) HandleUpdate(env core.Envelope, out *Outcome) {
 	}
 	s.pendingRequests = kept
 }
-
-// Read returns the local copy (diagnostics; client reads go through
-// HandleRequest).
-func (s *Server) Read(x sharegraph.Register) (core.Value, bool) { return s.node.Read(x) }
 
 // ---------------------------------------------------------------------------
 // Client

@@ -104,7 +104,7 @@ func TestClientBridgePropagatesDependency(t *testing.T) {
 // J1 blocks its read at replica 0 until the c-update arrives.
 func TestJ1BlocksStaleRead(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	servers := []*Server{NewServer(sys, 0), NewServer(sys, 1), NewServer(sys, 2), NewServer(sys, 3)}
+	h := newHost(t, sys)
 	client := NewClient(sys, 1) // accesses replicas 0 and 3
 
 	// Client writes c at replica 3 (c stored at 0 and 3).
@@ -118,12 +118,12 @@ func TestJ1BlocksStaleRead(t *testing.T) {
 		req.Replica = 3
 	}
 	req.Replica = 3
-	var out Outcome
-	servers[3].HandleRequest(req, &out)
-	if len(out.Responses) != 1 || len(out.Updates) != 1 {
-		t.Fatalf("write outcome: %+v", out)
+	h.request(req)
+	if len(h.responses) != 1 || len(h.out.Envs) != 1 {
+		t.Fatalf("write outcome: %+v, %+v", h.responses, h.out.Envs)
 	}
-	client.AbsorbResponse(out.Responses[0])
+	client.AbsorbResponse(h.responses[0])
+	upd := h.out.Envs[0]
 
 	// Read c at replica 0 before the update arrives: J1 must buffer it.
 	read, err := client.NewRequest("c", 0, true)
@@ -131,27 +131,24 @@ func TestJ1BlocksStaleRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	read.Replica = 0
-	var out0 Outcome
-	servers[0].HandleRequest(read, &out0)
-	if len(out0.Responses) != 0 || servers[0].PendingRequests() != 1 {
-		t.Fatalf("stale read served immediately: %+v", out0)
+	h.request(read)
+	if len(h.responses) != 0 || h.servers[0].PendingRequests() != 1 {
+		t.Fatalf("stale read served immediately: %+v", h.responses)
 	}
 
 	// Deliver the c-update to replica 0: the buffered read unblocks and
 	// returns the written value.
-	upd := out.Updates[0]
 	if upd.To != 0 {
 		t.Fatalf("update destination = %d, want 0", upd.To)
 	}
-	out0.Reset()
-	servers[0].HandleUpdate(upd, &out0)
-	if len(out0.Responses) != 1 {
-		t.Fatalf("buffered read did not unblock: %+v", out0)
+	h.update(upd)
+	if len(h.responses) != 1 {
+		t.Fatalf("buffered read did not unblock: %+v", h.responses)
 	}
-	if out0.Responses[0].Val != 9 || !out0.Responses[0].IsRead {
-		t.Errorf("read response = %+v, want value 9", out0.Responses[0])
+	if h.responses[0].Val != 9 || !h.responses[0].IsRead {
+		t.Errorf("read response = %+v, want value 9", h.responses[0])
 	}
-	if servers[0].PendingRequests() != 0 {
+	if h.servers[0].PendingRequests() != 0 {
 		t.Error("request still buffered")
 	}
 }
@@ -316,7 +313,8 @@ func TestRunValidationAndAccessErrors(t *testing.T) {
 	if client.MetadataEntries() == 0 {
 		t.Error("client universe empty")
 	}
-	srv := NewServer(sys, 0)
+	h := newHost(t, sys)
+	srv := h.servers[0]
 	if srv.ID() != 0 || srv.MetadataEntries() == 0 {
 		t.Error("bad server identity")
 	}
@@ -339,11 +337,11 @@ func TestRunValidationAndAccessErrors(t *testing.T) {
 	} {
 		req := good
 		mutate(&req)
-		if srv.HandleRequest(req, &Outcome{}) || srv.PendingRequests() != 0 {
+		if srv.HandleRequest(req, h.out) || srv.PendingRequests() != 0 {
 			t.Errorf("%s request processed", name)
 		}
 	}
-	if !srv.HandleRequest(good, &Outcome{}) {
+	if !h.request(good) {
 		t.Error("well-formed request refused")
 	}
 	if _, ok := srv.Read("b"); ok {

@@ -7,9 +7,9 @@ import (
 	"repro/internal/sharegraph"
 )
 
-// FuzzServerUpdateIngest hammers Server.HandleUpdate with mutated
-// inter-replica updates: exact duplicates, stale replays, unknown and
-// negative senders, misrouted destinations, and truncated, padded or
+// FuzzServerUpdateIngest hammers a server's update delivery (through
+// its sim.Space) with mutated inter-replica updates: exact duplicates,
+// stale replays, unknown and negative senders, and truncated, padded or
 // missing timestamps. The server must never panic, never apply one
 // sender's updates out of send order (predicate J3), count as pending
 // exactly the updates that can still apply, and account for every other
@@ -31,28 +31,26 @@ func FuzzServerUpdateIngest(f *testing.F) {
 			t.Fatal(err)
 		}
 		sys := NewSystem(aug)
-		writer := NewServer(sys, 0)
-		recv := NewServer(sys, 1)
+		h := newHost(t, sys)
+		recv := h.servers[1]
 		client := NewClient(sys, 0)
 
 		// A pool of genuine in-order updates 0→1 with increasing values.
 		const writes = 16
 		updates := make([]core.Envelope, writes)
-		var out Outcome
 		for i := 0; i < writes; i++ {
 			req, err := client.NewRequest("x", core.Value(i+1), false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.Reset()
-			if !writer.HandleRequest(req, &out) {
+			if !h.request(req) {
 				t.Fatalf("write %d rejected", i)
 			}
-			if len(out.Updates) != 1 || len(out.Responses) != 1 {
-				t.Fatalf("write %d outcome: %+v", i, out)
+			if len(h.out.Envs) != 1 || len(h.responses) != 1 {
+				t.Fatalf("write %d outcome: %+v, %+v", i, h.out.Envs, h.responses)
 			}
-			updates[i] = out.Updates[0]
-			client.AbsorbResponse(out.Responses[0])
+			updates[i] = h.out.Envs[0]
+			client.AbsorbResponse(h.responses[0])
 		}
 
 		lastVal := core.Value(0)
@@ -72,17 +70,13 @@ func FuzzServerUpdateIngest(f *testing.F) {
 				u.From = 9
 			case 4: // negative sender
 				u.From = -1
-			case 5: // misrouted destination
-				u.To = 0
 			case 6: // nil timestamp
 				u.Meta = nil
 			default: // deliver intact (dups and stale replays arise from repeats)
 				seen[idx] = true
 			}
-			out.Reset()
-			recv.HandleUpdate(u, &out)
 			delivered++
-			for _, a := range out.Applied {
+			for _, a := range h.update(u) {
 				if a.Val <= lastVal {
 					t.Fatalf("applied value %d after %d: out of send order", a.Val, lastVal)
 				}

@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -83,9 +83,8 @@ func TestLiveMatchesDeterministicRunner(t *testing.T) {
 	// exercise backpressure; one goroutine per client issues its program
 	// in session order.
 	for _, seed := range []int64{1, 42} {
-		ls := NewLiveWith(ringClientSystem(t, n), rt.Options{
-			Workers: 4, InboxCapacity: 8, Seed: seed, MaxDelay: 50 * time.Microsecond,
-		})
+		ls := newLive(t, ringClientSystem(t, n), sim.WithWorkers(4), sim.WithInboxCapacity(8),
+			sim.WithSeed(seed), sim.WithMaxDelay(50*time.Microsecond))
 		var wg sync.WaitGroup
 		for c := 0; c < n; c++ {
 			wg.Add(1)
@@ -107,16 +106,16 @@ func TestLiveMatchesDeterministicRunner(t *testing.T) {
 		}
 		wg.Wait()
 		ls.Quiesce()
-		if vs := ls.CheckLiveness(); len(vs) != 0 {
+		if vs := ls.Tracker().CheckLiveness(); len(vs) != 0 {
 			t.Errorf("seed %d: liveness violations: %v", seed, vs)
 		}
 		if vs := ls.Tracker().Violations(); len(vs) != 0 {
 			t.Errorf("seed %d: live run violations: %v", seed, vs)
 		}
 		live := ls.StateSnapshot()
-		if ls.UpdatesSent() == 0 || ls.MetaBytes() == 0 {
+		if ls.MessagesSent() == 0 || ls.MetaBytes() == 0 {
 			t.Errorf("seed %d: empty transport stats (%d updates, %d bytes)",
-				seed, ls.UpdatesSent(), ls.MetaBytes())
+				seed, ls.MessagesSent(), ls.MetaBytes())
 		}
 		ls.Close()
 		if !reflect.DeepEqual(res.FinalState, live) {
@@ -135,9 +134,7 @@ func TestLiveBoundedGoroutines(t *testing.T) {
 	const workers = 3
 	scripts := ownerScripts(n, 40)
 	before := runtime.NumGoroutine()
-	ls := NewLiveWith(ringClientSystem(t, n), rt.Options{
-		Workers: workers, MaxDelay: 200 * time.Microsecond,
-	})
+	ls := newLive(t, ringClientSystem(t, n), sim.WithWorkers(workers), sim.WithMaxDelay(200*time.Microsecond))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

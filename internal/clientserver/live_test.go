@@ -3,14 +3,27 @@ package clientserver
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	rt "repro/internal/runtime"
 	"repro/internal/sharegraph"
+	"repro/internal/sim"
 )
+
+// newLive starts a live system built with opts.
+func newLive(t testing.TB, sys *System, opts ...sim.ClusterOption) *LiveSystem {
+	t.Helper()
+	ls, err := NewLive(sys, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
 
 func TestLiveClientServerConcurrent(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	ls := NewLive(sys)
+	ls := newLive(t, sys)
 	defer ls.Close()
 
 	var wg sync.WaitGroup
@@ -43,7 +56,7 @@ func TestLiveClientServerConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	ls.Quiesce()
-	if vs := ls.CheckLiveness(); len(vs) != 0 {
+	if vs := ls.Tracker().CheckLiveness(); len(vs) != 0 {
 		t.Errorf("liveness: %v", vs)
 	}
 	if vs := ls.Tracker().Violations(); len(vs) != 0 {
@@ -57,7 +70,7 @@ func TestLiveReadYourWriteAcrossReplicas(t *testing.T) {
 	// even when the read lands on replica 0 — J1 blocks the read until
 	// the update propagates.
 	sys := bridgeSystem(t, true)
-	ls := NewLive(sys)
+	ls := newLive(t, sys)
 	defer ls.Close()
 	lc := ls.Client(1)
 	if err := lc.Write("c", 55); err != nil {
@@ -86,7 +99,7 @@ func TestLiveReadYourWriteAcrossReplicas(t *testing.T) {
 
 func TestLiveClosedRejectsOps(t *testing.T) {
 	sys := bridgeSystem(t, true)
-	ls := NewLive(sys)
+	ls := newLive(t, sys)
 	lc := ls.Client(0)
 	ls.Close()
 	if err := lc.Write("a", 1); err == nil {
@@ -98,5 +111,73 @@ func TestLiveClosedRejectsOps(t *testing.T) {
 	// Unreachable register surfaces the routing error.
 	if err := lc.Write("nonexistent", 1); err == nil {
 		t.Error("unreachable register accepted")
+	}
+}
+
+// TestLiveReadBufferedBehindCut drives a read that J1 must block on the
+// live system: the update it waits for is held behind a cut edge, so the
+// read waits at the server, and the parked count covers both the cut
+// update and the buffered request until the edge heals.
+func TestLiveReadBufferedBehindCut(t *testing.T) {
+	g, err := sharegraph.New([][]sharegraph.Register{{"x", "z"}, {"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Client 0 writes x at replica 0; client 1 reads z at replica 0 and
+	// then x at replica 1, its first choice for x.
+	aug, err := sharegraph.NewAugmented(g, sharegraph.ClientAssignment{{0}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := newLive(t, NewSystem(aug), sim.WithChaos(rt.FaultPlan{}))
+	defer ls.Close()
+	ls.Faults().Cut(0, 1, 0) // the edge the write's update travels
+
+	writer, reader := ls.Client(0), ls.Client(1)
+	if err := writer.Write("x", 7); err != nil {
+		t.Fatal(err)
+	}
+	// Reading z at replica 0 takes the write into the reader's past.
+	if _, err := reader.Read("z"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan core.Value, 1)
+	go func() {
+		v, err := reader.Read("x")
+		if err != nil {
+			t.Error(err)
+		}
+		got <- v
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ls.Metrics().Parked != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked = %d, want 2: the cut update and the buffered read", ls.Metrics().Parked)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case v := <-got:
+		t.Fatalf("read returned %d while its update was cut off", v)
+	default:
+	}
+
+	ls.Faults().Heal(0, 1)
+	select {
+	case v := <-got:
+		if v != 7 {
+			t.Errorf("read after heal = %d, want 7", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read still blocked after heal")
+	}
+	ls.Quiesce()
+	if p := ls.Metrics().Parked; p != 0 {
+		t.Errorf("parked after quiesce = %d, want 0", p)
+	}
+	if vs := ls.Tracker().CheckLiveness(); len(vs) != 0 {
+		t.Errorf("liveness: %v", vs)
+	}
+	if vs := ls.Tracker().Violations(); len(vs) != 0 {
+		t.Errorf("violations: %v", vs)
 	}
 }

@@ -119,10 +119,7 @@ func TestRaiseMovesNoGate(t *testing.T) {
 		clock := core.SpaceClocks(space)
 		for seed := int64(0); seed < 60; seed++ {
 			scripts := c.run(sys, seed).Scripts
-			servers := make([]*Server, sys.Aug.G.NumReplicas())
-			for i := range servers {
-				servers[i] = NewServer(sys, sharegraph.ReplicaID(i))
-			}
+			h := newHost(t, sys)
 			clients := make([]*Client, len(scripts))
 			for i := range clients {
 				clients[i] = NewClient(sys, sharegraph.ClientID(i))
@@ -130,7 +127,6 @@ func TestRaiseMovesNoGate(t *testing.T) {
 			awaiting := make([]bool, len(scripts))
 			rng := transport.NewRandom(seed)
 			var pool []event
-			var out Outcome
 			for {
 				// Issue the next op of every idle client, then deliver one
 				// message at random; a response re-arms its client.
@@ -158,42 +154,42 @@ func TestRaiseMovesNoGate(t *testing.T) {
 					awaiting[ev.resp.Client] = false
 					continue
 				}
-				s := servers[ev.req.Replica]
+				s := h.servers[ev.req.Replica]
 				if ev.kind == evUpdate {
-					s = servers[ev.update.To]
+					s = h.servers[ev.update.To]
 				}
 				before := s.Timestamp()
-				out.Reset()
+				var applies []core.Applied
 				if ev.kind == evUpdate {
-					s.HandleUpdate(ev.update, &out)
+					applies = h.update(ev.update)
 				} else {
-					if view := sys.views[ev.req.Client][s.id]; !ev.req.IsRead && s.requestReady(ev.req) &&
+					if view := sys.views[ev.req.Client][s.ID()]; !ev.req.IsRead && s.requestReady(ev.req) &&
 						!view.raise.Dominates(before, ev.req.Mu) {
 						raises++
 					}
-					s.HandleRequest(ev.req, &out)
+					h.request(ev.req)
 				}
 				applied := make(map[sharegraph.ReplicaID]uint64)
-				for _, a := range out.Applied {
+				for _, a := range applies {
 					applied[a.From]++
 				}
-				for k, from := range clock(s.id).Senders() {
-					if moved := s.node.Tau()[from.GatePos] - before[from.GatePos]; from.Tracked && moved != applied[sharegraph.ReplicaID(k)] {
+				for k, from := range clock(s.ID()).Senders() {
+					if moved := s.Tau()[from.GatePos] - before[from.GatePos]; from.Tracked && moved != applied[sharegraph.ReplicaID(k)] {
 						t.Fatalf("seed %d: replica %d's gate for sender %d moved by %d with %d applies from it",
-							seed, s.id, k, moved, applied[sharegraph.ReplicaID(k)])
+							seed, s.ID(), k, moved, applied[sharegraph.ReplicaID(k)])
 					}
 				}
-				for _, u := range out.Updates {
+				for _, u := range h.out.Envs {
 					pool = append(pool, event{kind: evUpdate, update: u})
 				}
-				for _, r := range out.Responses {
+				for _, r := range h.responses {
 					pool = append(pool, event{kind: evResponse, resp: r})
 				}
 			}
-			for _, s := range servers {
+			for _, s := range h.servers {
 				if s.PendingUpdates()+s.PendingRequests() != 0 {
 					t.Fatalf("seed %d: replica %d ended with %d updates and %d requests buffered",
-						seed, s.id, s.PendingUpdates(), s.PendingRequests())
+						seed, s.ID(), s.PendingUpdates(), s.PendingRequests())
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/causality"
 	"repro/internal/core"
 	"repro/internal/sharegraph"
+	"repro/internal/sim"
 	"repro/internal/timestamp"
 	"repro/internal/transport"
 )
@@ -60,9 +61,9 @@ func (r *RunResult) Ok() bool {
 	return len(r.Violations) == 0 && r.StuckUpdates == 0 && r.StuckRequests == 0 && r.UnfinishedOps == 0
 }
 
-// event is one in-flight message of the client-server runner. Events
-// hold their messages by value — outcomes are recycled scratch, so an
-// event must own everything it defers.
+// event is one in-flight message of the client-server runner, held by
+// value: an update's Meta comes from the space's pool and returns to it
+// at delivery, a response's Tau goes to the client that absorbs it.
 type event struct {
 	kind   eventKind
 	req    Request
@@ -80,7 +81,9 @@ const (
 
 // Run executes the client scripts to quiescence under the scheduler,
 // auditing with the causality oracle (including the client clauses of
-// Definitions 25 and 26).
+// Definitions 25 and 26). Client requests and responses are events of
+// the run's own scheduler; the servers live in a sim.Space, which serves
+// a request (Do) and delivers an update (Deliver).
 func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Sys == nil || cfg.Sched == nil {
 		return nil, fmt.Errorf("clientserver: Sys and Sched are required")
@@ -91,11 +94,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, fmt.Errorf("clientserver: %d scripts for %d clients", len(cfg.Scripts), nClients)
 	}
 	nReplicas := aug.G.NumReplicas()
-	tracker := causality.NewTracker(aug.G)
-	servers := make([]*Server, nReplicas)
-	for i := range servers {
-		servers[i] = NewServer(cfg.Sys, sharegraph.ReplicaID(i))
-		servers[i].tracker = tracker
+	var responses []Response // one event's, pooled after its updates
+	sp, servers, err := newSpace(cfg.Sys, true, func(r Response) { responses = append(responses, r) })
+	if err != nil {
+		return nil, err
 	}
 	clients := make([]*Client, nClients)
 	for c := range clients {
@@ -116,20 +118,22 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 
 	var pool []event
-	var scratch Outcome // recycled across server calls; pool copies own their data
+	out := new(sim.Batch).For(sp)
 	nextVal := core.Value(1)
 
-	processOutcome := func(out *Outcome) {
-		for i := range out.Updates {
+	// stage moves what one event produced into the pool.
+	stage := func() {
+		for _, u := range out.Envs {
 			res.UpdatesSent++
-			res.MetaBytes += len(out.Updates[i].Meta)
-			pool = append(pool, event{kind: evUpdate, update: out.Updates[i]})
+			res.MetaBytes += len(u.Meta)
+			pool = append(pool, event{kind: evUpdate, update: u})
 		}
-		for i := range out.Responses {
+		for _, r := range responses {
 			res.Responses++
-			res.MetaBytes += timestamp.EncodedSize(out.Responses[i].Tau)
-			pool = append(pool, event{kind: evResponse, resp: out.Responses[i]})
+			res.MetaBytes += timestamp.EncodedSize(r.Tau)
+			pool = append(pool, event{kind: evResponse, resp: r})
 		}
+		out.Envs, responses = out.Envs[:0], responses[:0]
 	}
 
 	for step := 0; step < maxSteps; step++ {
@@ -167,13 +171,16 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			pool = append(pool[:choice-len(idle)], pool[choice-len(idle)+1:]...)
 			switch ev.kind {
 			case evRequest:
-				scratch.Reset()
-				servers[ev.req.Replica].HandleRequest(ev.req, &scratch)
-				processOutcome(&scratch)
+				if err := sp.Do(ev.req.Replica, func(n core.Node) error {
+					n.(*Server).HandleRequest(ev.req, out)
+					return nil
+				}); err != nil {
+					return nil, fmt.Errorf("clientserver: %w", err)
+				}
+				stage()
 			case evUpdate:
-				scratch.Reset()
-				servers[ev.update.To].HandleUpdate(ev.update, &scratch)
-				processOutcome(&scratch)
+				sp.Deliver(ev.update, out)
+				stage()
 			case evResponse:
 				clients[ev.resp.Client].AbsorbResponse(ev.resp)
 				awaiting[ev.resp.Client] = false
@@ -188,10 +195,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res.ServerEntries = append(res.ServerEntries, s.MetadataEntries())
 	}
 	if cfg.CaptureState {
-		res.FinalState = make([]map[sharegraph.Register]core.Value, nReplicas)
-		for i, s := range servers {
-			res.FinalState[i] = serverState(aug.G, s, sharegraph.ReplicaID(i))
-		}
+		res.FinalState = sp.State()
 	}
 	for c, cl := range clients {
 		res.ClientEntries = append(res.ClientEntries, cl.MetadataEntries())
@@ -200,21 +204,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			res.UnfinishedOps++
 		}
 	}
-	tracker.CheckLiveness()
-	res.Violations = tracker.Violations()
+	res.Violations = sp.Audit()
 	return res, nil
-}
-
-// serverState snapshots the registers replica r genuinely stores. Both
-// the deterministic runner and the live system build their differential
-// state captures with it, so the two sides compare maps produced by the
-// same code. Callers serialize access to the server.
-func serverState(g *sharegraph.Graph, s *Server, r sharegraph.ReplicaID) map[sharegraph.Register]core.Value {
-	out := make(map[sharegraph.Register]core.Value)
-	for _, x := range g.Stores(r).Sorted() {
-		if v, ok := s.Read(x); ok {
-			out[x] = v
-		}
-	}
-	return out
 }

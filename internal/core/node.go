@@ -20,7 +20,10 @@
 //	clientserver.Server (Section 6)         SpaceClocks over Ê_i           ShareRoutes of the share graph
 //
 // The client-server row is a node plus a layer: its servers admit client
-// requests against τ_i and raise it by µ_c before a write, through Layered.
+// requests against τ_i and raise it by µ_c before a write, through
+// Layered, and the sim.Space hosting them calls the server's Settle after
+// every delivery that applied something, so the requests those applies
+// unblocked are served under the same lock.
 //
 // The protocol logic is a pure, single-threaded state machine per replica
 // (a Node): client operations and message deliveries are methods that

@@ -214,7 +214,10 @@ func (p *Prototype) init(n *replica, id sharegraph.ReplicaID, d *Diag) {
 // Layered is a prototype node as seen by a layer that runs on top of it —
 // the client-server architecture of Section 6, whose servers admit client
 // requests against τ_i and fold the client's timestamp into it before a
-// write. Every node a Prototype builds implements it.
+// write. Every node a Prototype builds implements it. The layer's node
+// is hosted like any other: the sim.Space delivers to it, reports the
+// applies to the oracle and then calls the layer's Settle, which serves
+// the requests those applies unblocked.
 type Layered interface {
 	LivePendingCounter
 	// Tau returns τ_i itself, not a copy: read-only, and valid until the

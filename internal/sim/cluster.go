@@ -218,7 +218,7 @@ func (c *Cluster) Faults() *rt.FaultInjector[core.Envelope] { return c.eng.Fault
 
 // Tracker exposes the oracle auditing this cluster; nil when the cluster
 // was built with WithoutAudit.
-func (c *Cluster) Tracker() *causality.Tracker { return c.space.tracker }
+func (c *Cluster) Tracker() *causality.Tracker { return c.space.Tracker() }
 
 // Workers returns the delivery worker-pool size.
 func (c *Cluster) Workers() int { return c.eng.Workers() }
@@ -227,6 +227,25 @@ func (c *Cluster) Workers() int { return c.eng.Workers() }
 // destination inbox is at capacity (the backpressure contract). It fails
 // for a replica outside [0,n) or a crashed one.
 func (c *Cluster) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Value) error {
+	return c.send(func(b *Batch) error {
+		_, err := c.space.Write(r, x, v, b)
+		return err
+	})
+}
+
+// Do runs f on replica r's node under its lock (Space.Do) and sends what
+// f emits into out, blocking under backpressure like Write: a
+// client-server request is served this way. It fails for a replica
+// outside [0,n), a crashed one, or with f's error.
+func (c *Cluster) Do(r sharegraph.ReplicaID, f func(n core.Node, out core.Sink) error) error {
+	return c.send(func(b *Batch) error {
+		return c.space.Do(r, func(n core.Node) error { return f(n, b) })
+	})
+}
+
+// send stages one client operation's envelopes through op and hands
+// them to the engine.
+func (c *Cluster) send(op func(*Batch) error) error {
 	if c.closed.Load() {
 		return fmt.Errorf("cluster: closed")
 	}
@@ -237,7 +256,7 @@ func (c *Cluster) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Va
 	defer c.epoch.RUnlock()
 	b := c.getBatch()
 	defer c.putBatch(b)
-	if _, err := c.space.Write(r, x, v, b); err != nil {
+	if err := op(b); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	accepted := c.eng.Send(b.Envs...)

@@ -4,8 +4,11 @@
 // (bounded per-replica inboxes, used to exercise real concurrency at
 // scale). Both host their replicas in a Space — the shared in-process
 // host that issues update IDs, delivers and audits with the causality
-// oracle, captures state and drives scripts — which shard.Runtime also
-// builds on; both collect the metadata metrics the experiments report.
+// oracle, captures state and drives scripts. Four in-process hosts build
+// on it: Run, Cluster, shard.Runtime, and clientserver.LiveSystem, a
+// Cluster whose nodes are Appendix E servers (clientserver.Run's
+// deterministic loop hosts its servers in a Space too). Run and Cluster
+// collect the metadata metrics the experiments report.
 package sim
 
 import (

@@ -16,12 +16,14 @@ import (
 // core.Protocol behind per-replica locks, the oracle auditing them (or a
 // bare update-ID counter), the Meta pool of the emit contract, the
 // optional obs registry and, under chaos, each replica's crash/restart
-// record. Run, Cluster and shard.Runtime all host their replicas in one.
+// record. Run, Cluster, shard.Runtime and clientserver.LiveSystem (a
+// Cluster of Appendix E servers) all host their replicas in one.
 //
 // The lock discipline lives here: the node call, its ID issue or apply
-// report, and the copy of every Meta it emits (Batch) happen under the
-// replica's lock; callers push what Write and Deliver staged after they
-// return, with no lock held, so backpressure never blocks a node.
+// report, a layered node's Settle, and the copy of every Meta it emits
+// (Batch) happen under the replica's lock; callers push what Write, Do
+// and Deliver staged after they return, with no lock held, so
+// backpressure never blocks a node.
 type Space struct {
 	g        *sharegraph.Graph
 	protocol core.Protocol
@@ -35,6 +37,16 @@ type Space struct {
 	// the host enables crash/restart, so the fault-free delivery path
 	// pays one nil check.
 	rec []replicaRec
+	// layered is set once, in NewSpace, when the nodes carry a layer
+	// that Deliver must settle after every apply.
+	layered bool
+}
+
+// settler is a node with a layer on top: after a delivery applied
+// updates, Settle does the layer's part, emitting into the same sink.
+// clientserver.Server serves the client requests the applies unblocked.
+type settler interface {
+	Settle(out core.Sink)
 }
 
 // NewSpace builds protocol's nodes over g. audit attaches a causality
@@ -48,17 +60,16 @@ func NewSpace(g *sharegraph.Graph, protocol core.Protocol, audit bool, reg *obs.
 		return nil, fmt.Errorf("protocol built %d nodes for %d replicas", len(nodes), g.NumReplicas())
 	}
 	sp := &Space{g: g, protocol: protocol, nodes: nodes, mu: make([]sync.Mutex, len(nodes)), reg: reg}
+	_, sp.layered = nodes[0].(settler)
 	if audit {
 		sp.tracker = causality.NewTracker(g)
 	}
 	return sp, nil
 }
 
-func (sp *Space) has(r sharegraph.ReplicaID) bool { return r >= 0 && int(r) < len(sp.nodes) }
-
-// check is has as an error naming the valid range.
+// check fails, naming the valid range, for a replica outside [0,n).
 func (sp *Space) check(r sharegraph.ReplicaID) error {
-	if !sp.has(r) {
+	if r < 0 || int(r) >= len(sp.nodes) {
 		return fmt.Errorf("replica %d outside [0,%d)", r, len(sp.nodes))
 	}
 	return nil
@@ -75,19 +86,44 @@ func (sp *Space) report(r sharegraph.ReplicaID, applied []core.Applied) {
 	}
 }
 
+// lock range-checks r and takes its lock, refusing a crashed replica;
+// on success the caller unlocks mu[r].
+func (sp *Space) lock(r sharegraph.ReplicaID) error {
+	if err := sp.check(r); err != nil {
+		return err
+	}
+	sp.mu[r].Lock()
+	if sp.rec != nil && sp.rec[r].down {
+		sp.mu[r].Unlock()
+		return fmt.Errorf("replica %d is down", r)
+	}
+	return nil
+}
+
+// Do runs f on replica r's node under r's lock: a host's own operation
+// on its node, such as a client-server request. It fails for a replica
+// outside [0,n) or a crashed one.
+func (sp *Space) Do(r sharegraph.ReplicaID, f func(core.Node) error) error {
+	if err := sp.lock(r); err != nil {
+		return err
+	}
+	defer sp.mu[r].Unlock()
+	return f(sp.nodes[r])
+}
+
+// Tracker returns the oracle auditing the space; nil when auditing is
+// off.
+func (sp *Space) Tracker() *causality.Tracker { return sp.tracker }
+
 // Write performs a client write at replica r: the update is issued to
 // the oracle (or numbered) and handled under r's lock, so issue order
 // per replica is the order the oracle requires. It fails for a replica
 // outside [0,n), a crashed replica, or a register r does not store.
 func (sp *Space) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Value, out core.Sink) (causality.UpdateID, error) {
-	if err := sp.check(r); err != nil {
+	if err := sp.lock(r); err != nil {
 		return 0, err
 	}
-	sp.mu[r].Lock()
 	defer sp.mu[r].Unlock()
-	if sp.rec != nil && sp.rec[r].down {
-		return 0, fmt.Errorf("replica %d is down", r)
-	}
 	var id causality.UpdateID
 	if sp.tracker != nil {
 		id = sp.tracker.OnIssue(r, x)
@@ -104,9 +140,10 @@ func (sp *Space) Write(r sharegraph.ReplicaID, x sharegraph.Register, v core.Val
 }
 
 // Deliver ingests env at its destination, reports every apply to the
-// oracle and recycles env's Meta. A delivery to a crashed replica parks
-// here, the one place that holds it until Restart. The returned slice is
-// the node's scratch: a concurrent host may read only its length.
+// oracle, lets a layered node Settle and recycles env's Meta. A delivery
+// to a crashed replica parks here, the one place that holds it until
+// Restart. The returned slice is the node's scratch: a concurrent host
+// may read only its length.
 func (sp *Space) Deliver(env core.Envelope, out core.Sink) []core.Applied {
 	to := env.To
 	sp.mu[to].Lock()
@@ -127,6 +164,11 @@ func (sp *Space) Deliver(env core.Envelope, out core.Sink) []core.Applied {
 	}
 	applied := sp.nodes[to].HandleMessage(env, out)
 	sp.report(to, applied)
+	if sp.layered && len(applied) > 0 {
+		// After report: the layer's step may read what the oracle knows
+		// the replica has applied (OnClientAccess does).
+		sp.nodes[to].(settler).Settle(out)
+	}
 	sp.mu[to].Unlock()
 	if sp.reg != nil {
 		n := len(applied)
@@ -147,14 +189,10 @@ func (sp *Space) Recycle(meta []byte) { sp.meta.Put(meta) }
 // Read returns replica r's local copy of x. A replica outside [0,n) or a
 // crashed one serves no reads: ok is false.
 func (sp *Space) Read(r sharegraph.ReplicaID, x sharegraph.Register) (core.Value, bool) {
-	if !sp.has(r) {
+	if sp.lock(r) != nil {
 		return 0, false
 	}
-	sp.mu[r].Lock()
 	defer sp.mu[r].Unlock()
-	if sp.rec != nil && sp.rec[r].down {
-		return 0, false
-	}
 	return sp.nodes[r].Read(x)
 }
 

@@ -43,10 +43,11 @@
 // RunCluster drives a generated workload through a live cluster end to
 // end and reports the oracle's verdicts.
 //
-// The same engine runs the Appendix E client-server architecture:
-// LiveClientServer (see ClientServerSystem.Live and LiveWith) dispatches
-// inter-replica updates through an identical worker pool, so both of the
-// paper's deployment shapes share one bounded-goroutine runtime.
+// The same runtime runs the Appendix E client-server architecture:
+// LiveClientServer (see ClientServerSystem.Live and LiveWith) is a
+// Cluster whose replicas are the Appendix E servers, so both of the
+// paper's deployment shapes share one bounded-goroutine runtime, one
+// oracle and one ClusterOptions surface.
 //
 // # Robustness
 //
@@ -54,7 +55,8 @@
 // ClusterOptions.Chaos: per-edge drop and duplication lotteries and one-
 // and two-way partitions with scheduled heals. They are injected at the
 // engine's send/forward boundary, so the replica cluster and the
-// client-server deployment inherit the same fault model. Every lottery
+// client-server deployment (ClientServerSystem.LiveWith with Chaos set)
+// inherit the same fault model. Every lottery
 // outcome is a pure hash of (seed, edge, stream, counter), so a chaos
 // run injects the same faults regardless of goroutine scheduling. A
 // dropped transmission is diverted to a retransmit queue with
